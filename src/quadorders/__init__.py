@@ -3,142 +3,58 @@
 The library decides, by finite criteria, whether such an order is
 ideal-preserving, locally associated, associated, or half-factorial, and ships
 brute-force oracles over finite quotients plus a checkpointed grid census.
+Lower-level helpers live in the submodules (arith, quadfield, lfun, unitindex,
+pell, classgroup, classify, oracle, atlas).
 """
 
-from .arith import (
-    Factorization,
-    InternalConsistencyError,
-    divisors_sorted,
-    factorize,
-    is_prime,
-    is_squarefree,
-    kronecker,
-)
+from .arith import InternalConsistencyError
 from .atlas import (
-    Checkpoint,
-    HfdReport,
     ScanConfig,
-    ScanSummary,
     ScanVerificationError,
     record_to_csv_row,
     record_to_json_obj,
     report_hfd,
     scan,
 )
-from .classgroup import (
-    FormClassData,
-    class_number,
-    maximal_order_is_hfd,
-    narrow_class_number,
-    reduced_forms_indefinite,
-    reduced_forms_negative,
-)
-from .classify import (
-    ClassificationRecord,
-    OrderSpec,
-    classify_order,
-    is_associated,
-    is_hfd,
-    is_ideal_preserving,
-    is_locally_associated,
-    order_class_number,
-)
-from .lfun import euler_phi, l_prime_power, l_value
+from .classgroup import class_number
+from .classify import ClassificationRecord, OrderSpec, classify_order, is_ideal_preserving
+from .lfun import l_value
 from .oracle import (
-    DEFAULT_ENUM_BOUND,
     OracleBoundError,
-    QuotientRing,
     brute_associated,
     brute_ideal_preserving,
     brute_locally_associated,
     quotient_unit_count,
 )
-from .pell import FundamentalUnit, fundamental_unit, unit_xy, verify_unit
-from .unitindex import min_power, min_power_prime_power
-from .quadfield import (
-    FieldContext,
-    ModQuadInt,
-    OmegaKind,
-    QuadInt,
-    SplitKind,
-    SplittingReport,
-    in_order,
-    make_field,
-    mod_mul,
-    mod_pow,
-    qi_conj,
-    qi_mul,
-    qi_norm,
-    qi_pow,
-    reduce_mod,
-    splitting_kind,
-    splitting_type,
-)
+from .pell import fundamental_unit, verify_unit
+from .quadfield import field_char, make_field, splitting_type
+from .unitindex import min_power
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "Factorization",
     "InternalConsistencyError",
-    "divisors_sorted",
-    "factorize",
-    "is_prime",
-    "is_squarefree",
-    "kronecker",
-    "Checkpoint",
-    "HfdReport",
     "ScanConfig",
-    "ScanSummary",
     "ScanVerificationError",
     "record_to_csv_row",
     "record_to_json_obj",
     "report_hfd",
     "scan",
-    "FormClassData",
     "class_number",
-    "maximal_order_is_hfd",
-    "narrow_class_number",
-    "reduced_forms_indefinite",
-    "reduced_forms_negative",
     "ClassificationRecord",
     "OrderSpec",
     "classify_order",
-    "is_associated",
-    "is_hfd",
     "is_ideal_preserving",
-    "is_locally_associated",
-    "order_class_number",
-    "euler_phi",
-    "l_prime_power",
     "l_value",
-    "DEFAULT_ENUM_BOUND",
     "OracleBoundError",
-    "QuotientRing",
     "brute_associated",
     "brute_ideal_preserving",
     "brute_locally_associated",
     "quotient_unit_count",
-    "FundamentalUnit",
     "fundamental_unit",
-    "unit_xy",
     "verify_unit",
-    "min_power",
-    "min_power_prime_power",
-    "FieldContext",
-    "ModQuadInt",
-    "OmegaKind",
-    "QuadInt",
-    "SplitKind",
-    "SplittingReport",
-    "in_order",
+    "field_char",
     "make_field",
-    "mod_mul",
-    "mod_pow",
-    "qi_conj",
-    "qi_mul",
-    "qi_norm",
-    "qi_pow",
-    "reduce_mod",
-    "splitting_kind",
     "splitting_type",
+    "min_power",
 ]

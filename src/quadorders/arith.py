@@ -49,17 +49,7 @@ def factorize(n: int) -> Factorization:
 
 @lru_cache(maxsize=65536)
 def is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    for p in (2, 3):
-        if n % p == 0:
-            return n == p
-    f = 5
-    while f * f <= n:
-        if n % f == 0 or n % (f + 2) == 0:
-            return False
-        f += 6
-    return True
+    return n > 1 and _factorize_cached(n) == ((n, 1),)
 
 
 @lru_cache(maxsize=65536)

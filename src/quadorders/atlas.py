@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import os
 import time
+from contextlib import nullcontext
 from dataclasses import dataclass
 from multiprocessing import get_context
 
@@ -184,6 +185,29 @@ def _squarefree_range(d_min: int, d_max: int) -> list[int]:
     ]
 
 
+def _file_format(first_line: str) -> str | None:
+    """The format a scan file's first line identifies, or None."""
+    if first_line == CSV_HEADER:
+        return "csv"
+    if first_line.startswith("{"):
+        return "jsonl"
+    return None
+
+
+def _check_resumable(cfg: ScanConfig, ds: list[int], ck: Checkpoint) -> None:
+    """Refuse to append to a file written with another format or (d, n) window."""
+    with open(cfg.out) as fh:
+        fmt = _file_format(fh.readline().rstrip("\n"))
+    if fmt != cfg.fmt:
+        raise ValueError(f"cannot resume {cfg.out}: it is not a {cfg.fmt} scan file")
+    expected = sum(1 for d in ds if d <= ck.last_d) * (cfg.n_max - cfg.n_min + 1)
+    if ck.rows != expected:
+        raise ValueError(
+            f"cannot resume {cfg.out}: its checkpoint records {ck.rows} rows up to "
+            f"d={ck.last_d}, this window has {expected}; resume with the original window"
+        )
+
+
 def scan(cfg: ScanConfig) -> ScanSummary:
     t0 = time.perf_counter()
     if cfg.fmt not in ("csv", "jsonl"):
@@ -202,6 +226,7 @@ def scan(cfg: ScanConfig) -> ScanSummary:
     ck_path = checkpoint_path(cfg.out)
     if cfg.resume and os.path.exists(ck_path) and os.path.exists(cfg.out):
         ck = read_checkpoint(ck_path)
+        _check_resumable(cfg, ds, ck)
         _truncate_output(cfg.out, cfg.fmt, ck.rows)
         rows_written, hfd_count = ck.rows, ck.hfd
         ds = [d for d in ds if d > ck.last_d]
@@ -216,29 +241,18 @@ def scan(cfg: ScanConfig) -> ScanSummary:
         if mode == "w" and cfg.fmt == "csv":
             fh.write(CSV_HEADER + "\n")
             fh.flush()
-        if cfg.jobs == 1:
-            results = map(_scan_one_d, tasks)
+        with get_context("fork").Pool(cfg.jobs) if cfg.jobs > 1 else nullcontext() as pool:
+            if pool is None:
+                results = map(_scan_one_d, tasks)
+            else:
+                results = pool.imap(_scan_one_d, tasks, chunksize=1)
             for d, rows, hfd_d in results:
-                rows_written, hfd_count = _emit(
-                    fh, ck_path, d, rows, hfd_d, rows_written, hfd_count
-                )
-        else:
-            ctx = get_context("fork")
-            with ctx.Pool(cfg.jobs) as pool:
-                for d, rows, hfd_d in pool.imap(_scan_one_d, tasks, chunksize=1):
-                    rows_written, hfd_count = _emit(
-                        fh, ck_path, d, rows, hfd_d, rows_written, hfd_count
-                    )
+                fh.write("\n".join(rows) + "\n")
+                fh.flush()
+                rows_written += len(rows)
+                hfd_count += hfd_d
+                _write_checkpoint(ck_path, Checkpoint(d, rows_written, hfd_count))
     return ScanSummary(rows_written, hfd_count, time.perf_counter() - t0)
-
-
-def _emit(fh, ck_path, d, rows, hfd_d, rows_written, hfd_count):
-    fh.write("\n".join(rows) + "\n")
-    fh.flush()
-    rows_written += len(rows)
-    hfd_count += hfd_d
-    _write_checkpoint(ck_path, Checkpoint(d, rows_written, hfd_count))
-    return rows_written, hfd_count
 
 
 def _parse_csv_row(line: str, lineno: int) -> dict:
@@ -282,10 +296,10 @@ def report_hfd(path: str) -> HfdReport:
         first = fh.readline()
         if not first:
             return HfdReport(0, {})
-        stripped = first.rstrip("\n")
-        if stripped == CSV_HEADER:
+        fmt = _file_format(first.rstrip("\n"))
+        if fmt == "csv":
             parse, start = _parse_csv_row, 2
-        elif stripped.startswith("{"):
+        elif fmt == "jsonl":
             parse, start = _parse_jsonl_row, 1
             fh.seek(0)
         else:

@@ -130,7 +130,3 @@ def class_number(F: FieldContext, U: FundamentalUnit) -> FormClassData:
         raise InternalConsistencyError(f"h({F.D}) = {h}")
     return FormClassData(F.D, h, h_plus, U.norm_sign)
 
-
-def maximal_order_is_hfd(C: FormClassData) -> bool:
-    """The maximal order is half-factorial exactly when h <= 2."""
-    return C.h <= 2

@@ -13,11 +13,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .arith import InternalConsistencyError, factorize, is_squarefree
+from .arith import InternalConsistencyError, factorize, is_prime, is_squarefree
 from .classgroup import class_number
 from .lfun import l_value
 from .pell import fundamental_unit
-from .quadfield import SplitKind, make_field, splitting_kind
+from .quadfield import field_char, make_field
 from .unitindex import min_power
 
 
@@ -51,65 +51,35 @@ class ClassificationRecord:
 
 
 def is_ideal_preserving(spec: OrderSpec) -> bool:
-    F = make_field(spec.d)
-    return all(
-        splitting_kind(F, p) is SplitKind.INERT for p, _ in factorize(spec.n)
-    )
-
-
-def is_locally_associated(spec: OrderSpec) -> bool:
-    F = make_field(spec.d)
-    U = fundamental_unit(F)
-    return min_power(F, U, spec.n) == l_value(spec.n, spec.d)
-
-
-def is_associated(spec: OrderSpec) -> bool:
-    return is_ideal_preserving(spec) and is_locally_associated(spec)
-
-
-def order_class_number(spec: OrderSpec, m: int, L: int, h_maximal: int) -> int:
-    """|Cl(R)| = h * L / m."""
-    if L % m:
-        raise InternalConsistencyError(
-            f"m={m} does not divide L={L} for d={spec.d}, n={spec.n}"
-        )
-    return h_maximal * (L // m)
-
-
-def index_is_prime_or_twice_odd_prime(n: int) -> bool:
-    fac = factorize(n)
-    if len(fac) == 1 and fac[0][1] == 1:
-        return True
-    return len(fac) == 2 and fac[0] == (2, 1) and fac[1][1] == 1
-
-
-def is_hfd(spec: OrderSpec, associated: bool, h_maximal: int) -> bool:
-    if h_maximal > 2:
-        return False
-    if spec.n == 1:
-        return True
-    return associated and index_is_prime_or_twice_odd_prime(spec.n)
+    return all(field_char(spec.d, p) == -1 for p, _ in factorize(spec.n))
 
 
 def classify_order(spec: OrderSpec) -> ClassificationRecord:
     F = make_field(spec.d)
     U = fundamental_unit(F)
-    C = class_number(F, U)
+    h = class_number(F, U).h
     m = min_power(F, U, spec.n)
     L = l_value(spec.n, spec.d)
+    if L % m:
+        raise InternalConsistencyError(
+            f"m={m} does not divide L={L} for d={spec.d}, n={spec.n}"
+        )
     ip = is_ideal_preserving(spec)
     la = m == L
     assoc = ip and la
+    n = spec.n
+    prime_shape = is_prime(n) or (n % 4 == 2 and is_prime(n // 2))  # p or 2p, p odd
+    hfd = h <= 2 and (n == 1 or (assoc and prime_shape))
     return ClassificationRecord(
         d=spec.d,
-        n=spec.n,
+        n=n,
         D=F.D,
         m=m,
         L=L,
         ideal_preserving=ip,
         locally_associated=la,
         associated=assoc,
-        h_maximal=C.h,
-        h_order=order_class_number(spec, m, L, C.h),
-        hfd=is_hfd(spec, assoc, C.h),
+        h_maximal=h,
+        h_order=h * (L // m),
+        hfd=hfd,
     )

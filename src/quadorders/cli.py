@@ -19,13 +19,7 @@ from .atlas import (
     scan,
 )
 from .classgroup import class_number
-from .classify import (
-    OrderSpec,
-    classify_order,
-    is_associated,
-    is_ideal_preserving,
-    is_locally_associated,
-)
+from .classify import OrderSpec, classify_order
 from .lfun import l_value
 from .oracle import (
     OracleBoundError,
@@ -34,7 +28,7 @@ from .oracle import (
     brute_locally_associated,
 )
 from .pell import FundamentalUnit, fundamental_unit, verify_unit
-from .quadfield import FieldContext, OmegaKind, make_field
+from .quadfield import FieldContext, make_field, unit_xy
 
 
 def _sqrt_expr(x: int, y: int, d: int) -> str:
@@ -54,14 +48,10 @@ def _sqrt_expr(x: int, y: int, d: int) -> str:
 
 
 def format_unit(F: FieldContext, U: FundamentalUnit) -> str:
-    if F.omega_kind is OmegaKind.HALF:
-        x, y = 2 * U.u.a + U.u.b, U.u.b
-        if x == 0 and y == 0:
-            raise ValueError("zero is not a unit")
-        body = f"({_sqrt_expr(x, y, F.d)})/2"
-    else:
-        body = _sqrt_expr(U.u.a, U.u.b, F.d)
-    return body
+    x, y = unit_xy(F, U.u)
+    if F.half:
+        return f"({_sqrt_expr(x, y, F.d)})/2"
+    return _sqrt_expr(x // 2, y, F.d)
 
 
 def _bool_word(v: bool) -> str:
@@ -111,7 +101,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
     spec = OrderSpec(args.d, args.n)
     F = make_field(spec.d)
     U = fundamental_unit(F)
-    la, ip, assoc = is_locally_associated(spec), is_ideal_preserving(spec), is_associated(spec)
+    rec = classify_order(spec)
+    la, ip, assoc = rec.locally_associated, rec.ideal_preserving, rec.associated
     bla = brute_locally_associated(F, U, spec.n)
     bip = brute_ideal_preserving(F, spec.n)
     bassoc = brute_associated(F, U, spec.n)

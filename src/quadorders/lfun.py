@@ -1,15 +1,14 @@
 """The multiplicative index function L(n, d) = |U(O_K/(n))| / phi(n).
 
-On prime powers:
-  L(2^a) = 2^(a-1), 3*2^(a-1), or 2^a as d = 1, 5 (mod 8) or otherwise;
-  L(p^a) = p^(a-1) * (p - (d/p)) for odd p;
-and L(1) = 1, extended multiplicatively.  These match the unit counts of the
-split, inert and ramified local quotients.
+On prime powers L(p^a) = p^(a-1) * (p - (D/p)), with (D/p) the field
+character (including p = 2), and L(1) = 1, extended multiplicatively.  These
+match the unit counts of the split, inert and ramified local quotients.
 """
 
 from __future__ import annotations
 
-from .arith import factorize, is_prime, is_squarefree, kronecker
+from .arith import factorize, is_prime, is_squarefree
+from .quadfield import field_char
 
 
 def l_prime_power(p: int, a: int, d: int) -> int:
@@ -19,14 +18,7 @@ def l_prime_power(p: int, a: int, d: int) -> int:
         raise ValueError(f"l_prime_power requires a >= 1, got {a}")
     if not is_squarefree(d):
         raise ValueError(f"l_prime_power requires squarefree d, got {d}")
-    if p == 2:
-        r = d % 8
-        if r == 1:
-            return 2 ** (a - 1)
-        if r == 5:
-            return 3 * 2 ** (a - 1)
-        return 2**a
-    return p ** (a - 1) * (p - kronecker(d, p))
+    return p ** (a - 1) * (p - field_char(d, p))
 
 
 def l_value(n: int, d: int) -> int:
@@ -37,13 +29,4 @@ def l_value(n: int, d: int) -> int:
     out = 1
     for p, a in factorize(n):
         out *= l_prime_power(p, a, d)
-    return out
-
-
-def euler_phi(n: int) -> int:
-    if n < 1:
-        raise ValueError(f"euler_phi requires n >= 1, got {n}")
-    out = 1
-    for p, a in factorize(n):
-        out *= p ** (a - 1) * (p - 1)
     return out

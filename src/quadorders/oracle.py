@@ -5,7 +5,9 @@ deliberately independent of the closed-form criteria: local associativity and
 associativity are decided by generating the unit subgroup (Z/M)^* * <u> element
 by element, ideal preservation by scanning for witnesses x in R with x in P
 but not in P' (or P^2).  An element is a unit of O_K/(M) iff its norm is prime
-to M.  Moduli are capped (default 200) since the scans are quadratic.
+to M.  Moduli are capped (default 200) since the scans are quadratic.  Only
+ring arithmetic is shared with the fast path (qi_mul, qi_norm, the roots of
+omega's minimal polynomial), never m, L or the field character (D/p).
 """
 
 from __future__ import annotations
@@ -14,13 +16,7 @@ from math import gcd
 
 from .arith import factorize
 from .pell import FundamentalUnit
-from .quadfield import (
-    FieldContext,
-    QuadInt,
-    SplitKind,
-    qi_mul,
-    splitting_type,
-)
+from .quadfield import QI, FieldContext, omega_roots, qi_mul, qi_norm
 
 DEFAULT_ENUM_BOUND = 200
 
@@ -45,19 +41,11 @@ class QuotientRing:
         self.M = M
         self.elements = [(a, b) for a in range(M) for b in range(M)]
 
-    def mul(self, x: tuple[int, int], y: tuple[int, int]) -> tuple[int, int]:
-        z = qi_mul(self.F, QuadInt(x[0], x[1]), QuadInt(y[0], y[1]))
-        return (z.a % self.M, z.b % self.M)
+    def mul(self, x: QI, y: QI) -> QI:
+        return qi_mul(self.F, x, y, self.M)
 
-    def norm(self, x: tuple[int, int]) -> int:
-        F = self.F
-        a, b = x
-        if F.omega_kind.value == "sqrt":
-            return a * a - F.d * b * b
-        return a * a + a * b - (F.d - 1) // 4 * b * b
-
-    def is_unit(self, x: tuple[int, int]) -> bool:
-        return gcd(self.norm(x), self.M) == 1
+    def is_unit(self, x: QI) -> bool:
+        return gcd(qi_norm(self.F, x), self.M) == 1
 
     def units(self) -> set[tuple[int, int]]:
         return {x for x in self.elements if self.is_unit(x)}
@@ -73,7 +61,7 @@ def _unit_cosets(
 ) -> set[tuple[int, int]]:
     """Union of the sets multipliers * u^k for k >= 0, closed when u^k turns rational."""
     n = Q.M
-    u = (U.u.a % n, U.u.b % n)
+    u = (U.u[0] % n, U.u[1] % n)
     covered: set[tuple[int, int]] = set()
     w = (1 % n, 0)
     for _ in range(n * n + 1):
@@ -105,13 +93,12 @@ def brute_associated(
     return len(_unit_cosets(Q, U, everything)) == n * n
 
 
-def _ideal_image_mod(F: FieldContext, gens: list[QuadInt], M: int) -> set[tuple[int, int]]:
+def _ideal_image_mod(F: FieldContext, gens: list[QI], M: int) -> set[QI]:
     """Image in O_K/(M) of the O_K-ideal generated by gens, as an additive closure."""
     vecs = []
     for g in gens:
-        gw = qi_mul(F, g, QuadInt(0, 1))
-        vecs.append((g.a % M, g.b % M))
-        vecs.append((gw.a % M, gw.b % M))
+        vecs.append((g[0] % M, g[1] % M))
+        vecs.append(qi_mul(F, g, (0, 1), M))
     span = {(0, 0)}
     frontier = [(0, 0)]
     while frontier:
@@ -128,11 +115,7 @@ def _prime_ideals_above(F: FieldContext, n: int) -> list[tuple[int, int | None]]
     """(p, root) for each prime ideal over each p | n; root None marks the inert case."""
     out: list[tuple[int, int | None]] = []
     for p, _ in factorize(n):
-        rep = splitting_type(F, p)
-        if rep.kind is SplitKind.INERT:
-            out.append((p, None))
-        else:
-            out.extend((p, r) for r in rep.roots)
+        out.extend((p, r) for r in omega_roots(F, p) or (None,))
     return out
 
 
@@ -173,7 +156,7 @@ def brute_ideal_preserving(F: FieldContext, n: int, bound: int = DEFAULT_ENUM_BO
         else:
             span = _ideal_image_mod(
                 F,
-                [QuadInt(p * p, 0), QuadInt(-p * r, p), qi_mul(F, QuadInt(-r, 1), QuadInt(-r, 1))],
+                [(p * p, 0), (-p * r, p), qi_mul(F, (-r, 1), (-r, 1))],
                 M,
             )
 

@@ -20,7 +20,7 @@ from functools import lru_cache
 from math import isqrt, log
 
 from .arith import InternalConsistencyError, is_prime
-from .quadfield import FieldContext, OmegaKind, QuadInt, qi_mul, qi_norm
+from .quadfield import QI, FieldContext, qi_mul, qi_norm, unit_xy
 
 
 @dataclass(frozen=True, slots=True)
@@ -28,7 +28,7 @@ class FundamentalUnit:
     """Generator of the unit group modulo {+-1}; torsion_order is the order of
     the torsion subgroup (2 for real fields, where the group is {+-1} x u^Z)."""
 
-    u: QuadInt
+    u: QI
     norm_sign: int
     torsion_order: int
 
@@ -52,26 +52,17 @@ def _pell4_fundamental(D: int) -> tuple[int, int]:
     raise InternalConsistencyError(f"continued fraction of sqrt({D}) did not close")
 
 
-def unit_xy(F: FieldContext, U: FundamentalUnit) -> tuple[int, int]:
-    """Coordinates (x, y) of the unit written as (x + y*sqrt(D))/2."""
-    if F.omega_kind is OmegaKind.SQRT:
-        return 2 * U.u.a, U.u.b
-    return 2 * U.u.a + U.u.b, U.u.b
-
-
 @lru_cache(maxsize=None)
 def fundamental_unit(F: FieldContext) -> FundamentalUnit:
     if F.d == -1:
-        return FundamentalUnit(QuadInt(0, 1), 1, 4)
+        return FundamentalUnit((0, 1), 1, 4)
     if F.d == -3:
-        return FundamentalUnit(QuadInt(0, 1), 1, 6)
+        return FundamentalUnit((0, 1), 1, 6)
     if F.d < 0:
-        return FundamentalUnit(QuadInt(-1, 0), 1, 2)
+        return FundamentalUnit((-1, 0), 1, 2)
     x, y = _pell4_fundamental(F.D)
-    if F.omega_kind is OmegaKind.SQRT:
-        u = QuadInt(x // 2, y)
-    else:
-        u = QuadInt((x - y) // 2, y)
+    # invert unit_xy: (x + y*sqrt(D))/2 = a + b*omega
+    u = ((x - F.half * y) // 2, y)
     sign = qi_norm(F, u)
     if sign not in (-1, 1):
         raise InternalConsistencyError(f"norm of claimed unit for d={F.d} is {sign}")
@@ -105,13 +96,13 @@ def verify_unit(F: FieldContext, U: FundamentalUnit) -> bool:
     if qi_norm(F, U.u) not in (-1, 1):
         return False
     if F.d < 0:
-        w = QuadInt(1, 0)
+        w = (1, 0)
         for k in range(1, U.torsion_order):
             w = qi_mul(F, w, U.u)
-            if w == QuadInt(1, 0):
+            if w == (1, 0):
                 return False
-        return qi_mul(F, w, U.u) == QuadInt(1, 0)
-    x, y = unit_xy(F, U)
+        return qi_mul(F, w, U.u) == (1, 0)
+    x, y = unit_xy(F, U.u)
     if x < 1 or y < 1:
         return False
     D = F.D

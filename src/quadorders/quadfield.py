@@ -1,9 +1,10 @@
 """Arithmetic of quadratic integers a + b*omega, exact and modulo M, plus prime splitting.
 
 For squarefree d, the maximal order of Q(sqrt(d)) has Z-basis (1, omega) with
-omega = sqrt(d) when d = 2, 3 (mod 4) and omega = (1 + sqrt(d))/2 when d = 1 (mod 4).
-Coordinates (a, b) always refer to that basis, so the order of index n is exactly
-the set of elements with n | b.
+omega^2 = half*omega + t: omega = sqrt(d), (half, t) = (0, d) when
+d = 2, 3 (mod 4), and omega = (1 + sqrt(d))/2, (half, t) = (1, (d-1)/4) when
+d = 1 (mod 4).  Elements are plain (a, b) int tuples in that basis, so the
+order of index n is exactly the set of elements with n | b.
 """
 
 from __future__ import annotations
@@ -12,21 +13,19 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 
-from .arith import InternalConsistencyError, is_prime, is_squarefree, kronecker
+from .arith import InternalConsistencyError, is_squarefree, kronecker
 
-
-class OmegaKind(Enum):
-    SQRT = "sqrt"
-    HALF = "half"
+QI = tuple[int, int]  # a + b*omega as (a, b)
 
 
 @dataclass(frozen=True, slots=True)
 class FieldContext:
-    """A quadratic field Q(sqrt(d)) with its basis kind and field discriminant D."""
+    """Q(sqrt(d)) with field discriminant D and omega^2 = half*omega + t."""
 
     d: int
-    omega_kind: OmegaKind
     D: int
+    t: int
+    half: int
 
 
 @lru_cache(maxsize=None)
@@ -36,114 +35,68 @@ def make_field(d: int) -> FieldContext:
     if not is_squarefree(d):
         raise ValueError(f"d={d} is not squarefree")
     if d % 4 == 1:
-        return FieldContext(d, OmegaKind.HALF, d)
-    return FieldContext(d, OmegaKind.SQRT, 4 * d)
+        return FieldContext(d, d, (d - 1) // 4, 1)
+    return FieldContext(d, 4 * d, d, 0)
 
 
-@dataclass(frozen=True, slots=True)
-class QuadInt:
-    a: int
-    b: int
+def qi_mul(F: FieldContext, x: QI, y: QI, M: int | None = None) -> QI:
+    """x * y, with both coordinates reduced mod M when M is given."""
+    (a, b), (c, e) = x, y
+    bb = b * e
+    a, b = a * c + F.t * bb, a * e + b * c + F.half * bb
+    if M is None:
+        return a, b
+    return a % M, b % M
 
 
-@dataclass(frozen=True, slots=True)
-class ModQuadInt:
-    a: int
-    b: int
-    m: int
-
-
-def qi_mul(F: FieldContext, x: QuadInt, y: QuadInt) -> QuadInt:
-    if F.omega_kind is OmegaKind.SQRT:
-        return QuadInt(x.a * y.a + F.d * x.b * y.b, x.a * y.b + x.b * y.a)
-    # omega^2 = omega + (d-1)/4
-    t = (F.d - 1) // 4
-    return QuadInt(x.a * y.a + t * x.b * y.b, x.a * y.b + x.b * y.a + x.b * y.b)
-
-
-def qi_pow(F: FieldContext, x: QuadInt, e: int) -> QuadInt:
+def qi_pow(F: FieldContext, x: QI, e: int, M: int | None = None) -> QI:
+    """x**e by squaring, with coordinates reduced mod M >= 1 when M is given."""
     if e < 0:
         raise ValueError("qi_pow requires e >= 0")
-    result = QuadInt(1, 0)
-    base = x
-    while e:
-        if e & 1:
-            result = qi_mul(F, result, base)
-        base = qi_mul(F, base, base)
-        e >>= 1
-    return result
-
-
-def qi_conj(F: FieldContext, x: QuadInt) -> QuadInt:
-    if F.omega_kind is OmegaKind.SQRT:
-        return QuadInt(x.a, -x.b)
-    return QuadInt(x.a + x.b, -x.b)
-
-
-def qi_norm(F: FieldContext, x: QuadInt) -> int:
-    if F.omega_kind is OmegaKind.SQRT:
-        return x.a * x.a - F.d * x.b * x.b
-    return x.a * x.a + x.a * x.b - (F.d - 1) // 4 * x.b * x.b
-
-
-def reduce_mod(x: QuadInt, M: int) -> ModQuadInt:
-    if M < 1:
+    if M is not None and M < 1:
         raise ValueError(f"modulus must be >= 1, got {M}")
-    return ModQuadInt(x.a % M, x.b % M, M)
-
-
-def mod_mul(F: FieldContext, x: ModQuadInt, y: ModQuadInt) -> ModQuadInt:
-    if x.m != y.m:
-        raise ValueError(f"modulus mismatch: {x.m} vs {y.m}")
-    M = x.m
-    if F.omega_kind is OmegaKind.SQRT:
-        return ModQuadInt(
-            (x.a * y.a + F.d * x.b * y.b) % M,
-            (x.a * y.b + x.b * y.a) % M,
-            M,
-        )
-    t = (F.d - 1) // 4
-    return ModQuadInt(
-        (x.a * y.a + t * x.b * y.b) % M,
-        (x.a * y.b + x.b * y.a + x.b * y.b) % M,
-        M,
-    )
-
-
-def mod_pow(F: FieldContext, x: ModQuadInt, e: int, M: int) -> ModQuadInt:
-    if M < 2:
-        raise ValueError(f"mod_pow requires M >= 2, got {M}")
-    if x.m != M:
-        raise ValueError(f"operand has modulus {x.m}, expected {M}")
-    if e < 0:
-        raise ValueError("mod_pow requires e >= 0")
-    result = ModQuadInt(1 % M, 0, M)
-    base = x
+    result = (1, 0) if M is None else (1 % M, 0)
     while e:
         if e & 1:
-            result = mod_mul(F, result, base)
-        base = mod_mul(F, base, base)
+            result = qi_mul(F, result, x, M)
+        x = qi_mul(F, x, x, M)
         e >>= 1
     return result
 
 
-def in_order(x: QuadInt | ModQuadInt, n: int) -> bool:
-    """Membership of x in the order Z + n*O_K: the omega-coordinate is divisible by n.
+def qi_norm(F: FieldContext, x: QI) -> int:
+    a, b = x
+    return a * a + F.half * a * b - F.t * b * b
 
-    For a residue the modulus must itself be divisible by n, otherwise membership
-    of a lift is not determined by the residue.
+
+def unit_xy(F: FieldContext, x: QI) -> tuple[int, int]:
+    """Coordinates (X, Y) of x = a + b*omega written as (X + Y*sqrt(D))/2."""
+    a, b = x
+    return 2 * a + F.half * b, b
+
+
+def omega_roots(F: FieldContext, p: int) -> tuple[int, ...]:
+    """Roots mod p of omega's minimal polynomial x^2 - half*x - t, by exhaustive scan."""
+    return tuple(r for r in range(p) if (r * r - F.half * r - F.t) % p == 0)
+
+
+def field_char(d: int, p: int) -> int:
+    """The Kronecker symbol (D/p) of Q(sqrt(d)) at a prime p: -1 inert, 0 ramified, 1 split.
+
+    Raises ValueError when p is not a prime.
     """
-    if n < 1:
-        raise ValueError(f"order index must be >= 1, got {n}")
-    if isinstance(x, ModQuadInt) and x.m % n != 0:
-        raise ValueError(f"modulus {x.m} does not determine membership at index {n}")
-    return x.b % n == 0
+    if p == 2:
+        r = d % 8
+        return 1 if r == 1 else -1 if r == 5 else 0
+    return kronecker(d, p)
 
 
 class SplitKind(Enum):
-    INERT = "inert"
-    SPLIT = "split"
-    RAMIFIED = "ramified"
+    """How a rational prime splits in O_K; the value is the field character (D/p)."""
+
+    INERT = -1
+    RAMIFIED = 0
+    SPLIT = 1
 
 
 @dataclass(frozen=True, slots=True)
@@ -154,41 +107,19 @@ class SplittingReport:
 
 
 def splitting_kind(F: FieldContext, p: int) -> SplitKind:
-    """Splitting behaviour of the rational prime p in O_K, by residue rules."""
-    if not is_prime(p):
-        raise ValueError(f"splitting_kind requires a prime, got {p}")
-    if p == 2:
-        r = F.d % 8
-        if r == 5:
-            return SplitKind.INERT
-        if r == 1:
-            return SplitKind.SPLIT
-        return SplitKind.RAMIFIED
-    s = kronecker(F.d, p)
-    if s == -1:
-        return SplitKind.INERT
-    if s == 1:
-        return SplitKind.SPLIT
-    return SplitKind.RAMIFIED
-
-
-def _min_poly_at(F: FieldContext, r: int, p: int) -> int:
-    # minimal polynomial of omega: x^2 - d, or x^2 - x - (d-1)/4
-    if F.omega_kind is OmegaKind.SQRT:
-        return (r * r - F.d) % p
-    return (r * r - r - (F.d - 1) // 4) % p
+    """Splitting behaviour of the rational prime p in O_K, by the field character."""
+    return SplitKind(field_char(F.d, p))
 
 
 def splitting_type(F: FieldContext, p: int) -> SplittingReport:
-    """Kind plus the roots of omega's minimal polynomial mod p (scanned exhaustively).
+    """Kind plus the roots of omega's minimal polynomial mod p.
 
-    Root count must agree with the kind: 0 for inert, 1 for ramified, 2 for split.
+    The root count must be 1 + (D/p): 0 for inert, 1 for ramified, 2 for split.
     """
     kind = splitting_kind(F, p)
-    roots = tuple(r for r in range(p) if _min_poly_at(F, r, p) == 0)
-    expected = {SplitKind.INERT: 0, SplitKind.RAMIFIED: 1, SplitKind.SPLIT: 2}[kind]
-    if len(roots) != expected:
+    roots = omega_roots(F, p)
+    if len(roots) != 1 + kind.value:
         raise InternalConsistencyError(
-            f"splitting of {p} in Q(sqrt({F.d})): kind {kind.value} but {len(roots)} roots"
+            f"splitting of {p} in Q(sqrt({F.d})): kind {kind.name.lower()} but {len(roots)} roots"
         )
     return SplittingReport(p, kind, roots)

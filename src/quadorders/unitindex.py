@@ -14,7 +14,7 @@ from math import lcm
 from .arith import InternalConsistencyError, divisors_sorted, factorize
 from .lfun import l_prime_power
 from .pell import FundamentalUnit
-from .quadfield import FieldContext, ModQuadInt, mod_mul, mod_pow, reduce_mod
+from .quadfield import QI, FieldContext, qi_mul, qi_pow
 
 
 @lru_cache(maxsize=None)
@@ -22,18 +22,18 @@ def min_power_prime_power(F: FieldContext, U: FundamentalUnit, p: int, a: int) -
     """Least k with u^k in Z + p^a * O_K, searched over the divisors of L(p^a, d)."""
     q = p**a
     L = l_prime_power(p, a, F.d)
-    base = reduce_mod(U.u, q)
-    powers: dict[int, ModQuadInt] = {}
+    base = (U.u[0] % q, U.u[1] % q)
+    powers: dict[int, QI] = {}
     for k in divisors_sorted(L):
         if k == 1:
             w = base
         elif k % 2 == 0 and k // 2 in powers:
             half = powers[k // 2]
-            w = mod_mul(F, half, half)
+            w = qi_mul(F, half, half, q)
         else:
-            w = mod_pow(F, base, k, q)
+            w = qi_pow(F, base, k, q)
         powers[k] = w
-        if w.b == 0:
+        if w[1] == 0:
             return k
     raise InternalConsistencyError(
         f"no divisor of L({p}^{a}, {F.d}) = {L} brings u^k into the order"

@@ -14,33 +14,23 @@ import pytest
 
 from quadorders import (
     OrderSpec,
-    QuadInt,
     ScanConfig,
-    SplitKind,
     brute_associated,
     brute_ideal_preserving,
     brute_locally_associated,
     classify_order,
     fundamental_unit,
-    is_associated,
     is_ideal_preserving,
-    is_locally_associated,
-    is_squarefree,
     l_value,
     make_field,
     min_power,
-    mod_mul,
-    mod_pow,
-    qi_mul,
-    qi_norm,
-    qi_pow,
     quotient_unit_count,
-    reduce_mod,
     report_hfd,
     scan,
     splitting_type,
-    unit_xy,
 )
+from quadorders.arith import is_squarefree
+from quadorders.quadfield import SplitKind, qi_mul, qi_norm, qi_pow, unit_xy
 from quadorders.classgroup import (
     class_number,
     narrow_class_number,
@@ -58,6 +48,14 @@ from test_pell import brute_pell4, minimality_cap
 
 def _passed(name, t0):
     print(f"\ncriterion {name}: PASS ({time.perf_counter() - t0:.1f}s)")
+
+
+def is_locally_associated(spec):
+    return classify_order(spec).locally_associated
+
+
+def reduce_mod(x, M):
+    return (x[0] % M, x[1] % M)
 
 
 def squarefree_range(lo, hi):
@@ -107,10 +105,10 @@ def test_c3_oracle_equivalence_suite():
         F = make_field(d)
         U = fundamental_unit(F)
         for n in range(2, 13):
-            spec = OrderSpec(d, n)
-            assert brute_locally_associated(F, U, n) == is_locally_associated(spec), (d, n)
-            assert brute_ideal_preserving(F, n) == is_ideal_preserving(spec), (d, n)
-            assert brute_associated(F, U, n) == is_associated(spec), (d, n)
+            r = classify_order(OrderSpec(d, n))
+            assert brute_locally_associated(F, U, n) == r.locally_associated, (d, n)
+            assert brute_ideal_preserving(F, n) == r.ideal_preserving, (d, n)
+            assert brute_associated(F, U, n) == r.associated, (d, n)
     _passed("3 (oracle equivalence suite)", t0)
 
 
@@ -163,8 +161,8 @@ def test_c5_property_suites():
         w = reduce_mod(U.u, n)
         u = w
         k = 1
-        while w.b != 0:
-            w = mod_mul(F, w, u)
+        while w[1] != 0:
+            w = qi_mul(F, w, u, n)
             k += 1
         assert k == m
 
@@ -190,13 +188,13 @@ def test_c5_property_suites():
     for _ in range(400):
         d = rng.choice(squarefree)
         F = make_field(d)
-        x = QuadInt(rng.randrange(-50, 51), rng.randrange(-50, 51))
-        y = QuadInt(rng.randrange(-50, 51), rng.randrange(-50, 51))
+        x = (rng.randrange(-50, 51), rng.randrange(-50, 51))
+        y = (rng.randrange(-50, 51), rng.randrange(-50, 51))
         assert qi_norm(F, qi_mul(F, x, y)) == qi_norm(F, x) * qi_norm(F, y)
         M = rng.randrange(2, 40)
-        assert mod_mul(F, reduce_mod(x, M), reduce_mod(y, M)) == reduce_mod(qi_mul(F, x, y), M)
+        assert qi_mul(F, reduce_mod(x, M), reduce_mod(y, M), M) == reduce_mod(qi_mul(F, x, y), M)
         e = rng.randrange(0, 10)
-        assert mod_pow(F, reduce_mod(x, M), e, M) == reduce_mod(qi_pow(F, x, e), M)
+        assert qi_pow(F, reduce_mod(x, M), e, M) == reduce_mod(qi_pow(F, x, e), M)
 
     _passed("5 (property suites)", t0)
 
@@ -204,13 +202,13 @@ def test_c5_property_suites():
 def test_c6_fundamental_units_vs_brute():
     t0 = time.perf_counter()
     F = make_field(2)
-    assert fundamental_unit(F).u == QuadInt(1, 1)
-    assert fundamental_unit(make_field(5)).u == QuadInt(0, 1)
-    assert fundamental_unit(make_field(10)).u == QuadInt(3, 1)
+    assert fundamental_unit(F).u == (1, 1)
+    assert fundamental_unit(make_field(5)).u == (0, 1)
+    assert fundamental_unit(make_field(10)).u == (3, 1)
     for d in squarefree_range(2, 200):
         F = make_field(d)
         U = fundamental_unit(F)
-        x, y = unit_xy(F, U)
+        x, y = unit_xy(F, U.u)
         assert x * x - F.D * y * y in (-4, 4)
         found = brute_pell4(F.D, min(y + 1, minimality_cap(x, F.D) + 1))
         if found is not None:

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from quadorders import (
+from quadorders.arith import (
     divisors_sorted,
     factorize,
     is_prime,

@@ -4,7 +4,6 @@ import os
 import pytest
 
 from quadorders import (
-    Checkpoint,
     OrderSpec,
     ScanConfig,
     classify_order,
@@ -13,7 +12,7 @@ from quadorders import (
     report_hfd,
     scan,
 )
-from quadorders.atlas import CSV_HEADER, checkpoint_path, read_checkpoint
+from quadorders.atlas import CSV_HEADER, Checkpoint, checkpoint_path, read_checkpoint
 
 
 def small_cfg(out, **kw):

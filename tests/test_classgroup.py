@@ -2,17 +2,17 @@ from math import gcd, isqrt
 
 import pytest
 
-from quadorders import (
+from quadorders.arith import is_squarefree
+from quadorders.classgroup import (
     class_number,
-    fundamental_unit,
-    is_squarefree,
-    make_field,
-    maximal_order_is_hfd,
     narrow_class_number,
     reduced_forms_indefinite,
     reduced_forms_negative,
+    rho_step,
 )
-from quadorders.classgroup import rho_step
+from quadorders.classify import OrderSpec, classify_order
+from quadorders.pell import fundamental_unit
+from quadorders.quadfield import make_field
 
 
 def fundamental_discriminants(limit):
@@ -162,12 +162,11 @@ def test_imaginary_has_no_narrow_field():
 
 
 def test_maximal_order_is_hfd():
-    F = make_field(-5)
-    assert maximal_order_is_hfd(class_number(F, fundamental_unit(F)))
-    F = make_field(-23)
-    assert not maximal_order_is_hfd(class_number(F, fundamental_unit(F)))
-    F = make_field(2)
-    assert maximal_order_is_hfd(class_number(F, fundamental_unit(F)))
+    # the maximal order (n = 1) is half-factorial exactly when h <= 2
+    for d, hfd in ((-5, True), (-23, False), (2, True), (-5 * 13, False)):
+        F = make_field(d)
+        assert (class_number(F, fundamental_unit(F)).h <= 2) == hfd
+        assert classify_order(OrderSpec(d, 1)).hfd == hfd
 
 
 def test_validation():

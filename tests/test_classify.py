@@ -1,21 +1,17 @@
 import pytest
 
-from quadorders import (
-    InternalConsistencyError,
-    OrderSpec,
-    SplitKind,
-    classify_order,
-    factorize,
-    is_associated,
-    is_hfd,
-    is_ideal_preserving,
-    is_locally_associated,
-    is_prime,
-    is_squarefree,
-    make_field,
-    order_class_number,
-    splitting_type,
-)
+from quadorders import classify
+from quadorders.arith import InternalConsistencyError, factorize, is_prime, is_squarefree
+from quadorders.classify import OrderSpec, classify_order, is_ideal_preserving
+from quadorders.quadfield import SplitKind, make_field, splitting_type
+
+
+def is_locally_associated(spec):
+    return classify_order(spec).locally_associated
+
+
+def is_associated(spec):
+    return classify_order(spec).associated
 
 
 def all_specs(d_values, n_values):
@@ -79,11 +75,15 @@ def test_fixture_records():
     assert r.associated and not r.hfd
 
 
-def test_order_class_number():
-    assert order_class_number(OrderSpec(2, 5), 3, 6, 1) == 2
-    assert order_class_number(OrderSpec(2, 1), 1, 1, 5) == 5
+def test_order_class_number(monkeypatch):
+    # |Cl(R)| = h * L / m
+    assert classify_order(OrderSpec(2, 5)).h_order == 2
+    assert classify_order(OrderSpec(-5, 1)).h_order == 2
+    assert classify_order(OrderSpec(-5, 3)).h_order == 4  # h = 2, L = 2, m = 1
+    # an m that does not divide L is a bug, never a record
+    monkeypatch.setattr(classify, "min_power", lambda F, U, n: 4)
     with pytest.raises(InternalConsistencyError):
-        order_class_number(OrderSpec(2, 5), 4, 6, 1)
+        classify_order(OrderSpec(2, 5))
 
 
 def test_index_one_is_trivial():
@@ -103,11 +103,12 @@ def test_record_invariants_grid():
         assert r.L % r.m == 0
         assert r.h_order * r.m == r.h_maximal * r.L
         assert is_ideal_preserving(spec) == r.ideal_preserving
-        assert is_locally_associated(spec) == r.locally_associated
-        assert is_associated(spec) == r.associated
-        assert is_hfd(spec, r.associated, r.h_maximal) == r.hfd
-        if r.hfd and spec.n > 1:
-            assert r.h_maximal <= 2 and r.associated
+        # half-factorial: h <= 2, and n = 1 or R associated with n = p or 2p, p odd
+        fac = factorize(spec.n)
+        shape = (len(fac) == 1 and fac[0][1] == 1) or (
+            len(fac) == 2 and fac[0] == (2, 1) and fac[1][1] == 1
+        )
+        assert r.hfd == (r.h_maximal <= 2 and (spec.n == 1 or (r.associated and shape)))
 
 
 def test_ideal_preserving_is_inertness():

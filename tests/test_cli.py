@@ -128,3 +128,23 @@ def test_verify_agrees_everywhere_sampled(capsys, d, n):
     rc, out, _ = run_cli(capsys, "verify", "-d", str(d), "-n", str(n))
     assert rc == 0
     assert out.startswith("OK")
+
+
+def test_resume_refuses_other_window_or_format(capsys, tmp_path):
+    out = tmp_path / "grid.csv"
+    base = ("scan", "--d-min", "2", "--out", str(out))
+    assert run_cli(capsys, *base, "--d-max", "10", "--n-max", "5")[0] == 0
+    before = out.read_bytes()
+    # a wider n window would append longer rows to the same file
+    rc, _, err = run_cli(capsys, *base, "--d-max", "13", "--n-max", "8", "--resume")
+    assert rc == 2 and "window" in err
+    # JSONL would be appended to a CSV file
+    rc, _, err = run_cli(capsys, *base, "--d-max", "13", "--n-max", "5", "--resume",
+                         "--format", "jsonl")
+    assert rc == 2 and "jsonl" in err
+    assert out.read_bytes() == before
+    rc, text, _ = run_cli(capsys, "report", str(out))
+    assert rc == 0
+    # the matching window still resumes
+    assert run_cli(capsys, *base, "--d-max", "13", "--n-max", "5", "--resume")[0] == 0
+    assert len(out.read_text().splitlines()) == 1 + 8 * 4

@@ -3,16 +3,19 @@ from math import gcd
 
 import pytest
 
-from quadorders import (
-    euler_phi,
-    is_squarefree,
-    l_prime_power,
-    l_value,
-    make_field,
-    quotient_unit_count,
-)
+from quadorders.arith import factorize, is_squarefree
+from quadorders.lfun import l_prime_power, l_value
+from quadorders.oracle import quotient_unit_count
+from quadorders.quadfield import make_field
 
 SQUAREFREE = [d for d in range(-20, 21) if d not in (0, 1) and is_squarefree(d)]
+
+
+def euler_phi(n):
+    out = 1
+    for p, a in factorize(n):
+        out *= p ** (a - 1) * (p - 1)
+    return out
 
 
 def test_prime_power_fixtures():

@@ -2,26 +2,19 @@ from math import gcd
 
 import pytest
 
-from quadorders import (
+from quadorders.arith import is_squarefree
+from quadorders.classify import OrderSpec, classify_order
+from quadorders.oracle import (
     OracleBoundError,
-    QuadInt,
     QuotientRing,
-    SplitKind,
+    _ideal_image_mod,
     brute_associated,
     brute_ideal_preserving,
     brute_locally_associated,
-    fundamental_unit,
-    is_associated,
-    is_ideal_preserving,
-    is_locally_associated,
-    is_squarefree,
-    make_field,
-    qi_mul,
     quotient_unit_count,
-    splitting_type,
 )
-from quadorders.classify import OrderSpec
-from quadorders.oracle import _ideal_image_mod
+from quadorders.pell import fundamental_unit
+from quadorders.quadfield import SplitKind, make_field, qi_mul, splitting_type
 
 
 def test_quotient_unit_count_fixtures():
@@ -170,18 +163,13 @@ def test_prime_square_image_matches_exact_lattice():
             if rep.kind is SplitKind.INERT:
                 continue
             for r in rep.roots:
-                gens = [
-                    QuadInt(p * p, 0),
-                    QuadInt(-p * r, p),
-                    qi_mul(F, QuadInt(-r, 1), QuadInt(-r, 1)),
-                ]
+                gens = [(p * p, 0), (-p * r, p), qi_mul(F, (-r, 1), (-r, 1))]
                 M = p * p
                 span = _ideal_image_mod(F, gens, M)
                 vectors = []
                 for g in gens:
-                    gw = qi_mul(F, g, QuadInt(0, 1))
-                    vectors.append((g.a, g.b))
-                    vectors.append((gw.a, gw.b))
+                    vectors.append(g)
+                    vectors.append(qi_mul(F, g, (0, 1)))
                 # the lattice of the ideal plus p^2 O_K, matching the quotient image
                 vectors += [(M, 0), (0, M)]
                 basis_a, basis_b = hnf_lattice(vectors)
@@ -198,7 +186,7 @@ def test_matches_closed_forms_small_grid():
         F = make_field(d)
         U = fundamental_unit(F)
         for n in range(2, 13):
-            spec = OrderSpec(d, n)
-            assert brute_locally_associated(F, U, n) == is_locally_associated(spec)
-            assert brute_ideal_preserving(F, n) == is_ideal_preserving(spec)
-            assert brute_associated(F, U, n) == is_associated(spec)
+            r = classify_order(OrderSpec(d, n))
+            assert brute_locally_associated(F, U, n) == r.locally_associated
+            assert brute_ideal_preserving(F, n) == r.ideal_preserving
+            assert brute_associated(F, U, n) == r.associated

@@ -2,36 +2,32 @@ import random
 
 import pytest
 
-from quadorders import (
-    OmegaKind,
-    QuadInt,
+from quadorders.arith import is_squarefree
+from quadorders.quadfield import (
     SplitKind,
-    in_order,
-    is_squarefree,
+    field_char,
     make_field,
-    mod_mul,
-    mod_pow,
-    qi_conj,
     qi_mul,
     qi_norm,
     qi_pow,
-    reduce_mod,
     splitting_kind,
     splitting_type,
+    unit_xy,
 )
 
 SQUAREFREE_SMALL = [d for d in range(-50, 51) if d not in (0, 1) and is_squarefree(d)]
 
 
 def test_make_field_kinds():
+    # (d, D, t, half) with omega^2 = half*omega + t
     F = make_field(2)
-    assert F.omega_kind is OmegaKind.SQRT and F.D == 8
+    assert (F.d, F.D, F.t, F.half) == (2, 8, 2, 0)
     F = make_field(5)
-    assert F.omega_kind is OmegaKind.HALF and F.D == 5
+    assert (F.d, F.D, F.t, F.half) == (5, 5, 1, 1)
     F = make_field(-3)
-    assert F.omega_kind is OmegaKind.HALF and F.D == -3
+    assert (F.d, F.D, F.t, F.half) == (-3, -3, -1, 1)
     F = make_field(-1)
-    assert F.omega_kind is OmegaKind.SQRT and F.D == -4
+    assert (F.d, F.D, F.t, F.half) == (-1, -4, -1, 0)
     assert make_field(-5).D == -20
 
 
@@ -43,19 +39,20 @@ def test_make_field_rejects():
 
 def test_qi_mul_fixtures():
     F = make_field(2)
-    u = QuadInt(1, 1)
+    u = (1, 1)
     u2 = qi_mul(F, u, u)
-    assert u2 == QuadInt(3, 2)
-    assert qi_mul(F, u, u2) == QuadInt(7, 5)
+    assert u2 == (3, 2)
+    assert qi_mul(F, u, u2) == (7, 5)
+    assert qi_mul(F, u, u2, 5) == (2, 0)
     F5 = make_field(5)
     # omega^2 = omega + 1 for d = 5
-    assert qi_mul(F5, QuadInt(0, 1), QuadInt(0, 1)) == QuadInt(1, 1)
+    assert qi_mul(F5, (0, 1), (0, 1)) == (1, 1)
 
 
 def test_qi_pow_matches_repeated_mul():
     F = make_field(3)
-    x = QuadInt(2, 1)
-    acc = QuadInt(1, 0)
+    x = (2, 1)
+    acc = (1, 0)
     for e in range(8):
         assert qi_pow(F, x, e) == acc
         acc = qi_mul(F, acc, x)
@@ -64,11 +61,22 @@ def test_qi_pow_matches_repeated_mul():
 
 
 def test_qi_norm_fixtures():
-    assert qi_norm(make_field(2), QuadInt(1, 1)) == -1
-    assert qi_norm(make_field(5), QuadInt(0, 1)) == -1
-    assert qi_norm(make_field(-1), QuadInt(0, 1)) == 1
-    assert qi_norm(make_field(-3), QuadInt(0, 1)) == 1
-    assert qi_norm(make_field(7), QuadInt(8, 3)) == 1
+    assert qi_norm(make_field(2), (1, 1)) == -1
+    assert qi_norm(make_field(5), (0, 1)) == -1
+    assert qi_norm(make_field(-1), (0, 1)) == 1
+    assert qi_norm(make_field(-3), (0, 1)) == 1
+    assert qi_norm(make_field(7), (8, 3)) == 1
+
+
+def test_unit_xy_is_half_sqrt_d_coordinates():
+    # a + b*omega = (X + Y*sqrt(D))/2, so X^2 - D*Y^2 = 4*norm
+    rng = random.Random(1)
+    for _ in range(200):
+        F = make_field(rng.choice(SQUAREFREE_SMALL))
+        x = (rng.randrange(-30, 31), rng.randrange(-30, 31))
+        X, Y = unit_xy(F, x)
+        assert Y == x[1] and (X - F.half * Y) % 2 == 0
+        assert X * X - F.D * Y * Y == 4 * qi_norm(F, x)
 
 
 def test_conj_and_norm_properties():
@@ -76,33 +84,35 @@ def test_conj_and_norm_properties():
     for _ in range(400):
         d = rng.choice(SQUAREFREE_SMALL)
         F = make_field(d)
-        x = QuadInt(rng.randrange(-30, 31), rng.randrange(-30, 31))
-        y = QuadInt(rng.randrange(-30, 31), rng.randrange(-30, 31))
-        # multiplicativity and the conjugate product identity
+        x = (rng.randrange(-30, 31), rng.randrange(-30, 31))
+        y = (rng.randrange(-30, 31), rng.randrange(-30, 31))
+        # multiplicativity and the conjugate product identity, with
+        # conj(omega) = half - omega
         assert qi_norm(F, qi_mul(F, x, y)) == qi_norm(F, x) * qi_norm(F, y)
-        assert qi_mul(F, x, qi_conj(F, x)) == QuadInt(qi_norm(F, x), 0)
-        assert qi_conj(F, qi_conj(F, x)) == x
+        conj = (x[0] + F.half * x[1], -x[1])
+        assert qi_mul(F, x, conj) == (qi_norm(F, x), 0)
+
+
+def reduce_mod(x, M):
+    return (x[0] % M, x[1] % M)
 
 
 def test_mod_pow_fixtures():
     F = make_field(2)
-    x = reduce_mod(QuadInt(1, 1), 5)
-    assert mod_pow(F, x, 3, 5) == reduce_mod(QuadInt(7, 5), 5)
-    assert mod_pow(F, x, 0, 5) == reduce_mod(QuadInt(1, 0), 5)
-    y = reduce_mod(QuadInt(1, 1), 2)
-    assert mod_pow(F, y, 2, 2) == reduce_mod(QuadInt(3, 2), 2)
+    x = reduce_mod((1, 1), 5)
+    assert qi_pow(F, x, 3, 5) == reduce_mod((7, 5), 5)
+    assert qi_pow(F, x, 0, 5) == (1, 0)
+    assert qi_pow(F, (1, 1), 2, 2) == reduce_mod((3, 2), 2)
+    assert qi_pow(F, (1, 1), 0, 1) == (0, 0)
 
 
 def test_mod_arithmetic_validation():
     F = make_field(2)
+    for M in (0, -5):
+        with pytest.raises(ValueError):
+            qi_pow(F, (1, 1), 2, M)
     with pytest.raises(ValueError):
-        mod_pow(F, reduce_mod(QuadInt(1, 1), 5), 2, 1)
-    with pytest.raises(ValueError):
-        mod_pow(F, reduce_mod(QuadInt(1, 1), 5), 2, 7)
-    with pytest.raises(ValueError):
-        mod_mul(F, reduce_mod(QuadInt(1, 1), 5), reduce_mod(QuadInt(1, 1), 7))
-    with pytest.raises(ValueError):
-        reduce_mod(QuadInt(1, 1), 0)
+        qi_pow(F, (1, 1), -1, 5)
 
 
 def test_reduction_is_homomorphism():
@@ -111,25 +121,13 @@ def test_reduction_is_homomorphism():
         d = rng.choice(SQUAREFREE_SMALL)
         F = make_field(d)
         M = rng.randrange(2, 60)
-        x = QuadInt(rng.randrange(-99, 100), rng.randrange(-99, 100))
-        y = QuadInt(rng.randrange(-99, 100), rng.randrange(-99, 100))
-        assert mod_mul(F, reduce_mod(x, M), reduce_mod(y, M)) == reduce_mod(
+        x = (rng.randrange(-99, 100), rng.randrange(-99, 100))
+        y = (rng.randrange(-99, 100), rng.randrange(-99, 100))
+        assert qi_mul(F, reduce_mod(x, M), reduce_mod(y, M), M) == reduce_mod(
             qi_mul(F, x, y), M
         )
         e = rng.randrange(0, 12)
-        assert mod_pow(F, reduce_mod(x, M), e, M) == reduce_mod(qi_pow(F, x, e), M)
-
-
-def test_in_order():
-    assert in_order(QuadInt(7, 5), 5)
-    assert not in_order(QuadInt(1, 1), 5)
-    assert in_order(QuadInt(3, 0), 7)
-    assert in_order(QuadInt(2, 6), 1)
-    assert in_order(reduce_mod(QuadInt(4, 10), 25), 5)
-    with pytest.raises(ValueError):
-        in_order(reduce_mod(QuadInt(4, 10), 12), 5)
-    with pytest.raises(ValueError):
-        in_order(QuadInt(1, 1), 0)
+        assert qi_pow(F, x, e, M) == reduce_mod(qi_pow(F, x, e), M)
 
 
 def test_splitting_fixtures():
@@ -157,8 +155,10 @@ def test_splitting_partition_and_roots():
             assert rep.kind is splitting_kind(F, p)
             # ramified exactly at divisors of the discriminant
             assert (rep.kind is SplitKind.RAMIFIED) == (F.D % p == 0)
+            assert rep.kind.value == field_char(d, p)
+            # roots of x^2 - d, or of x^2 - x - (d-1)/4 when d = 1 (mod 4)
             for r in rep.roots:
-                if F.omega_kind is OmegaKind.SQRT:
-                    assert (r * r - d) % p == 0
-                else:
+                if d % 4 == 1:
                     assert (r * r - r - (d - 1) // 4) % p == 0
+                else:
+                    assert (r * r - d) % p == 0

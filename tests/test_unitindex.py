@@ -3,26 +3,21 @@ from math import lcm
 
 import pytest
 
-from quadorders import (
-    fundamental_unit,
-    is_squarefree,
-    l_value,
-    make_field,
-    min_power,
-    min_power_prime_power,
-    mod_mul,
-    reduce_mod,
-)
+from quadorders.arith import is_squarefree
+from quadorders.lfun import l_value
+from quadorders.pell import fundamental_unit
+from quadorders.quadfield import make_field, qi_mul
+from quadorders.unitindex import min_power, min_power_prime_power
 
 
 def linear_scan_min_power(F, U, n):
     """Least k >= 1 with u^k in the order, by plain iteration mod n."""
-    u = reduce_mod(U.u, n)
+    u = (U.u[0] % n, U.u[1] % n)
     w = u
     for k in range(1, 4 * n * n + 8):
-        if w.b == 0:
+        if w[1] == 0:
             return k
-        w = mod_mul(F, w, u)
+        w = qi_mul(F, w, u, n)
     raise AssertionError("no power landed in the order")
 
 
