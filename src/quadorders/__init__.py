@@ -27,7 +27,7 @@ from .oracle import (
     quotient_unit_count,
 )
 from .pell import fundamental_unit, verify_unit
-from .quadfield import field_char, make_field, splitting_type
+from .quadfield import field_char, make_field
 from .unitindex import min_power
 
 __version__ = "0.1.0"
@@ -55,6 +55,5 @@ __all__ = [
     "verify_unit",
     "field_char",
     "make_field",
-    "splitting_type",
     "min_power",
 ]

@@ -1,8 +1,10 @@
-"""Rational-integer helpers: factorization, squarefree tests, divisors, Legendre symbols."""
+"""Rational-integer helpers: factorization, primality and squarefree tests, divisors."""
 
 from __future__ import annotations
 
 from functools import lru_cache
+
+CACHE_MAXSIZE = 1 << 16  # bound of every lru_cache; holds dozens of fields' m(p^a) tables
 
 # Ascending (prime, exponent) pairs.
 Factorization = list[tuple[int, int]]
@@ -12,7 +14,7 @@ class InternalConsistencyError(RuntimeError):
     """A computed result contradicts an identity that must hold; indicates a bug."""
 
 
-@lru_cache(maxsize=65536)
+@lru_cache(maxsize=CACHE_MAXSIZE)
 def _factorize_cached(n: int) -> tuple[tuple[int, int], ...]:
     out: list[tuple[int, int]] = []
     for p in (2, 3):
@@ -47,29 +49,17 @@ def factorize(n: int) -> Factorization:
     return list(_factorize_cached(n))
 
 
-@lru_cache(maxsize=65536)
+@lru_cache(maxsize=CACHE_MAXSIZE)
 def is_prime(n: int) -> bool:
     return n > 1 and _factorize_cached(n) == ((n, 1),)
 
 
-@lru_cache(maxsize=65536)
+@lru_cache(maxsize=CACHE_MAXSIZE)
 def is_squarefree(d: int) -> bool:
     """True iff no prime square divides d.  d = 0 is rejected."""
     if d == 0:
         raise ValueError("is_squarefree is undefined for 0")
     return all(a == 1 for _, a in _factorize_cached(abs(d)))
-
-
-def kronecker(d: int, p: int) -> int:
-    """Legendre symbol (d/p) in {-1, 0, 1} for an odd prime p, by Euler's criterion."""
-    if p == 2 or not is_prime(p):
-        raise ValueError(f"kronecker requires an odd prime modulus, got {p}")
-    t = pow(d % p, (p - 1) // 2, p)
-    if t == p - 1:
-        return -1
-    if t not in (0, 1):
-        raise InternalConsistencyError(f"Euler criterion returned {t} mod {p}")
-    return t
 
 
 def divisors_sorted(n: int) -> list[int]:

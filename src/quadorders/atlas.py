@@ -93,31 +93,23 @@ def record_to_json_obj(rec: ClassificationRecord) -> dict:
     }
 
 
-def _verify_cell(rec: ClassificationRecord) -> None:
-    F = make_field(rec.d)
+def oracle_verdicts(rec: ClassificationRecord) -> list[tuple[str, bool, bool | None]]:
+    """(flag, closed-form value, oracle value) for each brute oracle on rec's cell;
+    the oracle value is None where the cell lies past that oracle's enumeration bound."""
+    F, n = make_field(rec.d), rec.n
     U = fundamental_unit(F)
-    checks = (
-        ("locally_associated", brute_locally_associated, rec.locally_associated),
-        ("associated", brute_associated, rec.associated),
+    oracles = (
+        ("locally_associated", rec.locally_associated, lambda: brute_locally_associated(F, U, n)),
+        ("ideal_preserving", rec.ideal_preserving, lambda: brute_ideal_preserving(F, n)),
+        ("associated", rec.associated, lambda: brute_associated(F, U, n)),
     )
-    for name, fn, claimed in checks:
+    out: list[tuple[str, bool, bool | None]] = []
+    for name, claimed, run in oracles:
         try:
-            got = fn(F, U, rec.n)
+            out.append((name, claimed, run()))
         except OracleBoundError:
-            continue
-        if got != claimed:
-            raise ScanVerificationError(
-                f"{name} mismatch at d={rec.d}, n={rec.n}: closed-form {claimed}, oracle {got}"
-            )
-    try:
-        got = brute_ideal_preserving(F, rec.n)
-    except OracleBoundError:
-        return
-    if got != rec.ideal_preserving:
-        raise ScanVerificationError(
-            f"ideal_preserving mismatch at d={rec.d}, n={rec.n}: "
-            f"closed-form {rec.ideal_preserving}, oracle {got}"
-        )
+            out.append((name, claimed, None))
+    return out
 
 
 def _scan_one_d(task: tuple[int, int, int, str, bool]) -> tuple[int, list[str], int]:
@@ -127,7 +119,11 @@ def _scan_one_d(task: tuple[int, int, int, str, bool]) -> tuple[int, list[str], 
     for n in range(n_min, n_max + 1):
         rec = classify_order(OrderSpec(d, n))
         if verify:
-            _verify_cell(rec)
+            for name, claimed, got in oracle_verdicts(rec):
+                if got is not None and got != claimed:
+                    raise ScanVerificationError(
+                        f"{name} mismatch at d={d}, n={n}: closed-form {claimed}, oracle {got}"
+                    )
         if fmt == "csv":
             rows.append(record_to_csv_row(rec))
         else:

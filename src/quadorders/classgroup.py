@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd, isqrt
 
-from .arith import InternalConsistencyError
+from .arith import CACHE_MAXSIZE, InternalConsistencyError
 from .pell import FundamentalUnit
 from .quadfield import FieldContext
 
@@ -109,7 +109,7 @@ def narrow_class_number(D: int) -> int:
     return cycles
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CACHE_MAXSIZE)
 def class_number(F: FieldContext, U: FundamentalUnit) -> FormClassData:
     """Class data of the maximal order of Q(sqrt(d))."""
     if F.d < 0:

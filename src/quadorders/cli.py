@@ -9,11 +9,13 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from math import log10
 
 from .arith import InternalConsistencyError
 from .atlas import (
     ScanConfig,
     ScanVerificationError,
+    oracle_verdicts,
     record_to_json_obj,
     report_hfd,
     scan,
@@ -21,30 +23,32 @@ from .atlas import (
 from .classgroup import class_number
 from .classify import OrderSpec, classify_order
 from .lfun import l_value
-from .oracle import (
-    OracleBoundError,
-    brute_associated,
-    brute_ideal_preserving,
-    brute_locally_associated,
-)
+from .oracle import OracleBoundError
 from .pell import FundamentalUnit, fundamental_unit, verify_unit
 from .quadfield import FieldContext, make_field, unit_xy
 
 
+_DECIMAL_CAP = 10**4300  # CPython's default int-to-str limit
+
+
+def _decimal(x: int) -> str:
+    """x in decimal, or past 4,300 digits its sign and exact digit count."""
+    a = abs(x)
+    if a < _DECIMAL_CAP:
+        return str(x)
+    k = int(a.bit_length() * log10(2))  # at most the digit count
+    while 10**k <= a:
+        k += 1
+    return f"{'-' if x < 0 else ''}<{k} digits>"
+
+
 def _sqrt_expr(x: int, y: int, d: int) -> str:
     if y == 0:
-        return str(x)
-    root = f"√{d}"
-    if y == 1:
-        ypart = root
-    elif y == -1:
-        ypart = f"-{root}"
-    else:
-        ypart = f"{y}{root}"
+        return _decimal(x)
+    ypart = "" if y == 1 else "-" if y == -1 else _decimal(y)
     if x == 0:
-        return ypart
-    sign = "+" if y > 0 else ""
-    return f"{x}{sign}{ypart}"
+        return f"{ypart}√{d}"
+    return f"{_decimal(x)}{'+' if y > 0 else ''}{ypart}√{d}"
 
 
 def format_unit(F: FieldContext, U: FundamentalUnit) -> str:
@@ -98,14 +102,14 @@ def cmd_classnum(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    spec = OrderSpec(args.d, args.n)
-    F = make_field(spec.d)
-    U = fundamental_unit(F)
-    rec = classify_order(spec)
-    la, ip, assoc = rec.locally_associated, rec.ideal_preserving, rec.associated
-    bla = brute_locally_associated(F, U, spec.n)
-    bip = brute_ideal_preserving(F, spec.n)
-    bassoc = brute_associated(F, U, spec.n)
+    rec = classify_order(OrderSpec(args.d, args.n))
+    verdicts = oracle_verdicts(rec)
+    skipped = [name for name, _, got in verdicts if got is None]
+    if skipped:
+        raise OracleBoundError(
+            f"n={rec.n} is past the enumeration bound of the oracle(s) {', '.join(skipped)}"
+        )
+    (_, la, bla), (_, ip, bip), (_, assoc, bassoc) = verdicts
     ok = (la, ip, assoc) == (bla, bip, bassoc)
     print(
         f"{'OK' if ok else 'MISMATCH'} "

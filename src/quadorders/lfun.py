@@ -7,13 +7,11 @@ match the unit counts of the split, inert and ramified local quotients.
 
 from __future__ import annotations
 
-from .arith import factorize, is_prime, is_squarefree
+from .arith import factorize, is_squarefree
 from .quadfield import field_char
 
 
 def l_prime_power(p: int, a: int, d: int) -> int:
-    if not is_prime(p):
-        raise ValueError(f"l_prime_power requires a prime, got {p}")
     if a < 1:
         raise ValueError(f"l_prime_power requires a >= 1, got {a}")
     if not is_squarefree(d):

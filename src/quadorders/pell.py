@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import isqrt, log
 
-from .arith import InternalConsistencyError, is_prime
+from .arith import CACHE_MAXSIZE, InternalConsistencyError, is_prime
 from .quadfield import QI, FieldContext, qi_mul, qi_norm, unit_xy
 
 
@@ -52,7 +52,7 @@ def _pell4_fundamental(D: int) -> tuple[int, int]:
     raise InternalConsistencyError(f"continued fraction of sqrt({D}) did not close")
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CACHE_MAXSIZE)
 def fundamental_unit(F: FieldContext) -> FundamentalUnit:
     if F.d == -1:
         return FundamentalUnit((0, 1), 1, 4)

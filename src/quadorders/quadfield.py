@@ -1,4 +1,4 @@
-"""Arithmetic of quadratic integers a + b*omega, exact and modulo M, plus prime splitting.
+"""Arithmetic of quadratic integers a + b*omega, exact and modulo M, and the field character.
 
 For squarefree d, the maximal order of Q(sqrt(d)) has Z-basis (1, omega) with
 omega^2 = half*omega + t: omega = sqrt(d), (half, t) = (0, d) when
@@ -10,10 +10,9 @@ order of index n is exactly the set of elements with n | b.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 from functools import lru_cache
 
-from .arith import InternalConsistencyError, is_squarefree, kronecker
+from .arith import CACHE_MAXSIZE, InternalConsistencyError, is_prime, is_squarefree
 
 QI = tuple[int, int]  # a + b*omega as (a, b)
 
@@ -28,7 +27,7 @@ class FieldContext:
     half: int
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CACHE_MAXSIZE)
 def make_field(d: int) -> FieldContext:
     if d in (0, 1):
         raise ValueError(f"d={d} does not define a quadratic field")
@@ -83,43 +82,17 @@ def omega_roots(F: FieldContext, p: int) -> tuple[int, ...]:
 def field_char(d: int, p: int) -> int:
     """The Kronecker symbol (D/p) of Q(sqrt(d)) at a prime p: -1 inert, 0 ramified, 1 split.
 
-    Raises ValueError when p is not a prime.
+    For odd p this is the Legendre symbol (d/p), by Euler's criterion.  Raises
+    ValueError when p is not a prime.
     """
     if p == 2:
         r = d % 8
         return 1 if r == 1 else -1 if r == 5 else 0
-    return kronecker(d, p)
-
-
-class SplitKind(Enum):
-    """How a rational prime splits in O_K; the value is the field character (D/p)."""
-
-    INERT = -1
-    RAMIFIED = 0
-    SPLIT = 1
-
-
-@dataclass(frozen=True, slots=True)
-class SplittingReport:
-    p: int
-    kind: SplitKind
-    roots: tuple[int, ...]
-
-
-def splitting_kind(F: FieldContext, p: int) -> SplitKind:
-    """Splitting behaviour of the rational prime p in O_K, by the field character."""
-    return SplitKind(field_char(F.d, p))
-
-
-def splitting_type(F: FieldContext, p: int) -> SplittingReport:
-    """Kind plus the roots of omega's minimal polynomial mod p.
-
-    The root count must be 1 + (D/p): 0 for inert, 1 for ramified, 2 for split.
-    """
-    kind = splitting_kind(F, p)
-    roots = omega_roots(F, p)
-    if len(roots) != 1 + kind.value:
-        raise InternalConsistencyError(
-            f"splitting of {p} in Q(sqrt({F.d})): kind {kind.name.lower()} but {len(roots)} roots"
-        )
-    return SplittingReport(p, kind, roots)
+    if not is_prime(p):
+        raise ValueError(f"field_char requires a prime, got {p}")
+    t = pow(d % p, (p - 1) // 2, p)
+    if t == p - 1:
+        return -1
+    if t not in (0, 1):
+        raise InternalConsistencyError(f"Euler criterion returned {t} mod {p}")
+    return t

@@ -11,13 +11,13 @@ from __future__ import annotations
 from functools import lru_cache
 from math import lcm
 
-from .arith import InternalConsistencyError, divisors_sorted, factorize
+from .arith import CACHE_MAXSIZE, InternalConsistencyError, divisors_sorted, factorize
 from .lfun import l_prime_power
 from .pell import FundamentalUnit
 from .quadfield import QI, FieldContext, qi_mul, qi_pow
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CACHE_MAXSIZE)
 def min_power_prime_power(F: FieldContext, U: FundamentalUnit, p: int, a: int) -> int:
     """Least k with u^k in Z + p^a * O_K, searched over the divisors of L(p^a, d)."""
     q = p**a

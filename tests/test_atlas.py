@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 
@@ -6,6 +7,8 @@ import pytest
 from quadorders import (
     OrderSpec,
     ScanConfig,
+    ScanVerificationError,
+    atlas,
     classify_order,
     record_to_csv_row,
     record_to_json_obj,
@@ -113,6 +116,22 @@ def test_verify_mode_small_window(tmp_path):
     out = tmp_path / "v.csv"
     summary = scan(ScanConfig(d_min=-6, d_max=6, n_max=8, out=str(out), verify=True))
     assert summary.records > 0
+
+
+def test_oracle_verdicts_skip_and_mismatch(tmp_path, monkeypatch):
+    # 31^2 is past the ideal-preserving oracle's bound, 31 is not past the others'
+    verdicts = atlas.oracle_verdicts(classify_order(OrderSpec(7, 31)))
+    assert [(name, got) for name, _, got in verdicts] == [
+        ("locally_associated", False), ("ideal_preserving", None), ("associated", False)
+    ]
+    # a wrong closed-form flag stops the scan; a skipped oracle cannot
+    def flipped(spec):
+        rec = classify_order(spec)
+        return dataclasses.replace(rec, associated=not rec.associated)
+
+    monkeypatch.setattr(atlas, "classify_order", flipped)
+    with pytest.raises(ScanVerificationError, match="associated mismatch at d=2, n=2"):
+        scan(ScanConfig(d_min=2, d_max=2, n_max=2, out=str(tmp_path / "v.csv"), verify=True))
 
 
 def test_report_counts_and_histogram(tmp_path):

@@ -3,7 +3,7 @@ import pytest
 from quadorders import classify
 from quadorders.arith import InternalConsistencyError, factorize, is_prime, is_squarefree
 from quadorders.classify import OrderSpec, classify_order, is_ideal_preserving
-from quadorders.quadfield import SplitKind, make_field, splitting_type
+from quadorders.quadfield import make_field, omega_roots
 
 
 def is_locally_associated(spec):
@@ -113,11 +113,10 @@ def test_record_invariants_grid():
 
 def test_ideal_preserving_is_inertness():
     for spec in all_specs((-10, -5, -3, 2, 5, 7, 15), range(2, 40)):
+        # p is inert iff omega's minimal polynomial has no root mod p: a witness
+        # independent of field_char, which is_ideal_preserving reads
         F = make_field(spec.d)
-        expected = all(
-            splitting_type(F, p).kind is SplitKind.INERT
-            for p, _ in factorize(spec.n)
-        )
+        expected = all(not omega_roots(F, p) for p, _ in factorize(spec.n))
         assert is_ideal_preserving(spec) == expected
 
 

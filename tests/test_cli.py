@@ -1,11 +1,13 @@
+import dataclasses
 import json
 import subprocess
 import sys
 
 import pytest
 
-from quadorders import OrderSpec, classify_order, record_to_json_obj
-from quadorders.cli import main
+from quadorders import OrderSpec, classify_order, make_field, record_to_json_obj
+from quadorders.cli import format_unit, main
+from quadorders.pell import FundamentalUnit
 
 
 def run_cli(capsys, *argv):
@@ -54,6 +56,19 @@ def test_unit_output(capsys):
     assert out.startswith("-1,")
 
 
+def test_unit_with_huge_coordinates_renders_digit_counts():
+    # coordinates past the interpreter's 4,300-digit int-to-str limit
+    big = 10**4999
+    F = make_field(2)
+    assert format_unit(F, FundamentalUnit((big, -3 * big), 1, 2)) == (
+        "<5000 digits>-<5000 digits>√2"
+    )
+    F = make_field(5)
+    # (X + Y*sqrt(5))/2 with X = 2a + b = -3 * 10**4999
+    text = format_unit(F, FundamentalUnit((-2 * big, big), -1, 2))
+    assert text == "(-<5000 digits>+<5000 digits>√5)/2"
+
+
 def test_lfun(capsys):
     rc, out, _ = run_cli(capsys, "lfun", "-n", "33", "-d", "2")
     assert rc == 0 and out.strip() == "48"
@@ -76,6 +91,17 @@ def test_verify_ok(capsys):
     assert "la: closed-form=true oracle=true" in out
     assert "ip: false/false" in out
     assert "assoc: false/false" in out
+
+
+def test_verify_mismatch_exits_1(capsys, monkeypatch):
+    def flipped(spec):
+        rec = classify_order(spec)
+        return dataclasses.replace(rec, ideal_preserving=not rec.ideal_preserving)
+
+    monkeypatch.setattr("quadorders.cli.classify_order", flipped)
+    rc, out, _ = run_cli(capsys, "verify", "-d", "2", "-n", "2")
+    assert rc == 1
+    assert out.startswith("MISMATCH") and "ip: true/false" in out
 
 
 def test_verify_bound_exceeded(capsys):

@@ -14,7 +14,7 @@ from quadorders.oracle import (
     quotient_unit_count,
 )
 from quadorders.pell import fundamental_unit
-from quadorders.quadfield import SplitKind, make_field, qi_mul, splitting_type
+from quadorders.quadfield import field_char, make_field, omega_roots, qi_mul
 
 
 def test_quotient_unit_count_fixtures():
@@ -35,10 +35,10 @@ def test_quotient_unit_counts_match_local_formulas():
         for p, a in prime_powers:
             if p**a > 49:
                 continue
-            kind = splitting_type(F, p).kind
-            if kind is SplitKind.INERT:
+            chi = field_char(d, p)
+            if chi == -1:
                 expected = p ** (2 * a - 2) * (p * p - 1)
-            elif kind is SplitKind.SPLIT:
+            elif chi == 1:
                 expected = (p**a - p ** (a - 1)) ** 2
             else:
                 expected = p ** (2 * a - 1) * (p - 1)
@@ -90,16 +90,16 @@ def test_brute_flags_fixtures():
 def test_split_prime_fails_ideal_preservation():
     # a split p | n forces R-cap-P inside the conjugate prime
     F = make_field(17)
-    assert splitting_type(F, 2).kind is SplitKind.SPLIT
+    assert field_char(17, 2) == 1
     assert not brute_ideal_preserving(F, 2)
     F = make_field(-5)
-    assert splitting_type(F, 3).kind is SplitKind.SPLIT
+    assert field_char(-5, 3) == 1
     assert not brute_ideal_preserving(F, 3)
 
 
 def test_ramified_prime_fails_ideal_preservation():
     F = make_field(2)
-    assert splitting_type(F, 2).kind is SplitKind.RAMIFIED
+    assert field_char(2, 2) == 0
     assert not brute_ideal_preserving(F, 2)
     F = make_field(-3)
     assert not brute_ideal_preserving(F, 3)
@@ -159,10 +159,8 @@ def test_prime_square_image_matches_exact_lattice():
     for d in (2, -5, 17, -3):
         F = make_field(d)
         for p in (2, 3, 5):
-            rep = splitting_type(F, p)
-            if rep.kind is SplitKind.INERT:
-                continue
-            for r in rep.roots:
+            # one prime ideal (p, omega - r) per root; none when p is inert
+            for r in omega_roots(F, p):
                 gens = [(p * p, 0), (-p * r, p), qi_mul(F, (-r, 1), (-r, 1))]
                 M = p * p
                 span = _ideal_image_mod(F, gens, M)

@@ -6,7 +6,9 @@ with positional arguments, reads `quadorders.atlas.CSV_HEADER` and the
 these breaks it without failing any other test.
 """
 
+import importlib
 import inspect
+import pkgutil
 import re
 from pathlib import Path
 
@@ -57,7 +59,7 @@ def test_all_and_readme_names_resolve():
     assert names <= set(quadorders.__all__)
     for name in quadorders.__all__:
         assert getattr(quadorders, name) is not None, name
-    assert len(quadorders.__all__) == len(set(quadorders.__all__)) <= 25
+    assert len(quadorders.__all__) == len(set(quadorders.__all__)) <= 23
 
 
 def test_benchmark_calls_keep_their_signatures():
@@ -78,3 +80,15 @@ def test_benchmark_caches_expose_cache_info():
     for module, fn in CACHED:
         info = getattr(getattr(quadorders, module), fn).cache_info()
         assert info.hits >= 0 and info.misses >= 0
+
+
+def test_every_cache_is_bounded():
+    """Every lru_cache in the package has a finite maxsize, so a long scan's memory is capped."""
+    cached = {}
+    for info in pkgutil.iter_modules(quadorders.__path__):
+        module = importlib.import_module(f"quadorders.{info.name}")
+        for name, obj in vars(module).items():
+            if hasattr(obj, "cache_parameters") and obj.__module__ == module.__name__:
+                cached[f"{info.name}.{name}"] = obj.cache_parameters()["maxsize"]
+    assert {f"{m}.{f}" for m, f in CACHED} <= set(cached)
+    assert all(size is not None for size in cached.values()), cached

@@ -4,14 +4,12 @@ import pytest
 
 from quadorders.arith import is_squarefree
 from quadorders.quadfield import (
-    SplitKind,
     field_char,
     make_field,
+    omega_roots,
     qi_mul,
     qi_norm,
     qi_pow,
-    splitting_kind,
-    splitting_type,
     unit_xy,
 )
 
@@ -131,33 +129,34 @@ def test_reduction_is_homomorphism():
 
 
 def test_splitting_fixtures():
+    # the character (-1 inert, 0 ramified, 1 split) and omega's roots mod p
     F2 = make_field(2)
-    rep = splitting_type(F2, 5)
-    assert rep.kind is SplitKind.INERT and rep.roots == ()
-    rep = splitting_type(F2, 2)
-    assert rep.kind is SplitKind.RAMIFIED and rep.roots == (0,)
-    rep = splitting_type(F2, 7)
-    assert rep.kind is SplitKind.SPLIT and set(rep.roots) == {3, 4}
-    rep = splitting_type(make_field(17), 2)
-    assert rep.kind is SplitKind.SPLIT and set(rep.roots) == {0, 1}
-    rep = splitting_type(make_field(-3), 3)
-    assert rep.kind is SplitKind.RAMIFIED and rep.roots == (2,)
-    with pytest.raises(ValueError):
-        splitting_type(F2, 6)
+    assert field_char(2, 5) == -1 and omega_roots(F2, 5) == ()
+    assert field_char(2, 2) == 0 and omega_roots(F2, 2) == (0,)
+    assert field_char(2, 7) == 1 and set(omega_roots(F2, 7)) == {3, 4}
+    assert field_char(17, 2) == 1 and set(omega_roots(make_field(17), 2)) == {0, 1}
+    assert field_char(-3, 3) == 0 and omega_roots(make_field(-3), 3) == (2,)
+    assert field_char(5, 2) == -1 and omega_roots(make_field(5), 2) == ()
+    for p in (6, 15, 1, 0, -3):
+        with pytest.raises(ValueError):
+            field_char(2, p)
 
 
 def test_splitting_partition_and_roots():
     primes = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47]
+    # every squarefree class of d mod 8, so p = 2 is seen split, inert and ramified
+    assert {d % 8 for d in SQUAREFREE_SMALL} == {1, 2, 3, 5, 6, 7}
     for d in SQUAREFREE_SMALL:
         F = make_field(d)
         for p in primes:
-            rep = splitting_type(F, p)
-            assert rep.kind is splitting_kind(F, p)
+            chi = field_char(d, p)
+            roots = omega_roots(F, p)
+            # the minimal polynomial has 1 + (D/p) roots mod p: 0 inert, 1 ramified, 2 split
+            assert len(roots) == 1 + chi, (d, p)
             # ramified exactly at divisors of the discriminant
-            assert (rep.kind is SplitKind.RAMIFIED) == (F.D % p == 0)
-            assert rep.kind.value == field_char(d, p)
+            assert (chi == 0) == (F.D % p == 0)
             # roots of x^2 - d, or of x^2 - x - (d-1)/4 when d = 1 (mod 4)
-            for r in rep.roots:
+            for r in roots:
                 if d % 4 == 1:
                     assert (r * r - r - (d - 1) // 4) % p == 0
                 else:

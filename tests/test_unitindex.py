@@ -3,7 +3,7 @@ from math import lcm
 
 import pytest
 
-from quadorders.arith import is_squarefree
+from quadorders.arith import is_prime, is_squarefree
 from quadorders.lfun import l_value
 from quadorders.pell import fundamental_unit
 from quadorders.quadfield import make_field, qi_mul
@@ -90,3 +90,18 @@ def test_imaginary_unit_indices():
     F = make_field(-3)
     U = fundamental_unit(F)
     assert all(min_power(F, U, n) == 3 for n in (2, 3, 4, 25))
+
+
+def test_prime_power_tower():
+    # m(p^(a+1)) is m(p^a) or p * m(p^a): if u^k = r + p^a*x then u^(kp) = r^p (mod p^(a+1))
+    ds = [2, 3, 5, 6, 7, 13, 19, 46, 61, 94, 109, 151,
+          -1, -2, -3, -5, -7, -15, -23, -47]
+    for d in ds:
+        F = make_field(d)
+        U = fundamental_unit(F)
+        for p in (q for q in range(2, 51) if is_prime(q)):
+            a = 1
+            while p ** (a + 1) <= 10**4:
+                m = min_power_prime_power(F, U, p, a)
+                assert min_power_prime_power(F, U, p, a + 1) in (m, p * m), (d, p, a)
+                a += 1
