@@ -2,9 +2,9 @@
 
 Rows stream to CSV or JSONL in (d, n) order, one checkpoint per completed d,
 so an interrupted scan can resume and produce a byte-identical file.  Workers
-parallelise over d; rows are rendered inside the worker and written by the
-parent in submission order, which keeps the output independent of the worker
-count.
+parallelise over d; each classifies its d with classify_field and renders the
+rows into one block, which the parent writes in submission order, so the
+output is independent of the worker count.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from multiprocessing import get_context
 
 from .arith import is_squarefree
-from .classify import ClassificationRecord, OrderSpec, classify_order
+from .classify import ClassificationRecord, classify_field
 from .oracle import (
     OracleBoundError,
     brute_associated,
@@ -112,25 +112,25 @@ def oracle_verdicts(rec: ClassificationRecord) -> list[tuple[str, bool, bool | N
     return out
 
 
-def _scan_one_d(task: tuple[int, int, int, str, bool]) -> tuple[int, list[str], int]:
+def _scan_one_d(task: tuple[int, int, int, str, bool]) -> tuple[int, str, int, int]:
+    """One d's rows as a single newline-terminated block, with its row and hfd counts."""
     d, n_min, n_max, fmt, verify = task
     rows: list[str] = []
     hfd = 0
-    for n in range(n_min, n_max + 1):
-        rec = classify_order(OrderSpec(d, n))
+    for rec in classify_field(d, n_min, n_max):
         if verify:
             for name, claimed, got in oracle_verdicts(rec):
                 if got is not None and got != claimed:
                     raise ScanVerificationError(
-                        f"{name} mismatch at d={d}, n={n}: closed-form {claimed}, oracle {got}"
+                        f"{name} mismatch at d={d}, n={rec.n}: closed-form {claimed}, oracle {got}"
                     )
         if fmt == "csv":
             rows.append(record_to_csv_row(rec))
         else:
             rows.append(json.dumps(record_to_json_obj(rec), separators=(",", ":")))
-        if rec.hfd and n > 1:
+        if rec.hfd and rec.n > 1:
             hfd += 1
-    return d, rows, hfd
+    return d, "\n".join(rows) + "\n", len(rows), hfd
 
 
 def checkpoint_path(out: str) -> str:
@@ -242,10 +242,10 @@ def scan(cfg: ScanConfig) -> ScanSummary:
                 results = map(_scan_one_d, tasks)
             else:
                 results = pool.imap(_scan_one_d, tasks, chunksize=1)
-            for d, rows, hfd_d in results:
-                fh.write("\n".join(rows) + "\n")
+            for d, block, n_rows, hfd_d in results:
+                fh.write(block)
                 fh.flush()
-                rows_written += len(rows)
+                rows_written += n_rows
                 hfd_count += hfd_d
                 _write_checkpoint(ck_path, Checkpoint(d, rows_written, hfd_count))
     return ScanSummary(rows_written, hfd_count, time.perf_counter() - t0)

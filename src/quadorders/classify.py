@@ -11,14 +11,16 @@ The finite criteria used here:
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
+from math import lcm
 
-from .arith import InternalConsistencyError, factorize, is_prime, is_squarefree
+from .arith import InternalConsistencyError, _factorize_cached, factorize, is_prime, is_squarefree
 from .classgroup import class_number
-from .lfun import l_value
+from .lfun import l_prime_power, l_value
 from .pell import fundamental_unit
-from .quadfield import field_char, make_field
-from .unitindex import min_power
+from .quadfield import FieldContext, field_char, make_field
+from .unitindex import min_power, min_power_search
 
 
 @dataclass(frozen=True, slots=True)
@@ -54,24 +56,16 @@ def is_ideal_preserving(spec: OrderSpec) -> bool:
     return all(field_char(spec.d, p) == -1 for p, _ in factorize(spec.n))
 
 
-def classify_order(spec: OrderSpec) -> ClassificationRecord:
-    F = make_field(spec.d)
-    U = fundamental_unit(F)
-    h = class_number(F, U).h
-    m = min_power(F, U, spec.n)
-    L = l_value(spec.n, spec.d)
+def _record(
+    F: FieldContext, h: int, n: int, m: int, L: int, ip: bool, prime_shape: bool
+) -> ClassificationRecord:
+    """The record of Z + n*O_K from m, L, ideal-preserving and whether n is p or 2p, p odd."""
     if L % m:
-        raise InternalConsistencyError(
-            f"m={m} does not divide L={L} for d={spec.d}, n={spec.n}"
-        )
-    ip = is_ideal_preserving(spec)
+        raise InternalConsistencyError(f"m={m} does not divide L={L} for d={F.d}, n={n}")
     la = m == L
     assoc = ip and la
-    n = spec.n
-    prime_shape = is_prime(n) or (n % 4 == 2 and is_prime(n // 2))  # p or 2p, p odd
-    hfd = h <= 2 and (n == 1 or (assoc and prime_shape))
     return ClassificationRecord(
-        d=spec.d,
+        d=F.d,
         n=n,
         D=F.D,
         m=m,
@@ -81,5 +75,52 @@ def classify_order(spec: OrderSpec) -> ClassificationRecord:
         associated=assoc,
         h_maximal=h,
         h_order=h * (L // m),
-        hfd=hfd,
+        hfd=h <= 2 and (n == 1 or (assoc and prime_shape)),
     )
+
+
+def classify_order(spec: OrderSpec) -> ClassificationRecord:
+    """The record of one cell; the reference that classify_field is tested against."""
+    F = make_field(spec.d)
+    U = fundamental_unit(F)
+    h = class_number(F, U).h
+    n = spec.n
+    m = min_power(F, U, n)
+    L = l_value(n, spec.d)
+    prime_shape = is_prime(n) or (n % 4 == 2 and is_prime(n // 2))  # p or 2p, p odd
+    return _record(F, h, n, m, L, is_ideal_preserving(spec), prime_shape)
+
+
+def classify_field(d: int, n_min: int, n_max: int) -> Iterator[ClassificationRecord]:
+    """Yield the records of Q(sqrt(d)) for n_min <= n <= n_max, in n order.
+
+    Each cell is composed from its factorization n = prod p^a and a table of
+    (m(p^a), L(p^a), p inert) kept for this call: m by lcm, L by product,
+    ideal-preserving by AND.
+    """
+    if n_min < 1:
+        raise ValueError(f"order index must be >= 1, got {n_min}")
+    F = make_field(d)
+    U = fundamental_unit(F)
+    h = class_number(F, U).h
+    table: dict[tuple[int, int], tuple[int, int, bool]] = {}
+    for n in range(n_min, n_max + 1):
+        fac = _factorize_cached(n)
+        m, L, ip = 1, 1, True
+        for pa in fac:
+            entry = table.get(pa)
+            if entry is None:
+                p, a = pa
+                entry = table[pa] = (
+                    min_power_search(F, U, p, a),
+                    l_prime_power(p, a, d),
+                    field_char(d, p) == -1,
+                )
+            m = lcm(m, entry[0])
+            L *= entry[1]
+            ip = ip and entry[2]
+        # n is p, or 2p with p odd
+        prime_shape = (len(fac) == 1 and fac[0][1] == 1) or (
+            len(fac) == 2 and fac[0] == (2, 1) and fac[1][1] == 1
+        )
+        yield _record(F, h, n, m, L, ip, prime_shape)

@@ -17,9 +17,12 @@ from .pell import FundamentalUnit
 from .quadfield import QI, FieldContext, qi_mul, qi_pow
 
 
-@lru_cache(maxsize=CACHE_MAXSIZE)
-def min_power_prime_power(F: FieldContext, U: FundamentalUnit, p: int, a: int) -> int:
-    """Least k with u^k in Z + p^a * O_K, searched over the divisors of L(p^a, d)."""
+def min_power_search(F: FieldContext, U: FundamentalUnit, p: int, a: int) -> int:
+    """Least k with u^k in Z + p^a * O_K, searched over the divisors of L(p^a, d).
+
+    Uncached: a caller that keeps its own per-field table calls this, so the
+    process-lifetime cache of min_power_prime_power does not fill.
+    """
     q = p**a
     L = l_prime_power(p, a, F.d)
     base = (U.u[0] % q, U.u[1] % q)
@@ -38,6 +41,12 @@ def min_power_prime_power(F: FieldContext, U: FundamentalUnit, p: int, a: int) -
     raise InternalConsistencyError(
         f"no divisor of L({p}^{a}, {F.d}) = {L} brings u^k into the order"
     )
+
+
+@lru_cache(maxsize=CACHE_MAXSIZE)
+def min_power_prime_power(F: FieldContext, U: FundamentalUnit, p: int, a: int) -> int:
+    """min_power_search, cached for the life of the process."""
+    return min_power_search(F, U, p, a)
 
 
 def min_power(F: FieldContext, U: FundamentalUnit, n: int) -> int:

@@ -1,6 +1,6 @@
-import dataclasses
 import json
 import os
+import random
 
 import pytest
 
@@ -15,6 +15,7 @@ from quadorders import (
     report_hfd,
     scan,
 )
+from quadorders.arith import is_squarefree
 from quadorders.atlas import CSV_HEADER, Checkpoint, checkpoint_path, read_checkpoint
 
 
@@ -41,11 +42,21 @@ def test_scan_small_grid(tmp_path):
 
 
 def test_rows_match_classifier(tmp_path):
-    out = tmp_path / "grid.csv"
-    scan(small_cfg(out))
-    for line in out.read_text().splitlines()[1:]:
-        d, n = map(int, line.split(",")[:2])
-        assert line == record_to_csv_row(classify_order(OrderSpec(d, n)))
+    # the scan classifies per field (classify_field); classify_order is the reference
+    rng = random.Random(5)
+    sample = rng.sample([d for d in range(-3000, 3000) if d not in (0, 1) and is_squarefree(d)], 6)
+    assert min(sample) < 0 < max(sample)
+    windows = [dict(d_min=2, d_max=10, n_max=10)]
+    # 94 has a 7-digit unit; n up to 1,500 reaches 2^10, 3^6 and 37^2
+    windows += [dict(d_min=d, d_max=d, n_min=1, n_max=1500) for d in [-1, -3, 2, 5, 94] + sample]
+    for i, window in enumerate(windows):
+        out = tmp_path / f"grid{i}.csv"
+        summary = scan(ScanConfig(out=str(out), **window))
+        lines = out.read_text().splitlines()[1:]
+        assert summary.records == len(lines) > 0
+        for line in lines:
+            d, n = map(int, line.split(",")[:2])
+            assert line == record_to_csv_row(classify_order(OrderSpec(d, n)))
 
 
 def test_scan_deterministic(tmp_path):
@@ -124,12 +135,9 @@ def test_oracle_verdicts_skip_and_mismatch(tmp_path, monkeypatch):
     assert [(name, got) for name, _, got in verdicts] == [
         ("locally_associated", False), ("ideal_preserving", None), ("associated", False)
     ]
-    # a wrong closed-form flag stops the scan; a skipped oracle cannot
-    def flipped(spec):
-        rec = classify_order(spec)
-        return dataclasses.replace(rec, associated=not rec.associated)
-
-    monkeypatch.setattr(atlas, "classify_order", flipped)
+    # an oracle that disagrees with the closed form stops the scan; a skipped oracle cannot
+    brute_associated = atlas.brute_associated
+    monkeypatch.setattr(atlas, "brute_associated", lambda F, U, n: not brute_associated(F, U, n))
     with pytest.raises(ScanVerificationError, match="associated mismatch at d=2, n=2"):
         scan(ScanConfig(d_min=2, d_max=2, n_max=2, out=str(tmp_path / "v.csv"), verify=True))
 

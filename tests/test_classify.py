@@ -34,6 +34,8 @@ def test_spec_validation():
     with pytest.raises(ValueError):
         OrderSpec(2, 0)
     OrderSpec(-1, 1)
+    with pytest.raises(ValueError):
+        list(classify.classify_field(2, 0, 3))
 
 
 def test_fixture_records():
@@ -84,6 +86,10 @@ def test_order_class_number(monkeypatch):
     monkeypatch.setattr(classify, "min_power", lambda F, U, n: 4)
     with pytest.raises(InternalConsistencyError):
         classify_order(OrderSpec(2, 5))
+    # the per-field kernel takes m(p^a) from the uncached search; m = 4 does not divide L(5) = 6
+    monkeypatch.setattr(classify, "min_power_search", lambda F, U, p, a: 4)
+    with pytest.raises(InternalConsistencyError, match="n=5"):
+        list(classify.classify_field(2, 5, 5))
 
 
 def test_index_one_is_trivial():

@@ -74,6 +74,10 @@ def test_lfun(capsys):
     assert rc == 0 and out.strip() == "48"
     rc, _, err = run_cli(capsys, "lfun", "-n", "4", "-d", "12")
     assert rc == 2
+    for d in ("0", "1"):
+        rc, out, err = run_cli(capsys, "lfun", "-n", "5", "-d", d)
+        assert (rc, out) == (2, "")
+        assert f"d={d} does not define a quadratic field" in err
 
 
 def test_classnum(capsys):

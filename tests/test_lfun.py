@@ -50,6 +50,13 @@ def test_validation():
         l_value(0, 2)
     with pytest.raises(ValueError):
         l_value(4, 12)
+    # d = 0 and d = 1 define no quadratic field, whatever n is
+    for d in (0, 1):
+        for n in (1, 5, 12):
+            with pytest.raises(ValueError, match=f"d={d} does not define a quadratic field"):
+                l_value(n, d)
+        with pytest.raises(ValueError, match=f"d={d} does not define a quadratic field"):
+            l_prime_power(5, 1, d)
 
 
 def test_multiplicative_on_coprime_parts():
