@@ -1,4 +1,4 @@
-"""Rational-integer helpers: factorization, primality and squarefree tests, divisors."""
+"""Rational-integer helpers: factorization, primality and squarefree tests."""
 
 from __future__ import annotations
 
@@ -61,13 +61,3 @@ def is_squarefree(d: int) -> bool:
         raise ValueError("is_squarefree is undefined for 0")
     return all(a == 1 for _, a in _factorize_cached(abs(d)))
 
-
-def divisors_sorted(n: int) -> list[int]:
-    """All positive divisors of n in ascending order."""
-    if n < 1:
-        raise ValueError(f"divisors_sorted requires n >= 1, got {n}")
-    divs = [1]
-    for p, a in _factorize_cached(n):
-        divs = [q * p**e for q in divs for e in range(a + 1)]
-    divs.sort()
-    return divs

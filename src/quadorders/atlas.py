@@ -3,8 +3,9 @@
 Rows stream to CSV or JSONL in (d, n) order, one checkpoint per completed d,
 so an interrupted scan can resume and produce a byte-identical file.  Workers
 parallelise over d; each classifies its d with classify_field and renders the
-rows into one block, which the parent writes in submission order, so the
-output is independent of the worker count.
+row tuples into one block, which the parent writes in submission order, so the
+output is independent of the worker count.  A ClassificationRecord is built
+only where a record is needed: under --verify and in the record_to_* helpers.
 """
 
 from __future__ import annotations
@@ -13,11 +14,13 @@ import json
 import os
 import time
 from contextlib import nullcontext
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from itertools import islice
 from multiprocessing import get_context
+from operator import attrgetter, itemgetter
 
 from .arith import is_squarefree
-from .classify import ClassificationRecord, classify_field
+from .classify import ClassificationRecord, Row, classify_field
 from .oracle import (
     OracleBoundError,
     brute_associated,
@@ -27,9 +30,13 @@ from .oracle import (
 from .pell import fundamental_unit
 from .quadfield import make_field
 
-CSV_HEADER = "d,n,D,m,L,ideal_preserving,locally_associated,associated,h_maximal,h_order,hfd"
-FIELD_NAMES = tuple(CSV_HEADER.split(","))
+FIELD_NAMES = tuple(f.name for f in fields(ClassificationRecord))
+CSV_HEADER = ",".join(FIELD_NAMES)
 _BOOL_FIELDS = ("ideal_preserving", "locally_associated", "associated", "hfd")
+_CSV_ROW = ",".join(["%d"] * len(FIELD_NAMES))  # a bool renders as 0 or 1
+_to_json = json.JSONEncoder(separators=(",", ":")).encode
+_record_values = attrgetter(*FIELD_NAMES)
+_bool_values = itemgetter(*(FIELD_NAMES.index(name) for name in _BOOL_FIELDS))
 
 
 class ScanVerificationError(RuntimeError):
@@ -69,28 +76,16 @@ class HfdReport:
     per_d: dict[int, int]
 
 
+def _jsonl_row(row: Row) -> str:
+    return _to_json(dict(zip(FIELD_NAMES, row)))
+
+
 def record_to_csv_row(rec: ClassificationRecord) -> str:
-    return (
-        f"{rec.d},{rec.n},{rec.D},{rec.m},{rec.L},"
-        f"{int(rec.ideal_preserving)},{int(rec.locally_associated)},"
-        f"{int(rec.associated)},{rec.h_maximal},{rec.h_order},{int(rec.hfd)}"
-    )
+    return _CSV_ROW % _record_values(rec)
 
 
 def record_to_json_obj(rec: ClassificationRecord) -> dict:
-    return {
-        "d": rec.d,
-        "n": rec.n,
-        "D": rec.D,
-        "m": rec.m,
-        "L": rec.L,
-        "ideal_preserving": rec.ideal_preserving,
-        "locally_associated": rec.locally_associated,
-        "associated": rec.associated,
-        "h_maximal": rec.h_maximal,
-        "h_order": rec.h_order,
-        "hfd": rec.hfd,
-    }
+    return dict(zip(FIELD_NAMES, _record_values(rec)))
 
 
 def oracle_verdicts(rec: ClassificationRecord) -> list[tuple[str, bool, bool | None]]:
@@ -115,22 +110,20 @@ def oracle_verdicts(rec: ClassificationRecord) -> list[tuple[str, bool, bool | N
 def _scan_one_d(task: tuple[int, int, int, str, bool]) -> tuple[int, str, int, int]:
     """One d's rows as a single newline-terminated block, with its row and hfd counts."""
     d, n_min, n_max, fmt, verify = task
-    rows: list[str] = []
+    render = _CSV_ROW.__mod__ if fmt == "csv" else _jsonl_row
+    lines: list[str] = []
     hfd = 0
-    for rec in classify_field(d, n_min, n_max):
+    for row in classify_field(d, n_min, n_max):
         if verify:
-            for name, claimed, got in oracle_verdicts(rec):
+            for name, claimed, got in oracle_verdicts(ClassificationRecord(*row)):
                 if got is not None and got != claimed:
                     raise ScanVerificationError(
-                        f"{name} mismatch at d={d}, n={rec.n}: closed-form {claimed}, oracle {got}"
+                        f"{name} mismatch at d={d}, n={row[1]}: closed-form {claimed}, oracle {got}"
                     )
-        if fmt == "csv":
-            rows.append(record_to_csv_row(rec))
-        else:
-            rows.append(json.dumps(record_to_json_obj(rec), separators=(",", ":")))
-        if rec.hfd and rec.n > 1:
+        lines.append(render(row))
+        if row[-1] and row[1] > 1:  # hfd, n > 1
             hfd += 1
-    return d, "\n".join(rows) + "\n", len(rows), hfd
+    return d, "\n".join(lines) + "\n", len(lines), hfd
 
 
 def checkpoint_path(out: str) -> str:
@@ -157,14 +150,11 @@ def read_checkpoint(path: str) -> Checkpoint:
 def _truncate_output(path: str, fmt: str, data_rows: int) -> None:
     """Cut the output back to the checkpointed prefix (header plus data_rows lines)."""
     keep = data_rows + (1 if fmt == "csv" else 0)
-    offset = 0
-    count = 0
+    offset = count = 0
     with open(path, "rb") as fh:
-        for line in fh:
+        for line in islice(fh, keep):
             count += 1
             offset += len(line)
-            if count == keep:
-                break
     if count < keep:
         raise RuntimeError(
             f"output file {path} has {count} lines, checkpoint claims {keep}"
@@ -251,11 +241,12 @@ def scan(cfg: ScanConfig) -> ScanSummary:
     return ScanSummary(rows_written, hfd_count, time.perf_counter() - t0)
 
 
-def _parse_csv_row(line: str, lineno: int) -> dict:
+def _parse_csv_row(line: str, lineno: int) -> list[int]:
+    """A CSV row's values, checked field by field; the error names the first bad field."""
     parts = line.split(",")
     if len(parts) != len(FIELD_NAMES):
         raise ValueError(f"line {lineno}: expected {len(FIELD_NAMES)} fields, got {len(parts)}")
-    row = {}
+    row = []
     for name, part in zip(FIELD_NAMES, parts):
         try:
             value = int(part)
@@ -263,11 +254,22 @@ def _parse_csv_row(line: str, lineno: int) -> dict:
             raise ValueError(f"line {lineno}: field {name} is not an integer: {part!r}") from None
         if name in _BOOL_FIELDS and value not in (0, 1):
             raise ValueError(f"line {lineno}: field {name} must be 0 or 1, got {value}")
-        row[name] = value
+        row.append(value)
     return row
 
 
-def _parse_jsonl_row(line: str, lineno: int) -> dict:
+def _read_csv_row(line: str, lineno: int) -> list[int]:
+    """_parse_csv_row's result by one conversion; a row failing a check goes to it for the error."""
+    try:
+        row = list(map(int, line.split(",")))
+    except ValueError:
+        return _parse_csv_row(line, lineno)
+    if len(row) != len(FIELD_NAMES) or not {0, 1}.issuperset(_bool_values(row)):
+        return _parse_csv_row(line, lineno)
+    return row
+
+
+def _parse_jsonl_row(line: str, lineno: int) -> list:
     try:
         obj = json.loads(line)
     except json.JSONDecodeError as exc:
@@ -281,7 +283,7 @@ def _parse_jsonl_row(line: str, lineno: int) -> dict:
         )
         if not ok:
             raise ValueError(f"line {lineno}: field {name} has wrong type")
-    return obj
+    return [obj[name] for name in FIELD_NAMES]
 
 
 def report_hfd(path: str) -> HfdReport:
@@ -294,7 +296,7 @@ def report_hfd(path: str) -> HfdReport:
             return HfdReport(0, {})
         fmt = _file_format(first.rstrip("\n"))
         if fmt == "csv":
-            parse, start = _parse_csv_row, 2
+            parse, start = _read_csv_row, 2
         elif fmt == "jsonl":
             parse, start = _parse_jsonl_row, 1
             fh.seek(0)
@@ -305,7 +307,7 @@ def report_hfd(path: str) -> HfdReport:
             if not line:
                 raise ValueError(f"line {lineno}: blank line")
             row = parse(line, lineno)
-            if row["hfd"] and row["n"] > 1:
+            if row[-1] and row[1] > 1:  # hfd, n > 1
                 total += 1
-                per_d[row["d"]] = per_d.get(row["d"], 0) + 1
+                per_d[row[0]] = per_d.get(row[0], 0) + 1
     return HfdReport(total, per_d)

@@ -7,6 +7,10 @@ The finite criteria used here:
   |Cl(R)|            h * L / m  (m divides L);
   half-factorial     h <= 2, and for n > 1 additionally R associated and
                      n a prime or twice an odd prime.
+
+_record applies them once and returns a row tuple in ClassificationRecord's
+field order: classify_order wraps it in a record, classify_field yields the
+bare rows of one field for the scanner to render.
 """
 
 from __future__ import annotations
@@ -56,27 +60,20 @@ def is_ideal_preserving(spec: OrderSpec) -> bool:
     return all(field_char(spec.d, p) == -1 for p, _ in factorize(spec.n))
 
 
+# the values of a ClassificationRecord, in field order
+Row = tuple[int, int, int, int, int, bool, bool, bool, int, int, bool]
+
+
 def _record(
     F: FieldContext, h: int, n: int, m: int, L: int, ip: bool, prime_shape: bool
-) -> ClassificationRecord:
-    """The record of Z + n*O_K from m, L, ideal-preserving and whether n is p or 2p, p odd."""
+) -> Row:
+    """The row of Z + n*O_K from m, L, ideal-preserving and whether n is p or 2p, p odd."""
     if L % m:
         raise InternalConsistencyError(f"m={m} does not divide L={L} for d={F.d}, n={n}")
     la = m == L
     assoc = ip and la
-    return ClassificationRecord(
-        d=F.d,
-        n=n,
-        D=F.D,
-        m=m,
-        L=L,
-        ideal_preserving=ip,
-        locally_associated=la,
-        associated=assoc,
-        h_maximal=h,
-        h_order=h * (L // m),
-        hfd=h <= 2 and (n == 1 or (assoc and prime_shape)),
-    )
+    hfd = h <= 2 and (n == 1 or (assoc and prime_shape))
+    return (F.d, n, F.D, m, L, ip, la, assoc, h, h * (L // m), hfd)
 
 
 def classify_order(spec: OrderSpec) -> ClassificationRecord:
@@ -88,11 +85,11 @@ def classify_order(spec: OrderSpec) -> ClassificationRecord:
     m = min_power(F, U, n)
     L = l_value(n, spec.d)
     prime_shape = is_prime(n) or (n % 4 == 2 and is_prime(n // 2))  # p or 2p, p odd
-    return _record(F, h, n, m, L, is_ideal_preserving(spec), prime_shape)
+    return ClassificationRecord(*_record(F, h, n, m, L, is_ideal_preserving(spec), prime_shape))
 
 
-def classify_field(d: int, n_min: int, n_max: int) -> Iterator[ClassificationRecord]:
-    """Yield the records of Q(sqrt(d)) for n_min <= n <= n_max, in n order.
+def classify_field(d: int, n_min: int, n_max: int) -> Iterator[Row]:
+    """Yield the rows of Q(sqrt(d)) for n_min <= n <= n_max, in n order.
 
     Each cell is composed from its factorization n = prod p^a and a table of
     (m(p^a), L(p^a), p inert) kept for this call: m by lcm, L by product,

@@ -1,46 +1,57 @@
 """The unit index m(n) = [U(O_K) : U(Z + n*O_K)].
 
 m(n) is the least k >= 1 with u^k in the order of index n, u the fundamental
-unit.  The exponents k with u^k in the order form a subgroup of Z, so m(n)
-divides L(n, d) and it suffices to test divisors of L in ascending order;
-m is multiplicative-by-lcm over the prime powers of n.
+unit (for d < 0, the torsion generator).  With u = (x + y*sqrt(D))/2 of norm
+N, u^k = (V_k + y*U_k*sqrt(D))/2 for the Lucas sequences U, V of P = x, Q = N,
+so u^k lies in Z + p^a*O_K exactly when p^a | y*U_k: m(p^a) is the rank of
+apparition of p^a in y*U.  The valid k form a subgroup of Z and m(p^a) divides
+L(p^a, d), so m(p^a) is L with primes divided out while the quotient stays
+valid (order reduction); m is multiplicative-by-lcm over the prime powers of n.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from math import lcm
+from math import gcd, lcm
 
-from .arith import CACHE_MAXSIZE, InternalConsistencyError, divisors_sorted, factorize
+from .arith import CACHE_MAXSIZE, InternalConsistencyError, _factorize_cached, factorize
 from .lfun import l_prime_power
 from .pell import FundamentalUnit
-from .quadfield import QI, FieldContext, qi_mul, qi_pow
+from .quadfield import FieldContext, unit_xy
+
+
+def lucas_u(P: int, Q: int, k: int, M: int) -> int:
+    """U_k(P, Q) mod M for k >= 1, by a doubling ladder on (U_j, U_{j+1}); no division."""
+    P %= M
+    u0, u1 = 1 % M, P  # (U_1, U_2)
+    for bit in bin(k)[3:]:
+        # U_{2j} = U_j V_j, U_{2j+1} = U_{j+1}^2 - Q U_j^2, U_{2j+2} = U_{j+1} V_{j+1},
+        # where V_j = 2 U_{j+1} - P U_j and V_{j+1} = P U_{j+1} - 2 Q U_j
+        if bit == "1":
+            u0, u1 = (u1 * u1 - Q * u0 * u0) % M, u1 * (P * u1 - 2 * Q * u0) % M
+        else:
+            u0, u1 = u0 * (2 * u1 - P * u0) % M, (u1 * u1 - Q * u0 * u0) % M
+    return u0
 
 
 def min_power_search(F: FieldContext, U: FundamentalUnit, p: int, a: int) -> int:
-    """Least k with u^k in Z + p^a * O_K, searched over the divisors of L(p^a, d).
+    """Least k with u^k in Z + p^a * O_K: the rank of apparition of p^a in y*U_k.
 
     Uncached: a caller that keeps its own per-field table calls this, so the
     process-lifetime cache of min_power_prime_power does not fill.
     """
     q = p**a
     L = l_prime_power(p, a, F.d)
-    base = (U.u[0] % q, U.u[1] % q)
-    powers: dict[int, QI] = {}
-    for k in divisors_sorted(L):
-        if k == 1:
-            w = base
-        elif k % 2 == 0 and k // 2 in powers:
-            half = powers[k // 2]
-            w = qi_mul(F, half, half, q)
-        else:
-            w = qi_pow(F, base, k, q)
-        powers[k] = w
-        if w[1] == 0:
-            return k
-    raise InternalConsistencyError(
-        f"no divisor of L({p}^{a}, {F.d}) = {L} brings u^k into the order"
-    )
+    x, y = unit_xy(F, U.u)
+    M = q // gcd(y, q)  # p^a | y*U_k exactly when M | U_k
+    N = U.norm_sign
+    if lucas_u(x, N, L, M):
+        raise InternalConsistencyError(f"u^L is not in the order for L({p}^{a}, {F.d}) = {L}")
+    k = L
+    for r, _ in _factorize_cached(L):
+        while k % r == 0 and lucas_u(x, N, k // r, M) == 0:
+            k //= r
+    return k
 
 
 @lru_cache(maxsize=CACHE_MAXSIZE)

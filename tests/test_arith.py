@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from quadorders.arith import divisors_sorted, factorize, is_prime, is_squarefree
+from quadorders.arith import factorize, is_prime, is_squarefree
 from quadorders.quadfield import field_char
 
 
@@ -116,15 +116,3 @@ def test_kronecker_multiplicative():
         d2 = rng.randrange(-10**4, 10**4)
         assert field_char(d1 * d2, p) == field_char(d1, p) * field_char(d2, p)
 
-
-def test_divisors_sorted_fixtures():
-    assert divisors_sorted(1) == [1]
-    assert divisors_sorted(12) == [1, 2, 3, 4, 6, 12]
-    assert divisors_sorted(48) == [1, 2, 3, 4, 6, 8, 12, 16, 24, 48]
-    with pytest.raises(ValueError):
-        divisors_sorted(0)
-
-
-def test_divisors_sorted_against_scan():
-    for n in range(1, 301):
-        assert divisors_sorted(n) == [k for k in range(1, n + 1) if n % k == 0]

@@ -17,6 +17,9 @@ from quadorders import (
 )
 from quadorders.arith import is_squarefree
 from quadorders.atlas import CSV_HEADER, Checkpoint, checkpoint_path, read_checkpoint
+from quadorders.pell import fundamental_unit
+from quadorders.quadfield import make_field
+from test_unitindex import reference_min_power
 
 
 def small_cfg(out, **kw):
@@ -42,7 +45,8 @@ def test_scan_small_grid(tmp_path):
 
 
 def test_rows_match_classifier(tmp_path):
-    # the scan classifies per field (classify_field); classify_order is the reference
+    # the scan classifies per field (classify_field); classify_order is the reference,
+    # and each row's m is checked against the divisor search, an m algorithm of its own
     rng = random.Random(5)
     sample = rng.sample([d for d in range(-3000, 3000) if d not in (0, 1) and is_squarefree(d)], 6)
     assert min(sample) < 0 < max(sample)
@@ -54,9 +58,12 @@ def test_rows_match_classifier(tmp_path):
         summary = scan(ScanConfig(out=str(out), **window))
         lines = out.read_text().splitlines()[1:]
         assert summary.records == len(lines) > 0
+        tables = {}
         for line in lines:
-            d, n = map(int, line.split(",")[:2])
+            d, n, _, m = map(int, line.split(",")[:4])
             assert line == record_to_csv_row(classify_order(OrderSpec(d, n)))
+            F = make_field(d)
+            assert m == reference_min_power(F, fundamental_unit(F), n, tables.setdefault(d, {}))
 
 
 def test_scan_deterministic(tmp_path):
@@ -94,6 +101,20 @@ def test_resume_discards_partial_tail(tmp_path):
     summary = scan(small_cfg(out, d_max=15, resume=True))
     assert (tmp_path / "ref.csv").read_bytes() == out.read_bytes()
     assert summary.records == reference.records
+
+
+def test_jsonl_resume_from_zero_row_checkpoint(tmp_path):
+    full, part = tmp_path / "full.jsonl", tmp_path / "part.jsonl"
+    window = dict(d_min=2, d_max=3, n_max=4, fmt="jsonl")
+    reference = scan(ScanConfig(out=str(full), **window))
+    assert reference.records == 6
+    # a checkpoint taken before the first d: nothing in the file is durable
+    scan(ScanConfig(out=str(part), **window))
+    atlas._write_checkpoint(checkpoint_path(str(part)), Checkpoint(1, 0, 0))
+    summary = scan(ScanConfig(out=str(part), resume=True, **window))
+    assert part.read_bytes() == full.read_bytes()
+    assert (summary.records, summary.hfd) == (6, reference.hfd)
+    assert report_hfd(str(part)).total == reference.hfd
 
 
 def test_jsonl_round_trip(tmp_path):
@@ -165,6 +186,22 @@ def test_report_rejects_malformed_rows(tmp_path):
     bad.write_text("not,a,header\n")
     with pytest.raises(ValueError, match="line 1"):
         report_hfd(str(bad))
+    good = "2,2,8,2,2,0,1,0,1,1,0\n"
+    for rows, message in [
+        (good + "2,3,8,4,4,1,1,1,1,1,2\n", "line 3: field hfd must be 0 or 1, got 2"),
+        ("2,3,8,x,4,1,1,1,1,1,1\n", "line 2: field m is not an integer: 'x'"),
+        ("2,3,8,4,4,1,1,1,1,1,1.0\n", "line 2: field hfd is not an integer: '1.0'"),
+        ("2,3,8,4,4,3,x,1,1,1,1\n", "line 2: field ideal_preserving must be 0 or 1, got 3"),
+        ("2,3,8,4,4,1,1,1,1,1,1,0\n", "line 2: expected 11 fields, got 12"),
+        (good + "\n" + good, "line 3: blank line"),
+    ]:
+        bad.write_text(CSV_HEADER + "\n" + rows)
+        with pytest.raises(ValueError) as exc:
+            report_hfd(str(bad))
+        assert str(exc.value) == message
+    # int() spellings of a field are read as that integer
+    bad.write_text(CSV_HEADER + "\n2,+3,8,4,4,1,1,1,1,1, 1\n-3,2,-3,3,3,1,1,1,1,1,1\r\n")
+    assert report_hfd(str(bad)) == atlas.HfdReport(2, {2: 1, -3: 1})
     empty = tmp_path / "empty.csv"
     empty.write_text("")
     assert report_hfd(str(empty)).total == 0

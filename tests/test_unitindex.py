@@ -3,11 +3,12 @@ from math import lcm
 
 import pytest
 
-from quadorders.arith import is_prime, is_squarefree
-from quadorders.lfun import l_value
+from quadorders import unitindex
+from quadorders.arith import InternalConsistencyError, factorize, is_prime, is_squarefree
+from quadorders.lfun import l_prime_power, l_value
 from quadorders.pell import fundamental_unit
-from quadorders.quadfield import make_field, qi_mul
-from quadorders.unitindex import min_power, min_power_prime_power
+from quadorders.quadfield import field_char, make_field, qi_mul, qi_pow
+from quadorders.unitindex import lucas_u, min_power, min_power_prime_power, min_power_search
 
 
 def linear_scan_min_power(F, U, n):
@@ -19,6 +20,28 @@ def linear_scan_min_power(F, U, n):
             return k
         w = qi_mul(F, w, u, n)
     raise AssertionError("no power landed in the order")
+
+
+def divisor_search_min_power(F, U, p, a):
+    """m(p^a) as the least divisor k of L(p^a) with u^k in the order, by powering
+    u mod p^a: an m algorithm independent of the library's Lucas rank."""
+    q = p**a
+    L = l_prime_power(p, a, F.d)
+    base = (U.u[0] % q, U.u[1] % q)
+    for k in range(1, L + 1):
+        if L % k == 0 and qi_pow(F, base, k, q)[1] == 0:
+            return k
+    raise AssertionError(f"no divisor of L({p}^{a}, {F.d}) = {L} brings u^k into the order")
+
+
+def reference_min_power(F, U, n, table):
+    """m(n) as the lcm of divisor_search_min_power over n's prime powers, memoised in table."""
+    out = 1
+    for p, a in factorize(n):
+        if (p, a) not in table:
+            table[p, a] = divisor_search_min_power(F, U, p, a)
+        out = lcm(out, table[p, a])
+    return out
 
 
 def test_prime_power_fixtures():
@@ -105,3 +128,46 @@ def test_prime_power_tower():
                 m = min_power_prime_power(F, U, p, a)
                 assert min_power_prime_power(F, U, p, a + 1) in (m, p * m), (d, p, a)
                 a += 1
+
+
+def test_lucas_u_matches_recurrence():
+    for P in range(-3, 6):
+        for Q in (-1, 1):
+            seq = [0, 1]
+            while len(seq) < 200:
+                seq.append(P * seq[-1] - Q * seq[-2])
+            for M in (2, 4, 9, 10, 97):
+                assert [lucas_u(P, Q, k, M) for k in range(1, 200)] == [u % M for u in seq[1:]]
+
+
+def test_lucas_rank_matches_divisor_search():
+    # the torsion generators of d = -1, -3 and -7 (y = 0); norm -1 units (2, 5, 13, 17, 41);
+    # 2 split (-7, 17, 41), inert (5, 13, 21) and ramified (2, 3, 94); odd ramified
+    # primes (3, 15, 21, 94); every prime power up to 3,000, so a up to 11 at p = 2
+    ds = [-1, -3, -7, 2, 3, 5, 13, 15, 17, 21, 41, 94]
+    assert {field_char(d, 2) for d in ds} == {-1, 0, 1}
+    assert {fundamental_unit(make_field(d)).norm_sign for d in ds if d > 0} == {-1, 1}
+    prime_powers = [(p, a) for p in range(2, 3000) if is_prime(p)
+                    for a in range(1, 12) if p**a <= 3000]
+    seen = set()
+    for d in ds:
+        F = make_field(d)
+        U = fundamental_unit(F)
+        for p, a in prime_powers:
+            m = min_power_search(F, U, p, a)
+            assert m == divisor_search_min_power(F, U, p, a), (d, p, a)
+            seen.add((field_char(d, p), p == 2, a > 1, m > 1))
+    assert (0, False, True, True) in seen  # odd ramified p with a >= 2
+    assert all((chi, True, True, True) in seen for chi in (-1, 0, 1))  # p = 2, a >= 2
+
+
+def test_wrong_l_is_an_internal_error(monkeypatch):
+    F = make_field(2)
+    U = fundamental_unit(F)
+    assert min_power_search(F, U, 5, 1) == 3  # L(5, 2) = 6
+    # a multiple of m still reduces to m; a non-multiple is a bug, never an index
+    monkeypatch.setattr(unitindex, "l_prime_power", lambda p, a, d: 12)
+    assert min_power_search(F, U, 5, 1) == 3
+    monkeypatch.setattr(unitindex, "l_prime_power", lambda p, a, d: 4)
+    with pytest.raises(InternalConsistencyError, match=r"L\(5\^1, 2\) = 4"):
+        min_power_search(F, U, 5, 1)
