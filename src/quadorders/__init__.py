@@ -3,8 +3,8 @@
 The library decides, by finite criteria, whether such an order is
 ideal-preserving, locally associated, associated, or half-factorial, and ships
 brute-force oracles over finite quotients plus a checkpointed grid census.
-Lower-level helpers live in the submodules (arith, quadfield, lfun, unitindex,
-pell, classgroup, classify, oracle, atlas).
+Lower-level helpers live in the submodules (arith, quadfield, pell, classgroup,
+unitindex, classify, oracle, atlas, cli).
 """
 
 from .arith import InternalConsistencyError
@@ -18,7 +18,6 @@ from .atlas import (
 )
 from .classgroup import class_number
 from .classify import ClassificationRecord, OrderSpec, classify_order, is_ideal_preserving
-from .lfun import l_value
 from .oracle import (
     OracleBoundError,
     brute_associated,
@@ -28,7 +27,7 @@ from .oracle import (
 )
 from .pell import fundamental_unit, verify_unit
 from .quadfield import field_char, make_field
-from .unitindex import min_power
+from .unitindex import l_value, min_power
 
 __version__ = "0.1.0"
 

@@ -6,16 +6,19 @@ from functools import lru_cache
 
 CACHE_MAXSIZE = 1 << 16  # bound of every lru_cache; holds dozens of fields' m(p^a) tables
 
-# Ascending (prime, exponent) pairs.
-Factorization = list[tuple[int, int]]
-
 
 class InternalConsistencyError(RuntimeError):
     """A computed result contradicts an identity that must hold; indicates a bug."""
 
 
 @lru_cache(maxsize=CACHE_MAXSIZE)
-def _factorize_cached(n: int) -> tuple[tuple[int, int], ...]:
+def factorize(n: int) -> tuple[tuple[int, int], ...]:
+    """Prime factorization of n >= 1 as ascending (prime, exponent) pairs; () for n = 1.
+
+    Trial division over the 6k+-1 wheel; fine for the desk-scale n used here.
+    """
+    if n < 1:
+        raise ValueError(f"factorize requires n >= 1, got {n}")
     out: list[tuple[int, int]] = []
     for p in (2, 3):
         if n % p == 0:
@@ -39,19 +42,9 @@ def _factorize_cached(n: int) -> tuple[tuple[int, int], ...]:
     return tuple(out)
 
 
-def factorize(n: int) -> Factorization:
-    """Prime factorization of n >= 1 as ascending (prime, exponent) pairs; [] for n = 1.
-
-    Trial division over the 6k+-1 wheel; fine for the desk-scale n used here.
-    """
-    if n < 1:
-        raise ValueError(f"factorize requires n >= 1, got {n}")
-    return list(_factorize_cached(n))
-
-
 @lru_cache(maxsize=CACHE_MAXSIZE)
 def is_prime(n: int) -> bool:
-    return n > 1 and _factorize_cached(n) == ((n, 1),)
+    return n > 1 and factorize(n) == ((n, 1),)
 
 
 @lru_cache(maxsize=CACHE_MAXSIZE)
@@ -59,5 +52,5 @@ def is_squarefree(d: int) -> bool:
     """True iff no prime square divides d.  d = 0 is rejected."""
     if d == 0:
         raise ValueError("is_squarefree is undefined for 0")
-    return all(a == 1 for _, a in _factorize_cached(abs(d)))
+    return all(a == 1 for _, a in factorize(abs(d)))
 

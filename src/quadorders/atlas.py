@@ -4,23 +4,24 @@ Rows stream to CSV or JSONL in (d, n) order, one checkpoint per completed d,
 so an interrupted scan can resume and produce a byte-identical file.  Workers
 parallelise over d; each classifies its d with classify_field and renders the
 row tuples into one block, which the parent writes in submission order, so the
-output is independent of the worker count.  A ClassificationRecord is built
-only where a record is needed: under --verify and in the record_to_* helpers.
+output is independent of the worker count.  A ClassificationRecord is a
+NamedTuple, so the record_to_* helpers render a record and a bare row alike;
+a record is built from a row only under --verify.
 """
 
 from __future__ import annotations
 
 import json
 import os
+import re
 import time
 from contextlib import nullcontext
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from itertools import islice
 from multiprocessing import get_context
-from operator import attrgetter, itemgetter
 
 from .arith import is_squarefree
-from .classify import ClassificationRecord, Row, classify_field
+from .classify import ClassificationRecord, classify_field
 from .oracle import (
     OracleBoundError,
     brute_associated,
@@ -30,13 +31,16 @@ from .oracle import (
 from .pell import fundamental_unit
 from .quadfield import make_field
 
-FIELD_NAMES = tuple(f.name for f in fields(ClassificationRecord))
+FIELD_NAMES = ClassificationRecord._fields
 CSV_HEADER = ",".join(FIELD_NAMES)
 _BOOL_FIELDS = ("ideal_preserving", "locally_associated", "associated", "hfd")
 _CSV_ROW = ",".join(["%d"] * len(FIELD_NAMES))  # a bool renders as 0 or 1
+# the one spelling scan writes (a flag 0 or 1, an integer without +, spaces,
+# underscores or leading zeros); _parse_csv_row accepts exactly these rows
+_CANONICAL_CSV_ROW = re.compile(
+    ",".join("[01]" if name in _BOOL_FIELDS else "(?:-?[1-9][0-9]*|0)" for name in FIELD_NAMES)
+)
 _to_json = json.JSONEncoder(separators=(",", ":")).encode
-_record_values = attrgetter(*FIELD_NAMES)
-_bool_values = itemgetter(*(FIELD_NAMES.index(name) for name in _BOOL_FIELDS))
 
 
 class ScanVerificationError(RuntimeError):
@@ -76,16 +80,14 @@ class HfdReport:
     per_d: dict[int, int]
 
 
-def _jsonl_row(row: Row) -> str:
-    return _to_json(dict(zip(FIELD_NAMES, row)))
+def record_to_csv_row(rec: tuple) -> str:
+    """A record, or a bare row in its field order, as one CSV line without the newline."""
+    return _CSV_ROW % rec
 
 
-def record_to_csv_row(rec: ClassificationRecord) -> str:
-    return _CSV_ROW % _record_values(rec)
-
-
-def record_to_json_obj(rec: ClassificationRecord) -> dict:
-    return dict(zip(FIELD_NAMES, _record_values(rec)))
+def record_to_json_obj(rec: tuple) -> dict:
+    """A record, or a bare row in its field order, as a dict keyed by field name."""
+    return dict(zip(FIELD_NAMES, rec))
 
 
 def oracle_verdicts(rec: ClassificationRecord) -> list[tuple[str, bool, bool | None]]:
@@ -110,7 +112,7 @@ def oracle_verdicts(rec: ClassificationRecord) -> list[tuple[str, bool, bool | N
 def _scan_one_d(task: tuple[int, int, int, str, bool]) -> tuple[int, str, int, int]:
     """One d's rows as a single newline-terminated block, with its row and hfd counts."""
     d, n_min, n_max, fmt, verify = task
-    render = _CSV_ROW.__mod__ if fmt == "csv" else _jsonl_row
+    csv = fmt == "csv"
     lines: list[str] = []
     hfd = 0
     for row in classify_field(d, n_min, n_max):
@@ -120,7 +122,7 @@ def _scan_one_d(task: tuple[int, int, int, str, bool]) -> tuple[int, str, int, i
                     raise ScanVerificationError(
                         f"{name} mismatch at d={d}, n={row[1]}: closed-form {claimed}, oracle {got}"
                     )
-        lines.append(render(row))
+        lines.append(_CSV_ROW % row if csv else _to_json(record_to_json_obj(row)))
         if row[-1] and row[1] > 1:  # hfd, n > 1
             hfd += 1
     return d, "\n".join(lines) + "\n", len(lines), hfd
@@ -254,19 +256,17 @@ def _parse_csv_row(line: str, lineno: int) -> list[int]:
             raise ValueError(f"line {lineno}: field {name} is not an integer: {part!r}") from None
         if name in _BOOL_FIELDS and value not in (0, 1):
             raise ValueError(f"line {lineno}: field {name} must be 0 or 1, got {value}")
+        if str(value) != part:
+            raise ValueError(f"line {lineno}: field {name} is not in canonical form: {part!r}")
         row.append(value)
     return row
 
 
 def _read_csv_row(line: str, lineno: int) -> list[int]:
-    """_parse_csv_row's result by one conversion; a row failing a check goes to it for the error."""
-    try:
-        row = list(map(int, line.split(",")))
-    except ValueError:
-        return _parse_csv_row(line, lineno)
-    if len(row) != len(FIELD_NAMES) or not {0, 1}.issuperset(_bool_values(row)):
-        return _parse_csv_row(line, lineno)
-    return row
+    """_parse_csv_row's result by one match; a row that fails goes to it for the error."""
+    if _CANONICAL_CSV_ROW.fullmatch(line):
+        return list(map(int, line.split(",")))
+    return _parse_csv_row(line, lineno)
 
 
 def _parse_jsonl_row(line: str, lineno: int) -> list:

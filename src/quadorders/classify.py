@@ -9,8 +9,9 @@ The finite criteria used here:
                      n a prime or twice an odd prime.
 
 _record applies them once and returns a row tuple in ClassificationRecord's
-field order: classify_order wraps it in a record, classify_field yields the
-bare rows of one field for the scanner to render.
+field order; a record is a NamedTuple, so it equals its row.  classify_order
+wraps the row in a record, classify_field yields the bare rows of one field
+for the scanner to render.
 """
 
 from __future__ import annotations
@@ -18,13 +19,13 @@ from __future__ import annotations
 from collections.abc import Iterator
 from dataclasses import dataclass
 from math import lcm
+from typing import NamedTuple
 
-from .arith import InternalConsistencyError, _factorize_cached, factorize, is_prime, is_squarefree
+from .arith import InternalConsistencyError, factorize, is_prime, is_squarefree
 from .classgroup import class_number
-from .lfun import l_prime_power, l_value
 from .pell import fundamental_unit
 from .quadfield import FieldContext, field_char, make_field
-from .unitindex import min_power, min_power_search
+from .unitindex import l_value, local_data, min_power
 
 
 @dataclass(frozen=True, slots=True)
@@ -41,8 +42,7 @@ class OrderSpec:
             raise ValueError(f"order index must be >= 1, got {self.n}")
 
 
-@dataclass(frozen=True, slots=True)
-class ClassificationRecord:
+class ClassificationRecord(NamedTuple):
     d: int
     n: int
     D: int
@@ -60,13 +60,9 @@ def is_ideal_preserving(spec: OrderSpec) -> bool:
     return all(field_char(spec.d, p) == -1 for p, _ in factorize(spec.n))
 
 
-# the values of a ClassificationRecord, in field order
-Row = tuple[int, int, int, int, int, bool, bool, bool, int, int, bool]
-
-
 def _record(
     F: FieldContext, h: int, n: int, m: int, L: int, ip: bool, prime_shape: bool
-) -> Row:
+) -> tuple:
     """The row of Z + n*O_K from m, L, ideal-preserving and whether n is p or 2p, p odd."""
     if L % m:
         raise InternalConsistencyError(f"m={m} does not divide L={L} for d={F.d}, n={n}")
@@ -88,31 +84,24 @@ def classify_order(spec: OrderSpec) -> ClassificationRecord:
     return ClassificationRecord(*_record(F, h, n, m, L, is_ideal_preserving(spec), prime_shape))
 
 
-def classify_field(d: int, n_min: int, n_max: int) -> Iterator[Row]:
+def classify_field(d: int, n_min: int, n_max: int) -> Iterator[tuple]:
     """Yield the rows of Q(sqrt(d)) for n_min <= n <= n_max, in n order.
 
     Each cell is composed from its factorization n = prod p^a and a table of
     (m(p^a), L(p^a), p inert) kept for this call: m by lcm, L by product,
-    ideal-preserving by AND.
+    ideal-preserving by AND.  An n_min < 1 raises factorize's ValueError.
     """
-    if n_min < 1:
-        raise ValueError(f"order index must be >= 1, got {n_min}")
     F = make_field(d)
     U = fundamental_unit(F)
     h = class_number(F, U).h
     table: dict[tuple[int, int], tuple[int, int, bool]] = {}
     for n in range(n_min, n_max + 1):
-        fac = _factorize_cached(n)
+        fac = factorize(n)
         m, L, ip = 1, 1, True
         for pa in fac:
             entry = table.get(pa)
             if entry is None:
-                p, a = pa
-                entry = table[pa] = (
-                    min_power_search(F, U, p, a),
-                    l_prime_power(p, a, d),
-                    field_char(d, p) == -1,
-                )
+                entry = table[pa] = local_data(F, U, *pa)
             m = lcm(m, entry[0])
             L *= entry[1]
             ip = ip and entry[2]

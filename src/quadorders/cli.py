@@ -22,10 +22,10 @@ from .atlas import (
 )
 from .classgroup import class_number
 from .classify import OrderSpec, classify_order
-from .lfun import l_value
 from .oracle import OracleBoundError
 from .pell import FundamentalUnit, fundamental_unit, verify_unit
 from .quadfield import FieldContext, make_field, unit_xy
+from .unitindex import l_value
 
 
 _DECIMAL_CAP = 10**4300  # CPython's default int-to-str limit

@@ -48,21 +48,6 @@ def qi_mul(F: FieldContext, x: QI, y: QI, M: int | None = None) -> QI:
     return a % M, b % M
 
 
-def qi_pow(F: FieldContext, x: QI, e: int, M: int | None = None) -> QI:
-    """x**e by squaring, with coordinates reduced mod M >= 1 when M is given."""
-    if e < 0:
-        raise ValueError("qi_pow requires e >= 0")
-    if M is not None and M < 1:
-        raise ValueError(f"modulus must be >= 1, got {M}")
-    result = (1, 0) if M is None else (1 % M, 0)
-    while e:
-        if e & 1:
-            result = qi_mul(F, result, x, M)
-        x = qi_mul(F, x, x, M)
-        e >>= 1
-    return result
-
-
 def qi_norm(F: FieldContext, x: QI) -> int:
     a, b = x
     return a * a + F.half * a * b - F.t * b * b

@@ -1,4 +1,8 @@
-"""The unit index m(n) = [U(O_K) : U(Z + n*O_K)].
+"""The unit index m(n) = [U(O_K) : U(Z + n*O_K)] and the index function L(n, d).
+
+L(n, d) = |U(O_K/(n))| / phi(n) is multiplicative with L(1) = 1 and
+L(p^a) = p^(a-1) * (p - (D/p)), (D/p) the field character (including p = 2);
+these match the unit counts of the split, inert and ramified local quotients.
 
 m(n) is the least k >= 1 with u^k in the order of index n, u the fundamental
 unit (for d < 0, the torsion generator).  With u = (x + y*sqrt(D))/2 of norm
@@ -14,10 +18,9 @@ from __future__ import annotations
 from functools import lru_cache
 from math import gcd, lcm
 
-from .arith import CACHE_MAXSIZE, InternalConsistencyError, _factorize_cached, factorize
-from .lfun import l_prime_power
+from .arith import CACHE_MAXSIZE, InternalConsistencyError, factorize
 from .pell import FundamentalUnit
-from .quadfield import FieldContext, unit_xy
+from .quadfield import FieldContext, field_char, make_field, unit_xy
 
 
 def lucas_u(P: int, Q: int, k: int, M: int) -> int:
@@ -34,37 +37,52 @@ def lucas_u(P: int, Q: int, k: int, M: int) -> int:
     return u0
 
 
-def min_power_search(F: FieldContext, U: FundamentalUnit, p: int, a: int) -> int:
-    """Least k with u^k in Z + p^a * O_K: the rank of apparition of p^a in y*U_k.
+def apparition_rank(F: FieldContext, U: FundamentalUnit, q: int, L: int) -> int:
+    """Least k with u^k in Z + q*O_K, by order reduction from a multiple L of it.
 
-    Uncached: a caller that keeps its own per-field table calls this, so the
-    process-lifetime cache of min_power_prime_power does not fill.
+    An L that u^L does not satisfy is a bug in the caller, never an index.
     """
-    q = p**a
-    L = l_prime_power(p, a, F.d)
     x, y = unit_xy(F, U.u)
-    M = q // gcd(y, q)  # p^a | y*U_k exactly when M | U_k
+    M = q // gcd(y, q)  # q | y*U_k exactly when M | U_k
     N = U.norm_sign
     if lucas_u(x, N, L, M):
-        raise InternalConsistencyError(f"u^L is not in the order for L({p}^{a}, {F.d}) = {L}")
+        raise InternalConsistencyError(f"u^L is not in the order for L({q}, {F.d}) = {L}")
     k = L
-    for r, _ in _factorize_cached(L):
+    for r, _ in factorize(L):
         while k % r == 0 and lucas_u(x, N, k // r, M) == 0:
             k //= r
     return k
 
 
+def local_data(F: FieldContext, U: FundamentalUnit, p: int, a: int) -> tuple[int, int, bool]:
+    """(m(p^a), L(p^a), p inert), reading the field character once.
+
+    Uncached: a caller that keeps its own per-field table calls this, so the
+    process-lifetime cache of min_power_prime_power does not fill.
+    """
+    chi = field_char(F.d, p)
+    L = p ** (a - 1) * (p - chi)
+    return apparition_rank(F, U, p**a, L), L, chi == -1
+
+
 @lru_cache(maxsize=CACHE_MAXSIZE)
 def min_power_prime_power(F: FieldContext, U: FundamentalUnit, p: int, a: int) -> int:
-    """min_power_search, cached for the life of the process."""
-    return min_power_search(F, U, p, a)
+    """m(p^a), cached for the life of the process."""
+    return local_data(F, U, p, a)[0]
 
 
 def min_power(F: FieldContext, U: FundamentalUnit, n: int) -> int:
     """Least k with u^k in Z + n*O_K: the lcm of the prime-power values."""
-    if n < 1:
-        raise ValueError(f"min_power requires n >= 1, got {n}")
     out = 1
     for p, a in factorize(n):
         out = lcm(out, min_power_prime_power(F, U, p, a))
+    return out
+
+
+def l_value(n: int, d: int) -> int:
+    """L(n, d), the product of L(p^a) over the prime powers of n."""
+    make_field(d)  # rejects d in {0, 1} and non-squarefree d, even when n = 1
+    out = 1
+    for p, a in factorize(n):
+        out *= p ** (a - 1) * (p - field_char(d, p))
     return out

@@ -7,12 +7,12 @@ from quadorders.quadfield import field_char
 
 
 def test_factorize_fixtures():
-    assert factorize(1) == []
-    assert factorize(2) == [(2, 1)]
-    assert factorize(12) == [(2, 2), (3, 1)]
-    assert factorize(9991) == [(97, 1), (103, 1)]
-    assert factorize(2**10) == [(2, 10)]
-    assert factorize(30030) == [(2, 1), (3, 1), (5, 1), (7, 1), (11, 1), (13, 1)]
+    assert factorize(1) == ()
+    assert factorize(2) == ((2, 1),)
+    assert factorize(12) == ((2, 2), (3, 1))
+    assert factorize(9991) == ((97, 1), (103, 1))
+    assert factorize(2**10) == ((2, 10),)
+    assert factorize(30030) == ((2, 1), (3, 1), (5, 1), (7, 1), (11, 1), (13, 1))
 
 
 def test_factorize_rejects_nonpositive():
@@ -31,7 +31,7 @@ def test_factorize_round_trip_small_exhaustive():
             assert is_prime(p)
             prod *= p**a
         assert prod == n
-        assert fac == sorted(fac)
+        assert list(fac) == sorted(fac)
 
 
 def test_factorize_round_trip_random_large():

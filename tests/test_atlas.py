@@ -17,6 +17,7 @@ from quadorders import (
 )
 from quadorders.arith import is_squarefree
 from quadorders.atlas import CSV_HEADER, Checkpoint, checkpoint_path, read_checkpoint
+from quadorders.classify import classify_field
 from quadorders.pell import fundamental_unit
 from quadorders.quadfield import make_field
 from test_unitindex import reference_min_power
@@ -64,6 +65,15 @@ def test_rows_match_classifier(tmp_path):
             assert line == record_to_csv_row(classify_order(OrderSpec(d, n)))
             F = make_field(d)
             assert m == reference_min_power(F, fundamental_unit(F), n, tables.setdefault(d, {}))
+    # a record is its row: the reference's record equals the kernel's bare tuple,
+    # and both render to the same CSV line and JSON object
+    for d in [-1, -3, 2, 5, 94] + sample:
+        for n in range(1, 61):
+            rec = classify_order(OrderSpec(d, n))
+            row = next(classify_field(d, n, n))
+            assert type(row) is tuple and rec == row, (d, n)
+            assert record_to_csv_row(rec) == record_to_csv_row(row)
+            assert json.dumps(record_to_json_obj(rec)) == json.dumps(record_to_json_obj(row))
 
 
 def test_scan_deterministic(tmp_path):
@@ -194,13 +204,21 @@ def test_report_rejects_malformed_rows(tmp_path):
         ("2,3,8,4,4,3,x,1,1,1,1\n", "line 2: field ideal_preserving must be 0 or 1, got 3"),
         ("2,3,8,4,4,1,1,1,1,1,1,0\n", "line 2: expected 11 fields, got 12"),
         (good + "\n" + good, "line 3: blank line"),
+        # only the spelling scan writes is read: no sign but -, no space, no underscore,
+        # no leading zero, and a flag is 0 or 1 exactly
+        ("2,+3,8,4,4,1,1,1,1,1,1\n", "line 2: field n is not in canonical form: '+3'"),
+        ("2,3,8,4,4,1,1,1,1,1, 1\n", "line 2: field hfd is not in canonical form: ' 1'"),
+        ("2,1_1,8,4,4,1,1,1,1,1,1\n", "line 2: field n is not in canonical form: '1_1'"),
+        ("2,3,8,4,4,-0,1,1,1,1,1\n", "line 2: field ideal_preserving is not in canonical form: '-0'"),
+        ("2,3,8,04,4,1,1,1,1,1,1\n", "line 2: field m is not in canonical form: '04'"),
+        ("-0,3,8,4,4,1,1,1,1,1,1\n", "line 2: field d is not in canonical form: '-0'"),
     ]:
         bad.write_text(CSV_HEADER + "\n" + rows)
         with pytest.raises(ValueError) as exc:
             report_hfd(str(bad))
         assert str(exc.value) == message
-    # int() spellings of a field are read as that integer
-    bad.write_text(CSV_HEADER + "\n2,+3,8,4,4,1,1,1,1,1, 1\n-3,2,-3,3,3,1,1,1,1,1,1\r\n")
+    # a row ending in \r\n is read through universal newlines
+    bad.write_text(CSV_HEADER + "\n2,3,8,4,4,1,1,1,1,1,1\n-3,2,-3,3,3,1,1,1,1,1,1\r\n")
     assert report_hfd(str(bad)) == atlas.HfdReport(2, {2: 1, -3: 1})
     empty = tmp_path / "empty.csv"
     empty.write_text("")

@@ -86,8 +86,9 @@ def test_order_class_number(monkeypatch):
     monkeypatch.setattr(classify, "min_power", lambda F, U, n: 4)
     with pytest.raises(InternalConsistencyError):
         classify_order(OrderSpec(2, 5))
-    # the per-field kernel takes m(p^a) from the uncached search; m = 4 does not divide L(5) = 6
-    monkeypatch.setattr(classify, "min_power_search", lambda F, U, p, a: 4)
+    # the per-field kernel takes (m, L, inert) from the uncached local_data; m = 4 does not
+    # divide L = 6
+    monkeypatch.setattr(classify, "local_data", lambda F, U, p, a: (4, 6, True))
     with pytest.raises(InternalConsistencyError, match="n=5"):
         list(classify.classify_field(2, 5, 5))
 

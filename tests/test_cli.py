@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import subprocess
 import sys
@@ -100,7 +99,7 @@ def test_verify_ok(capsys):
 def test_verify_mismatch_exits_1(capsys, monkeypatch):
     def flipped(spec):
         rec = classify_order(spec)
-        return dataclasses.replace(rec, ideal_preserving=not rec.ideal_preserving)
+        return rec._replace(ideal_preserving=not rec.ideal_preserving)
 
     monkeypatch.setattr("quadorders.cli.classify_order", flipped)
     rc, out, _ = run_cli(capsys, "verify", "-d", "2", "-n", "2")

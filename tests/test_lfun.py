@@ -4,9 +4,9 @@ from math import gcd
 import pytest
 
 from quadorders.arith import factorize, is_squarefree
-from quadorders.lfun import l_prime_power, l_value
 from quadorders.oracle import quotient_unit_count
 from quadorders.quadfield import make_field
+from quadorders.unitindex import l_value
 
 SQUAREFREE = [d for d in range(-20, 21) if d not in (0, 1) and is_squarefree(d)]
 
@@ -19,16 +19,16 @@ def euler_phi(n):
 
 
 def test_prime_power_fixtures():
-    assert l_prime_power(5, 1, 2) == 6
-    assert l_prime_power(2, 1, 2) == 2
-    assert l_prime_power(3, 1, 2) == 4
-    assert l_prime_power(2, 1, -3) == 3
-    assert l_prime_power(2, 1, 17) == 1
-    assert l_prime_power(2, 3, 17) == 4
-    assert l_prime_power(2, 3, 5) == 12
-    assert l_prime_power(2, 3, 7) == 8
-    assert l_prime_power(3, 2, -3) == 9
-    assert l_prime_power(7, 2, 3) == 56
+    assert l_value(5**1, 2) == 6
+    assert l_value(2**1, 2) == 2
+    assert l_value(3**1, 2) == 4
+    assert l_value(2**1, -3) == 3
+    assert l_value(2**1, 17) == 1
+    assert l_value(2**3, 17) == 4
+    assert l_value(2**3, 5) == 12
+    assert l_value(2**3, 7) == 8
+    assert l_value(3**2, -3) == 9
+    assert l_value(7**2, 3) == 56
 
 
 def test_value_fixtures():
@@ -41,11 +41,7 @@ def test_value_fixtures():
 
 def test_validation():
     with pytest.raises(ValueError):
-        l_prime_power(6, 1, 2)
-    with pytest.raises(ValueError):
-        l_prime_power(5, 0, 2)
-    with pytest.raises(ValueError):
-        l_prime_power(5, 1, 12)
+        l_value(5, 12)
     with pytest.raises(ValueError):
         l_value(0, 2)
     with pytest.raises(ValueError):
@@ -55,8 +51,6 @@ def test_validation():
         for n in (1, 5, 12):
             with pytest.raises(ValueError, match=f"d={d} does not define a quadratic field"):
                 l_value(n, d)
-        with pytest.raises(ValueError, match=f"d={d} does not define a quadratic field"):
-            l_prime_power(5, 1, d)
 
 
 def test_multiplicative_on_coprime_parts():

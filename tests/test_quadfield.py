@@ -9,7 +9,6 @@ from quadorders.quadfield import (
     omega_roots,
     qi_mul,
     qi_norm,
-    qi_pow,
     unit_xy,
 )
 
@@ -45,17 +44,6 @@ def test_qi_mul_fixtures():
     F5 = make_field(5)
     # omega^2 = omega + 1 for d = 5
     assert qi_mul(F5, (0, 1), (0, 1)) == (1, 1)
-
-
-def test_qi_pow_matches_repeated_mul():
-    F = make_field(3)
-    x = (2, 1)
-    acc = (1, 0)
-    for e in range(8):
-        assert qi_pow(F, x, e) == acc
-        acc = qi_mul(F, acc, x)
-    with pytest.raises(ValueError):
-        qi_pow(F, x, -1)
 
 
 def test_qi_norm_fixtures():
@@ -95,24 +83,6 @@ def reduce_mod(x, M):
     return (x[0] % M, x[1] % M)
 
 
-def test_mod_pow_fixtures():
-    F = make_field(2)
-    x = reduce_mod((1, 1), 5)
-    assert qi_pow(F, x, 3, 5) == reduce_mod((7, 5), 5)
-    assert qi_pow(F, x, 0, 5) == (1, 0)
-    assert qi_pow(F, (1, 1), 2, 2) == reduce_mod((3, 2), 2)
-    assert qi_pow(F, (1, 1), 0, 1) == (0, 0)
-
-
-def test_mod_arithmetic_validation():
-    F = make_field(2)
-    for M in (0, -5):
-        with pytest.raises(ValueError):
-            qi_pow(F, (1, 1), 2, M)
-    with pytest.raises(ValueError):
-        qi_pow(F, (1, 1), -1, 5)
-
-
 def test_reduction_is_homomorphism():
     rng = random.Random(3)
     for _ in range(400):
@@ -124,8 +94,6 @@ def test_reduction_is_homomorphism():
         assert qi_mul(F, reduce_mod(x, M), reduce_mod(y, M), M) == reduce_mod(
             qi_mul(F, x, y), M
         )
-        e = rng.randrange(0, 12)
-        assert qi_pow(F, x, e, M) == reduce_mod(qi_pow(F, x, e), M)
 
 
 def test_splitting_fixtures():

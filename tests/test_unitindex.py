@@ -3,12 +3,17 @@ from math import lcm
 
 import pytest
 
-from quadorders import unitindex
 from quadorders.arith import InternalConsistencyError, factorize, is_prime, is_squarefree
-from quadorders.lfun import l_prime_power, l_value
 from quadorders.pell import fundamental_unit
-from quadorders.quadfield import field_char, make_field, qi_mul, qi_pow
-from quadorders.unitindex import lucas_u, min_power, min_power_prime_power, min_power_search
+from quadorders.quadfield import field_char, make_field, qi_mul
+from quadorders.unitindex import (
+    apparition_rank,
+    l_value,
+    local_data,
+    lucas_u,
+    min_power,
+    min_power_prime_power,
+)
 
 
 def linear_scan_min_power(F, U, n):
@@ -22,14 +27,25 @@ def linear_scan_min_power(F, U, n):
     raise AssertionError("no power landed in the order")
 
 
+def power_mod(F, x, e, M):
+    """x**e with coordinates reduced mod M, by square-and-multiply over qi_mul."""
+    result = (1 % M, 0)
+    while e:
+        if e & 1:
+            result = qi_mul(F, result, x, M)
+        x = qi_mul(F, x, x, M)
+        e >>= 1
+    return result
+
+
 def divisor_search_min_power(F, U, p, a):
     """m(p^a) as the least divisor k of L(p^a) with u^k in the order, by powering
     u mod p^a: an m algorithm independent of the library's Lucas rank."""
     q = p**a
-    L = l_prime_power(p, a, F.d)
+    L = l_value(q, F.d)
     base = (U.u[0] % q, U.u[1] % q)
     for k in range(1, L + 1):
-        if L % k == 0 and qi_pow(F, base, k, q)[1] == 0:
+        if L % k == 0 and power_mod(F, base, k, q)[1] == 0:
             return k
     raise AssertionError(f"no divisor of L({p}^{a}, {F.d}) = {L} brings u^k into the order")
 
@@ -154,20 +170,19 @@ def test_lucas_rank_matches_divisor_search():
         F = make_field(d)
         U = fundamental_unit(F)
         for p, a in prime_powers:
-            m = min_power_search(F, U, p, a)
+            m, L, inert = local_data(F, U, p, a)
             assert m == divisor_search_min_power(F, U, p, a), (d, p, a)
+            assert (L, inert) == (l_value(p**a, d), field_char(d, p) == -1), (d, p, a)
             seen.add((field_char(d, p), p == 2, a > 1, m > 1))
     assert (0, False, True, True) in seen  # odd ramified p with a >= 2
     assert all((chi, True, True, True) in seen for chi in (-1, 0, 1))  # p = 2, a >= 2
 
 
-def test_wrong_l_is_an_internal_error(monkeypatch):
+def test_wrong_l_is_an_internal_error():
     F = make_field(2)
     U = fundamental_unit(F)
-    assert min_power_search(F, U, 5, 1) == 3  # L(5, 2) = 6
+    assert apparition_rank(F, U, 5, 6) == 3  # L(5, 2) = 6
     # a multiple of m still reduces to m; a non-multiple is a bug, never an index
-    monkeypatch.setattr(unitindex, "l_prime_power", lambda p, a, d: 12)
-    assert min_power_search(F, U, 5, 1) == 3
-    monkeypatch.setattr(unitindex, "l_prime_power", lambda p, a, d: 4)
-    with pytest.raises(InternalConsistencyError, match=r"L\(5\^1, 2\) = 4"):
-        min_power_search(F, U, 5, 1)
+    assert apparition_rank(F, U, 5, 12) == 3
+    with pytest.raises(InternalConsistencyError, match=r"L\(5, 2\) = 4"):
+        apparition_rank(F, U, 5, 4)
