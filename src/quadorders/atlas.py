@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from itertools import islice
 from multiprocessing import get_context
 
-from .arith import is_squarefree
+from .arith import InternalConsistencyError, is_squarefree
 from .classify import ClassificationRecord, classify_field
 from .oracle import (
     OracleBoundError,
@@ -36,7 +36,7 @@ CSV_HEADER = ",".join(FIELD_NAMES)
 _BOOL_FIELDS = ("ideal_preserving", "locally_associated", "associated", "hfd")
 _CSV_ROW = ",".join(["%d"] * len(FIELD_NAMES))  # a bool renders as 0 or 1
 # the one spelling scan writes (a flag 0 or 1, an integer without +, spaces,
-# underscores or leading zeros); _parse_csv_row accepts exactly these rows
+# underscores or leading zeros); _read_csv_row reads exactly these rows
 _CANONICAL_CSV_ROW = re.compile(
     ",".join("[01]" if name in _BOOL_FIELDS else "(?:-?[1-9][0-9]*|0)" for name in FIELD_NAMES)
 )
@@ -116,7 +116,7 @@ def _scan_one_d(task: tuple[int, int, int, str, bool]) -> tuple[int, str, int, i
     lines: list[str] = []
     hfd = 0
     for row in classify_field(d, n_min, n_max):
-        if verify:
+        if verify and row[1] > 1:  # Z + 1*O_K has no quotient to enumerate
             for name, claimed, got in oracle_verdicts(ClassificationRecord(*row)):
                 if got is not None and got != claimed:
                     raise ScanVerificationError(
@@ -149,22 +149,6 @@ def read_checkpoint(path: str) -> Checkpoint:
         raise RuntimeError(f"malformed checkpoint file {path}") from exc
 
 
-def _truncate_output(path: str, fmt: str, data_rows: int) -> None:
-    """Cut the output back to the checkpointed prefix (header plus data_rows lines)."""
-    keep = data_rows + (1 if fmt == "csv" else 0)
-    offset = count = 0
-    with open(path, "rb") as fh:
-        for line in islice(fh, keep):
-            count += 1
-            offset += len(line)
-    if count < keep:
-        raise RuntimeError(
-            f"output file {path} has {count} lines, checkpoint claims {keep}"
-        )
-    with open(path, "r+b") as fh:
-        fh.truncate(offset)
-
-
 def _squarefree_range(d_min: int, d_max: int) -> list[int]:
     return [
         d
@@ -182,18 +166,46 @@ def _file_format(first_line: str) -> str | None:
     return None
 
 
-def _check_resumable(cfg: ScanConfig, ds: list[int], ck: Checkpoint) -> None:
-    """Refuse to append to a file written with another format or (d, n) window."""
-    with open(cfg.out) as fh:
-        fmt = _file_format(fh.readline().rstrip("\n"))
-    if fmt != cfg.fmt:
-        raise ValueError(f"cannot resume {cfg.out}: it is not a {cfg.fmt} scan file")
+def _resume_offset(cfg: ScanConfig, ds: list[int], ck: Checkpoint) -> int:
+    """The byte length of cfg.out's checkpointed prefix, read once, line by line.
+
+    Resume refuses (ValueError) a file of another format, a checkpoint whose row
+    count is not this window's, and a prefix whose first and last rows are not
+    (d, n) = (ds[0], n_min) and (ck.last_d, n_max); with the count those pin
+    the (d, n) window, so a resumed scan never appends to another window's rows.
+    """
+    csv = cfg.fmt == "csv"
+    read = _read_csv_row if csv else _parse_jsonl_row
     expected = sum(1 for d in ds if d <= ck.last_d) * (cfg.n_max - cfg.n_min + 1)
-    if ck.rows != expected:
-        raise ValueError(
-            f"cannot resume {cfg.out}: its checkpoint records {ck.rows} rows up to "
-            f"d={ck.last_d}, this window has {expected}; resume with the original window"
-        )
+    with open(cfg.out, "rb") as fh:
+        if _file_format(fh.readline().decode().rstrip("\n")) != cfg.fmt:
+            raise ValueError(f"cannot resume {cfg.out}: it is not a {cfg.fmt} scan file")
+        if ck.rows != expected:
+            raise ValueError(
+                f"cannot resume {cfg.out}: its checkpoint records {ck.rows} rows up to "
+                f"d={ck.last_d}, this window has {expected}; resume with the original window"
+            )
+        if not csv:
+            fh.seek(0)
+        count = 0
+        for count, line in enumerate(islice(fh, ck.rows), 1):
+            if count == 1 or count == ck.rows:
+                try:
+                    cell = tuple(read(line.decode().rstrip("\n"), count + csv)[:2])
+                except ValueError as exc:  # a corrupt durable row, not a usage error
+                    raise RuntimeError(f"cannot resume {cfg.out}: {exc}") from None
+                if (count == 1 and cell != (ds[0], cfg.n_min)) or (
+                    count == ck.rows and cell != (ck.last_d, cfg.n_max)
+                ):
+                    raise ValueError(
+                        f"cannot resume {cfg.out}: line {count + csv} holds (d, n) = {cell}, "
+                        f"not this window's; resume with the original window"
+                    )
+        if count < ck.rows:
+            raise RuntimeError(
+                f"output file {cfg.out} has {count + csv} lines, checkpoint claims {ck.rows + csv}"
+            )
+        return fh.tell()
 
 
 def scan(cfg: ScanConfig) -> ScanSummary:
@@ -214,8 +226,9 @@ def scan(cfg: ScanConfig) -> ScanSummary:
     ck_path = checkpoint_path(cfg.out)
     if cfg.resume and os.path.exists(ck_path) and os.path.exists(cfg.out):
         ck = read_checkpoint(ck_path)
-        _check_resumable(cfg, ds, ck)
-        _truncate_output(cfg.out, cfg.fmt, ck.rows)
+        offset = _resume_offset(cfg, ds, ck)
+        with open(cfg.out, "r+b") as fh:
+            fh.truncate(offset)
         rows_written, hfd_count = ck.rows, ck.hfd
         ds = [d for d in ds if d > ck.last_d]
         mode = "a"
@@ -243,12 +256,14 @@ def scan(cfg: ScanConfig) -> ScanSummary:
     return ScanSummary(rows_written, hfd_count, time.perf_counter() - t0)
 
 
-def _parse_csv_row(line: str, lineno: int) -> list[int]:
-    """A CSV row's values, checked field by field; the error names the first bad field."""
+def _read_csv_row(line: str, lineno: int) -> list[int]:
+    """A canonical CSV row's values by one match; any other row raises ValueError
+    naming its first field that is not in the spelling scan writes."""
+    if _CANONICAL_CSV_ROW.fullmatch(line):
+        return list(map(int, line.split(",")))
     parts = line.split(",")
     if len(parts) != len(FIELD_NAMES):
         raise ValueError(f"line {lineno}: expected {len(FIELD_NAMES)} fields, got {len(parts)}")
-    row = []
     for name, part in zip(FIELD_NAMES, parts):
         try:
             value = int(part)
@@ -258,15 +273,7 @@ def _parse_csv_row(line: str, lineno: int) -> list[int]:
             raise ValueError(f"line {lineno}: field {name} must be 0 or 1, got {value}")
         if str(value) != part:
             raise ValueError(f"line {lineno}: field {name} is not in canonical form: {part!r}")
-        row.append(value)
-    return row
-
-
-def _read_csv_row(line: str, lineno: int) -> list[int]:
-    """_parse_csv_row's result by one match; a row that fails goes to it for the error."""
-    if _CANONICAL_CSV_ROW.fullmatch(line):
-        return list(map(int, line.split(",")))
-    return _parse_csv_row(line, lineno)
+    raise InternalConsistencyError(f"line {lineno}: no field check rejects this non-canonical row")
 
 
 def _parse_jsonl_row(line: str, lineno: int) -> list:

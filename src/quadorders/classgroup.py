@@ -23,10 +23,8 @@ Form = tuple[int, int, int]
 
 @dataclass(frozen=True, slots=True)
 class FormClassData:
-    D: int
     h: int
-    h_plus: int | None
-    unit_norm_sign: int
+    h_plus: int | None  # None for an imaginary field
 
 
 def _validate_discriminant(D: int) -> None:
@@ -116,7 +114,7 @@ def class_number(F: FieldContext, U: FundamentalUnit) -> FormClassData:
         h = len(reduced_forms_negative(F.D))
         if h < 1:
             raise InternalConsistencyError(f"h({F.D}) = {h}")
-        return FormClassData(F.D, h, None, U.norm_sign)
+        return FormClassData(h, None)
     h_plus = narrow_class_number(F.D)
     if U.norm_sign == -1:
         h = h_plus
@@ -128,5 +126,5 @@ def class_number(F: FieldContext, U: FundamentalUnit) -> FormClassData:
         h = h_plus // 2
     if h < 1:
         raise InternalConsistencyError(f"h({F.D}) = {h}")
-    return FormClassData(F.D, h, h_plus, U.norm_sign)
+    return FormClassData(h, h_plus)
 

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from math import lcm
 from typing import NamedTuple
 
-from .arith import InternalConsistencyError, factorize, is_prime, is_squarefree
+from .arith import InternalConsistencyError, factorize, is_prime
 from .classgroup import class_number
 from .pell import fundamental_unit
 from .quadfield import FieldContext, field_char, make_field
@@ -36,8 +36,7 @@ class OrderSpec:
     n: int
 
     def __post_init__(self) -> None:
-        if self.d in (0, 1) or not is_squarefree(self.d):
-            raise ValueError(f"d={self.d} does not define a quadratic field")
+        make_field(self.d)  # raises make_field's ValueError for a d that defines no field
         if self.n < 1:
             raise ValueError(f"order index must be >= 1, got {self.n}")
 

@@ -1,6 +1,7 @@
 import json
 import os
 import random
+import re
 
 import pytest
 
@@ -15,7 +16,7 @@ from quadorders import (
     report_hfd,
     scan,
 )
-from quadorders.arith import is_squarefree
+from quadorders.arith import InternalConsistencyError, is_squarefree
 from quadorders.atlas import CSV_HEADER, Checkpoint, checkpoint_path, read_checkpoint
 from quadorders.classify import classify_field
 from quadorders.pell import fundamental_unit
@@ -127,6 +128,18 @@ def test_jsonl_resume_from_zero_row_checkpoint(tmp_path):
     assert report_hfd(str(part)).total == reference.hfd
 
 
+def test_resume_refuses_a_checkpoint_of_another_file(tmp_path):
+    # the checkpoint of a d <= 10, 2 <= n <= 5 scan beside a file whose n runs to 7:
+    # the row count and the first row agree, row 24 is (6, 7), not (10, 5)
+    out = tmp_path / "grid.csv"
+    scan(small_cfg(out, n_max=7))
+    atlas._write_checkpoint(checkpoint_path(str(out)), Checkpoint(10, 24, 3))
+    before = out.read_bytes()
+    with pytest.raises(ValueError, match=r"line 25 holds \(d, n\) = \(6, 7\).*window"):
+        scan(small_cfg(out, d_max=13, n_max=5, resume=True))
+    assert out.read_bytes() == before
+
+
 def test_jsonl_round_trip(tmp_path):
     out = tmp_path / "grid.jsonl"
     scan(small_cfg(out, fmt="jsonl"))
@@ -158,6 +171,13 @@ def test_verify_mode_small_window(tmp_path):
     out = tmp_path / "v.csv"
     summary = scan(ScanConfig(d_min=-6, d_max=6, n_max=8, out=str(out), verify=True))
     assert summary.records > 0
+    # n = 1 has no quotient for the oracles to enumerate; its row is still written
+    window = dict(d_min=-6, d_max=6, n_min=1, n_max=8)
+    plain, checked = tmp_path / "plain.csv", tmp_path / "checked.csv"
+    scan(ScanConfig(out=str(plain), **window))
+    summary = scan(ScanConfig(out=str(checked), verify=True, **window))
+    assert summary.records == 9 * 8
+    assert checked.read_bytes() == plain.read_bytes()
 
 
 def test_oracle_verdicts_skip_and_mismatch(tmp_path, monkeypatch):
@@ -223,6 +243,15 @@ def test_report_rejects_malformed_rows(tmp_path):
     empty = tmp_path / "empty.csv"
     empty.write_text("")
     assert report_hfd(str(empty)).total == 0
+
+
+def test_csv_reader_never_passes_a_rejected_row(tmp_path, monkeypatch):
+    # a canonical row only the pattern rejects is a contradiction, not a row
+    path = tmp_path / "grid.csv"
+    path.write_text(CSV_HEADER + "\n2,3,8,4,4,1,1,1,1,1,1\n")
+    monkeypatch.setattr(atlas, "_CANONICAL_CSV_ROW", re.compile("(?!)"))
+    with pytest.raises(InternalConsistencyError, match="line 2"):
+        report_hfd(str(path))
 
 
 def test_report_rejects_malformed_jsonl(tmp_path):

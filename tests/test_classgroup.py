@@ -136,7 +136,7 @@ def test_class_number_fixtures():
         d = D if D % 4 == 1 else D // 4
         F = make_field(d)
         C = class_number(F, fundamental_unit(F))
-        assert C.D == D
+        assert F.D == D
         assert C.h == h, (D, C)
 
 
@@ -158,7 +158,7 @@ def test_imaginary_has_no_narrow_field():
     F = make_field(-5)
     C = class_number(F, fundamental_unit(F))
     assert C.h_plus is None
-    assert C.unit_norm_sign == 1
+    assert fundamental_unit(F).norm_sign == 1
 
 
 def test_maximal_order_is_hfd():

@@ -4,7 +4,7 @@ import sys
 
 import pytest
 
-from quadorders import OrderSpec, classify_order, make_field, record_to_json_obj
+from quadorders import OrderSpec, atlas, classify_order, make_field, record_to_json_obj
 from quadorders.cli import format_unit, main
 from quadorders.pell import FundamentalUnit
 
@@ -34,7 +34,7 @@ def test_classify_json_round_trips(capsys):
 def test_classify_rejects_bad_d(capsys):
     rc, _, err = run_cli(capsys, "classify", "-d", "12", "-n", "2")
     assert rc == 2
-    assert "12" in err
+    assert "d=12 is not squarefree" in err
 
 
 def test_negative_d_parses(capsys):
@@ -177,3 +177,57 @@ def test_resume_refuses_other_window_or_format(capsys, tmp_path):
     # the matching window still resumes
     assert run_cli(capsys, *base, "--d-max", "13", "--n-max", "5", "--resume")[0] == 0
     assert len(out.read_text().splitlines()) == 1 + 8 * 4
+    # windows whose checkpointed row count matches, in either format: the same n width
+    # starting elsewhere (6 d x 4 n), and 8 d from -2 x 3 n (also 24 rows, ending at (10, 5))
+    for fmt in ("csv", "jsonl"):
+        out = tmp_path / f"shifted.{fmt}"
+        base = ("scan", "--out", str(out), "--format", fmt, "--d-max")
+        assert run_cli(capsys, *base, "10", "--d-min", "2", "--n-max", "5")[0] == 0
+        before = out.read_bytes()
+        for shifted in (("--d-min", "2", "--n-min", "3", "--n-max", "6"),
+                        ("--d-min", "-2", "--n-min", "3", "--n-max", "5")):
+            rc, _, err = run_cli(capsys, *base, "13", *shifted, "--resume")
+            assert rc == 2 and "window" in err, (fmt, shifted)
+            assert out.read_bytes() == before
+
+
+def _scan_oracle_disagrees(monkeypatch, tmp_path):
+    brute_associated = atlas.brute_associated
+    monkeypatch.setattr(atlas, "brute_associated", lambda F, U, n: not brute_associated(F, U, n))
+    return ("scan", "--d-min", "2", "--d-max", "2", "--n-max", "2", "--verify",
+            "--out", str(tmp_path / "v.csv"))
+
+
+def _resume_with_bad_checkpoint(monkeypatch, tmp_path, checkpoint="d=oops\n", row=None):
+    out = tmp_path / "grid.csv"
+    argv = ("scan", "--d-min", "2", "--d-max", "3", "--n-max", "3", "--out", str(out))
+    assert main(list(argv)) == 0
+    (tmp_path / "grid.csv.checkpoint").write_text(checkpoint)
+    if row is not None:
+        out.write_text(out.read_text().rsplit("\n", 2)[0] + "\n" + row + "\n")
+    return *argv, "--resume"
+
+
+def _classify_m_not_dividing_l(monkeypatch, tmp_path):
+    monkeypatch.setattr("quadorders.classify.min_power", lambda F, U, n: 4)  # L(5, 2) = 6
+    return "classify", "-d", "2", "-n", "5"
+
+
+@pytest.mark.parametrize("make_argv,rc", [
+    # a RuntimeError exits 1: an oracle mismatch, corrupt data, an internal contradiction
+    pytest.param(_scan_oracle_disagrees, 1, id="scan-verify-mismatch"),
+    pytest.param(_resume_with_bad_checkpoint, 1, id="resume-malformed-checkpoint"),
+    # the checkpoint is sound, the last row it makes durable is not
+    pytest.param(lambda mp, tp: _resume_with_bad_checkpoint(
+        mp, tp, "d=3\nrows=4\nhfd=1\n", "3,3,x"), 1, id="resume-malformed-row"),
+    pytest.param(_classify_m_not_dividing_l, 1, id="classify-m-not-dividing-L"),
+    # a ValueError (OracleBoundError among them) exits 2
+    pytest.param(lambda mp, tp: ("verify", "-d", "2", "-n", "5000"), 2, id="verify-past-bound"),
+    pytest.param(lambda mp, tp: ("scan", "--d-min", "2", "--d-max", "3", "--n-max", "3",
+                                 "--jobs", "0", "--out", str(tp / "x.csv")), 2, id="scan-jobs-0"),
+])
+def test_exit_codes_through_main(capsys, monkeypatch, tmp_path, make_argv, rc):
+    argv = make_argv(monkeypatch, tmp_path)
+    capsys.readouterr()
+    got, out, err = run_cli(capsys, *argv)
+    assert got == rc and out == "" and err.startswith("error: "), (got, out, err)
