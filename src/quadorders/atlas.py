@@ -6,7 +6,8 @@ parallelise over d; each classifies its d with classify_field and renders the
 row tuples into one block, which the parent writes in submission order, so the
 output is independent of the worker count.  A ClassificationRecord is a
 NamedTuple, so the record_to_* helpers render a record and a bare row alike;
-a record is built from a row only under --verify.
+a record is built from a row only under --verify.  report and scan --resume read
+a scan file through one reader, _scan_lines, so the two accept the same files.
 """
 
 from __future__ import annotations
@@ -17,8 +18,10 @@ import re
 import time
 from contextlib import nullcontext
 from dataclasses import dataclass
+from io import BufferedReader
 from itertools import islice
 from multiprocessing import get_context
+from typing import Callable, Iterator
 
 from .arith import InternalConsistencyError, is_squarefree
 from .classify import ClassificationRecord, classify_field
@@ -45,6 +48,10 @@ _to_json = json.JSONEncoder(separators=(",", ":")).encode
 
 class ScanVerificationError(RuntimeError):
     """An oracle disagreed with a closed-form classification during --verify."""
+
+
+class ScanFileError(ValueError):
+    """A scan file line that is not in the form scan writes: corrupt data, not bad usage."""
 
 
 @dataclass(slots=True)
@@ -157,15 +164,6 @@ def _squarefree_range(d_min: int, d_max: int) -> list[int]:
     ]
 
 
-def _file_format(first_line: str) -> str | None:
-    """The format a scan file's first line identifies, or None."""
-    if first_line == CSV_HEADER:
-        return "csv"
-    if first_line.startswith("{"):
-        return "jsonl"
-    return None
-
-
 def _resume_offset(cfg: ScanConfig, ds: list[int], ck: Checkpoint) -> int:
     """The byte length of cfg.out's checkpointed prefix, read once, line by line.
 
@@ -174,37 +172,29 @@ def _resume_offset(cfg: ScanConfig, ds: list[int], ck: Checkpoint) -> int:
     (d, n) = (ds[0], n_min) and (ck.last_d, n_max); with the count those pin
     the (d, n) window, so a resumed scan never appends to another window's rows.
     """
-    csv = cfg.fmt == "csv"
-    read = _read_csv_row if csv else _parse_jsonl_row
     expected = sum(1 for d in ds if d <= ck.last_d) * (cfg.n_max - cfg.n_min + 1)
     with open(cfg.out, "rb") as fh:
-        if _file_format(fh.readline().decode().rstrip("\n")) != cfg.fmt:
+        fmt, read, lines = _scan_lines(fh)
+        if fmt != cfg.fmt:
             raise ValueError(f"cannot resume {cfg.out}: it is not a {cfg.fmt} scan file")
         if ck.rows != expected:
             raise ValueError(
                 f"cannot resume {cfg.out}: its checkpoint records {ck.rows} rows up to "
                 f"d={ck.last_d}, this window has {expected}; resume with the original window"
             )
-        if not csv:
-            fh.seek(0)
         count = 0
-        for count, line in enumerate(islice(fh, ck.rows), 1):
+        for count, (lineno, line) in enumerate(islice(lines, ck.rows), 1):
             if count == 1 or count == ck.rows:
-                try:
-                    cell = tuple(read(line.decode().rstrip("\n"), count + csv)[:2])
-                except ValueError as exc:  # a corrupt durable row, not a usage error
-                    raise RuntimeError(f"cannot resume {cfg.out}: {exc}") from None
+                cell = read(line, lineno)[:2]
                 if (count == 1 and cell != (ds[0], cfg.n_min)) or (
                     count == ck.rows and cell != (ck.last_d, cfg.n_max)
                 ):
                     raise ValueError(
-                        f"cannot resume {cfg.out}: line {count + csv} holds (d, n) = {cell}, "
+                        f"cannot resume {cfg.out}: line {lineno} holds (d, n) = {cell}, "
                         f"not this window's; resume with the original window"
                     )
         if count < ck.rows:
-            raise RuntimeError(
-                f"output file {cfg.out} has {count + csv} lines, checkpoint claims {ck.rows + csv}"
-            )
+            raise RuntimeError(f"output file {cfg.out} has {count} rows, checkpoint claims {ck.rows}")
         return fh.tell()
 
 
@@ -226,9 +216,7 @@ def scan(cfg: ScanConfig) -> ScanSummary:
     ck_path = checkpoint_path(cfg.out)
     if cfg.resume and os.path.exists(ck_path) and os.path.exists(cfg.out):
         ck = read_checkpoint(ck_path)
-        offset = _resume_offset(cfg, ds, ck)
-        with open(cfg.out, "r+b") as fh:
-            fh.truncate(offset)
+        os.truncate(cfg.out, _resume_offset(cfg, ds, ck))
         rows_written, hfd_count = ck.rows, ck.hfd
         ds = [d for d in ds if d > ck.last_d]
         mode = "a"
@@ -256,65 +244,75 @@ def scan(cfg: ScanConfig) -> ScanSummary:
     return ScanSummary(rows_written, hfd_count, time.perf_counter() - t0)
 
 
-def _read_csv_row(line: str, lineno: int) -> list[int]:
-    """A canonical CSV row's values by one match; any other row raises ValueError
+def _read_csv_row(line: str, lineno: int) -> tuple[int, int, bool]:
+    """A canonical CSV row's (d, n, hfd) by one match; any other row raises ScanFileError
     naming its first field that is not in the spelling scan writes."""
-    if _CANONICAL_CSV_ROW.fullmatch(line):
-        return list(map(int, line.split(",")))
     parts = line.split(",")
+    if _CANONICAL_CSV_ROW.fullmatch(line):
+        return int(parts[0]), int(parts[1]), parts[-1] == "1"
     if len(parts) != len(FIELD_NAMES):
-        raise ValueError(f"line {lineno}: expected {len(FIELD_NAMES)} fields, got {len(parts)}")
+        raise ScanFileError(f"line {lineno}: expected {len(FIELD_NAMES)} fields, got {len(parts)}")
     for name, part in zip(FIELD_NAMES, parts):
         try:
             value = int(part)
         except ValueError:
-            raise ValueError(f"line {lineno}: field {name} is not an integer: {part!r}") from None
+            raise ScanFileError(f"line {lineno}: field {name} is not an integer: {part!r}") from None
         if name in _BOOL_FIELDS and value not in (0, 1):
-            raise ValueError(f"line {lineno}: field {name} must be 0 or 1, got {value}")
+            raise ScanFileError(f"line {lineno}: field {name} must be 0 or 1, got {value}")
         if str(value) != part:
-            raise ValueError(f"line {lineno}: field {name} is not in canonical form: {part!r}")
+            raise ScanFileError(f"line {lineno}: field {name} is not in canonical form: {part!r}")
     raise InternalConsistencyError(f"line {lineno}: no field check rejects this non-canonical row")
 
 
-def _parse_jsonl_row(line: str, lineno: int) -> list:
+def _parse_jsonl_row(line: str, lineno: int) -> tuple[int, int, bool]:
+    """A JSONL row's (d, n, hfd); a line that is not an object of scan's fields and value
+    types raises ScanFileError."""
     try:
         obj = json.loads(line)
     except json.JSONDecodeError as exc:
-        raise ValueError(f"line {lineno}: invalid JSON: {exc}") from None
+        raise ScanFileError(f"line {lineno}: invalid JSON: {exc}") from None
     if not isinstance(obj, dict) or set(obj) != set(FIELD_NAMES):
-        raise ValueError(f"line {lineno}: unexpected fields")
+        raise ScanFileError(f"line {lineno}: unexpected fields")
     for name in FIELD_NAMES:
-        v = obj[name]
-        ok = isinstance(v, bool) if name in _BOOL_FIELDS else (
-            isinstance(v, int) and not isinstance(v, bool)
-        )
-        if not ok:
-            raise ValueError(f"line {lineno}: field {name} has wrong type")
-    return [obj[name] for name in FIELD_NAMES]
+        if type(obj[name]) is not (bool if name in _BOOL_FIELDS else int):
+            raise ScanFileError(f"line {lineno}: field {name} has wrong type")
+    return obj["d"], obj["n"], obj["hfd"]
+
+
+def _scan_lines(fh: BufferedReader) -> tuple[str | None, Callable | None, Iterator[tuple[int, str]]]:
+    """A binary scan file's format and row reader, from its first line, and its rows as
+    (line number, text), with fh left at its first row.  A line that is blank, not UTF-8
+    or not ended by the bare LF scan writes raises ScanFileError; an empty file has no
+    format and no rows."""
+
+    def rows(start: int) -> Iterator[tuple[int, str]]:
+        for lineno, raw in enumerate(fh, start):
+            try:
+                line = raw.decode()
+            except UnicodeDecodeError:
+                raise ScanFileError(f"line {lineno}: not UTF-8") from None
+            if line[-1:] != "\n" or line[-2:-1] in ("\r", ""):  # no LF, CRLF or blank
+                why = "blank line" if line == "\n" else "does not end in a bare \\n"
+                raise ScanFileError(f"line {lineno}: {why}")
+            yield lineno, line[:-1]
+
+    if fh.peek(1)[:1] == b"{":  # a JSONL file's first line is its first row
+        return "jsonl", _parse_jsonl_row, rows(1)
+    _, header = next(rows(1), (1, None))
+    if header == CSV_HEADER:
+        return "csv", _read_csv_row, rows(2)
+    if header is not None:
+        raise ScanFileError("line 1: neither the CSV header nor a JSONL object")
+    return None, None, iter(())
 
 
 def report_hfd(path: str) -> HfdReport:
     """Count hfd-true rows with n > 1, with a per-d breakdown, from a scan file."""
-    total = 0
     per_d: dict[int, int] = {}
-    with open(path) as fh:
-        first = fh.readline()
-        if not first:
-            return HfdReport(0, {})
-        fmt = _file_format(first.rstrip("\n"))
-        if fmt == "csv":
-            parse, start = _read_csv_row, 2
-        elif fmt == "jsonl":
-            parse, start = _parse_jsonl_row, 1
-            fh.seek(0)
-        else:
-            raise ValueError("line 1: neither the CSV header nor a JSONL object")
-        for lineno, line in enumerate(fh, start=start):
-            line = line.rstrip("\n")
-            if not line:
-                raise ValueError(f"line {lineno}: blank line")
-            row = parse(line, lineno)
-            if row[-1] and row[1] > 1:  # hfd, n > 1
-                total += 1
-                per_d[row[0]] = per_d.get(row[0], 0) + 1
-    return HfdReport(total, per_d)
+    with open(path, "rb") as fh:
+        _, read, lines = _scan_lines(fh)
+        for lineno, line in lines:
+            d, n, hfd = read(line, lineno)
+            if hfd and n > 1:
+                per_d[d] = per_d.get(d, 0) + 1
+    return HfdReport(sum(per_d.values()), per_d)

@@ -1,18 +1,19 @@
 """Command-line entry point.
 
 Subcommands: classify, unit, lfun, classnum, verify, scan, report.
-Exit codes: 0 success, 1 verification or internal failure, 2 bad usage.
+Exit codes: 0 success or a closed stdout, 1 failed check or corrupt data, 2 bad usage.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
+import os
 import sys
 from dataclasses import fields
 from math import log10
 
-from .atlas import ScanConfig, oracle_verdicts, record_to_json_obj, report_hfd, scan
+from .atlas import (ScanConfig, ScanFileError, _to_json, oracle_verdicts, record_to_json_obj,
+                    report_hfd, scan)
 from .classgroup import class_number
 from .classify import OrderSpec, classify_order
 from .oracle import OracleBoundError
@@ -58,7 +59,7 @@ def _bool_word(v: bool) -> str:
 def cmd_classify(args: argparse.Namespace) -> int:
     rec = classify_order(OrderSpec(args.d, args.n))
     if args.json:
-        print(json.dumps(record_to_json_obj(rec), separators=(",", ":")))
+        print(_to_json(record_to_json_obj(rec)))
         return 0
     print(f"d={rec.d} n={rec.n} D={rec.D}")
     print(
@@ -124,11 +125,7 @@ def cmd_scan(args: argparse.Namespace) -> int:
 
 
 def cmd_report(args: argparse.Namespace) -> int:
-    try:
-        rep = report_hfd(args.path)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    rep = report_hfd(args.path)
     print(f"hfd_total={rep.total}")
     for d in sorted(rep.per_d):
         print(f"d={d} hfd={rep.per_d[d]}")
@@ -192,13 +189,15 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return args.fn(args)
-    except RuntimeError as exc:
+        rc = args.fn(args)
+        sys.stdout.flush()  # a closed stdout raises here, not at interpreter exit
+        return rc
+    except BrokenPipeError:  # the reader stopped early (report | head): nothing is wrong
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 0
+    except (RuntimeError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return 1 if isinstance(exc, (RuntimeError, ScanFileError)) else 2
 
 
 if __name__ == "__main__":

@@ -140,6 +140,41 @@ def test_resume_refuses_a_checkpoint_of_another_file(tmp_path):
     assert out.read_bytes() == before
 
 
+@pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+@pytest.mark.parametrize("ends", ["lf", "crlf-last-row", "crlf-every-line", "no-end-last-row"])
+def test_report_and_resume_read_line_ends_alike(tmp_path, fmt, ends):
+    # report and --resume frame lines by one rule: a line not ended by a bare LF is
+    # refused by both, and a refused resume leaves the file and its checkpoint as they were
+    out, ck = tmp_path / f"grid.{fmt}", tmp_path / f"grid.{fmt}.checkpoint"
+    scan(small_cfg(out, d_max=5, fmt=fmt))
+    lines = out.read_bytes().split(b"\n")[:-1]
+    if ends == "crlf-every-line":
+        lines = [line + b"\r" for line in lines]
+    elif ends == "crlf-last-row":
+        lines[-1] += b"\r"
+    out.write_bytes(b"\n".join(lines) + (b"" if ends == "no-end-last-row" else b"\n"))
+    before, ck_before = out.read_bytes(), ck.read_bytes()
+
+    def verdict(read):
+        try:
+            read()
+        except ValueError as exc:
+            return str(exc)
+        return "accepted"
+
+    reported = verdict(lambda: report_hfd(str(out)))
+    resumed = verdict(lambda: scan(small_cfg(out, d_max=7, fmt=fmt, resume=True)))
+    assert reported == resumed
+    if ends == "lf":
+        assert reported == "accepted"
+        scan(small_cfg(tmp_path / f"ref.{fmt}", d_max=7, fmt=fmt))
+        assert out.read_bytes() == (tmp_path / f"ref.{fmt}").read_bytes()
+    else:
+        bad_line = 1 if ends == "crlf-every-line" else len(lines)
+        assert reported == f"line {bad_line}: does not end in a bare \\n"
+        assert (out.read_bytes(), ck.read_bytes()) == (before, ck_before)
+
+
 def test_jsonl_round_trip(tmp_path):
     out = tmp_path / "grid.jsonl"
     scan(small_cfg(out, fmt="jsonl"))
@@ -237,9 +272,12 @@ def test_report_rejects_malformed_rows(tmp_path):
         with pytest.raises(ValueError) as exc:
             report_hfd(str(bad))
         assert str(exc.value) == message
-    # a row ending in \r\n is read through universal newlines
-    bad.write_text(CSV_HEADER + "\n2,3,8,4,4,1,1,1,1,1,1\n-3,2,-3,3,3,1,1,1,1,1,1\r\n")
-    assert report_hfd(str(bad)) == atlas.HfdReport(2, {2: 1, -3: 1})
+    # scan writes bare LF line ends, and resume cannot append to a CRLF file
+    # without mixing the two, so a row ending in CRLF is rejected by name
+    bad.write_bytes(f"{CSV_HEADER}\n2,3,8,4,4,1,1,1,1,1,1\n-3,2,-3,3,3,1,1,1,1,1,1\r\n".encode())
+    with pytest.raises(ValueError) as exc:
+        report_hfd(str(bad))
+    assert str(exc.value) == "line 3: does not end in a bare \\n"
     empty = tmp_path / "empty.csv"
     empty.write_text("")
     assert report_hfd(str(empty)).total == 0

@@ -191,6 +191,28 @@ def test_resume_refuses_other_window_or_format(capsys, tmp_path):
             assert out.read_bytes() == before
 
 
+def test_report_into_a_closed_pipe_exits_0(tmp_path):
+    # 8,000 d make a report past 64 KiB, so the reader closes the pipe mid-write
+    path = tmp_path / "grid.csv"
+    rows = "".join(f"{d},2,{d},1,1,1,1,1,1,1,1\n" for d in range(2, 8002))
+    path.write_text(atlas.CSV_HEADER + "\n" + rows)
+    proc = subprocess.Popen([sys.executable, "-m", "quadorders.cli", "report", str(path)],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    assert proc.stdout.readline() == b"hfd_total=8000\n"
+    proc.stdout.close()
+    err = proc.stderr.read()
+    assert (proc.wait(timeout=60), err) == (0, b"")
+
+
+def test_report_reads_a_jsonl_scan_from_a_pipe(tmp_path):
+    # the format is sniffed without a seek, so a JSONL scan need not be a regular file
+    out = tmp_path / "grid.jsonl"
+    atlas.scan(atlas.ScanConfig(d_min=-3, d_max=-3, n_max=3, out=str(out), fmt="jsonl"))
+    proc = subprocess.run([sys.executable, "-m", "quadorders.cli", "report", "/dev/stdin"],
+                          input=out.read_bytes(), capture_output=True, timeout=60)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, b"hfd_total=1\nd=-3 hfd=1\n", b"")
+
+
 def _scan_oracle_disagrees(monkeypatch, tmp_path):
     brute_associated = atlas.brute_associated
     monkeypatch.setattr(atlas, "brute_associated", lambda F, U, n: not brute_associated(F, U, n))
@@ -208,6 +230,18 @@ def _resume_with_bad_checkpoint(monkeypatch, tmp_path, checkpoint="d=oops\n", ro
     return *argv, "--resume"
 
 
+def _report_on(tmp_path, body):
+    path = tmp_path / "grid.csv"
+    path.write_bytes(atlas.CSV_HEADER.encode() + b"\n" + body)
+    return "report", str(path)
+
+
+def _resume_csv_as_jsonl(monkeypatch, tmp_path):
+    argv = ("scan", "--d-min", "2", "--d-max", "3", "--n-max", "3", "--out", str(tmp_path / "g.csv"))
+    assert main(list(argv)) == 0
+    return *argv, "--resume", "--format", "jsonl"
+
+
 def _classify_m_not_dividing_l(monkeypatch, tmp_path):
     monkeypatch.setattr("quadorders.classify.min_power", lambda F, U, n: 4)  # L(5, 2) = 6
     return "classify", "-d", "2", "-n", "5"
@@ -221,10 +255,16 @@ def _classify_m_not_dividing_l(monkeypatch, tmp_path):
     pytest.param(lambda mp, tp: _resume_with_bad_checkpoint(
         mp, tp, "d=3\nrows=4\nhfd=1\n", "3,3,x"), 1, id="resume-malformed-row"),
     pytest.param(_classify_m_not_dividing_l, 1, id="classify-m-not-dividing-L"),
-    # a ValueError (OracleBoundError among them) exits 2
+    # a line the scan-file reader rejects exits 1, in report as in resume
+    pytest.param(lambda mp, tp: _report_on(tp, b"2,3,8,4,4,1,1,1,1,1,x\n"), 1,
+                 id="report-malformed-row"),
+    pytest.param(lambda mp, tp: _report_on(tp, b"2,3,8,4,4,1,1,1,1,1,\xff\n"), 1,
+                 id="report-non-utf8-byte"),
+    # any other ValueError (OracleBoundError among them) exits 2
     pytest.param(lambda mp, tp: ("verify", "-d", "2", "-n", "5000"), 2, id="verify-past-bound"),
     pytest.param(lambda mp, tp: ("scan", "--d-min", "2", "--d-max", "3", "--n-max", "3",
                                  "--jobs", "0", "--out", str(tp / "x.csv")), 2, id="scan-jobs-0"),
+    pytest.param(_resume_csv_as_jsonl, 2, id="resume-csv-scan-as-jsonl"),
 ])
 def test_exit_codes_through_main(capsys, monkeypatch, tmp_path, make_argv, rc):
     argv = make_argv(monkeypatch, tmp_path)
