@@ -7,7 +7,10 @@ row tuples into one block, which the parent writes in submission order, so the
 output is independent of the worker count.  A ClassificationRecord is a
 NamedTuple, so the record_to_* helpers render a record and a bare row alike;
 a record is built from a row only under --verify.  report and scan --resume read
-a scan file through one reader, _scan_lines, so the two accept the same files.
+a scan file through one reader, _scan_file, so the two accept the same files.  It
+reads 64 KiB blocks of whole lines and checks each by one regex search for a line
+that is not a row in the format's one spelling, so an accepted row costs no Python
+work of its own; only a refused line is decoded, by per-line rules that name it.
 """
 
 from __future__ import annotations
@@ -18,10 +21,10 @@ import re
 import time
 from contextlib import nullcontext
 from dataclasses import dataclass
-from io import BufferedReader
-from itertools import islice
+from functools import lru_cache
+from itertools import chain
 from multiprocessing import get_context
-from typing import Callable, Iterator
+from typing import BinaryIO, Callable, Iterator, NoReturn
 
 from .arith import InternalConsistencyError, is_squarefree
 from .classify import ClassificationRecord, classify_field
@@ -38,12 +41,10 @@ FIELD_NAMES = ClassificationRecord._fields
 CSV_HEADER = ",".join(FIELD_NAMES)
 _BOOL_FIELDS = ("ideal_preserving", "locally_associated", "associated", "hfd")
 _CSV_ROW = ",".join(["%d"] * len(FIELD_NAMES))  # a bool renders as 0 or 1
-# the one spelling scan writes (a flag 0 or 1, an integer without +, spaces,
-# underscores or leading zeros); _read_csv_row reads exactly these rows
-_CANONICAL_CSV_ROW = re.compile(
-    ",".join("[01]" if name in _BOOL_FIELDS else "(?:-?[1-9][0-9]*|0)" for name in FIELD_NAMES)
-)
 _to_json = json.JSONEncoder(separators=(",", ":")).encode
+_BLOCK_SIZE = 1 << 16  # bytes read at a time; a block is cut at its last line end
+# the end of a row whose hfd flag is set, in each format's one spelling
+_HFD_ROW_END = {"csv": b",1\n", "jsonl": b'"hfd":true}\n'}
 
 
 class ScanVerificationError(RuntimeError):
@@ -165,16 +166,17 @@ def _squarefree_range(d_min: int, d_max: int) -> list[int]:
 
 
 def _resume_offset(cfg: ScanConfig, ds: list[int], ck: Checkpoint) -> int:
-    """The byte length of cfg.out's checkpointed prefix, read once, line by line.
+    """The byte length of cfg.out's checkpointed prefix, read once, a block at a time.
 
     Resume refuses (ValueError) a file of another format, a checkpoint whose row
     count is not this window's, and a prefix whose first and last rows are not
     (d, n) = (ds[0], n_min) and (ck.last_d, n_max); with the count those pin
     the (d, n) window, so a resumed scan never appends to another window's rows.
+    Rows past the checkpoint are neither read nor checked: the scan overwrites them.
     """
     expected = sum(1 for d in ds if d <= ck.last_d) * (cfg.n_max - cfg.n_min + 1)
     with open(cfg.out, "rb") as fh:
-        fmt, read, lines = _scan_lines(fh)
+        fmt, offset, blocks = _scan_file(fh, ck.rows)
         if fmt != cfg.fmt:
             raise ValueError(f"cannot resume {cfg.out}: it is not a {cfg.fmt} scan file")
         if ck.rows != expected:
@@ -182,20 +184,27 @@ def _resume_offset(cfg: ScanConfig, ds: list[int], ck: Checkpoint) -> int:
                 f"cannot resume {cfg.out}: its checkpoint records {ck.rows} rows up to "
                 f"d={ck.last_d}, this window has {expected}; resume with the original window"
             )
+
+        def check(row: bytes, lineno: int, cell: tuple[int, int]) -> None:
+            if (got := _cell(row)) != cell:
+                raise ValueError(
+                    f"cannot resume {cfg.out}: line {lineno} holds (d, n) = {got}, "
+                    f"not this window's; resume with the original window"
+                )
+
+        first_line = 2 if fmt == "csv" else 1
         count = 0
-        for count, (lineno, line) in enumerate(islice(lines, ck.rows), 1):
-            if count == 1 or count == ck.rows:
-                cell = read(line, lineno)[:2]
-                if (count == 1 and cell != (ds[0], cfg.n_min)) or (
-                    count == ck.rows and cell != (ck.last_d, cfg.n_max)
-                ):
-                    raise ValueError(
-                        f"cannot resume {cfg.out}: line {lineno} holds (d, n) = {cell}, "
-                        f"not this window's; resume with the original window"
-                    )
+        for block in blocks:
+            if not count:
+                check(block, first_line, (ds[0], cfg.n_min))
+            count += block.count(b"\n")
+            offset += len(block)
         if count < ck.rows:
             raise RuntimeError(f"output file {cfg.out} has {count} rows, checkpoint claims {ck.rows}")
-        return fh.tell()
+        if count:
+            last = block[block.rfind(b"\n", 0, -1) + 1 :]
+            check(last, first_line + count - 1, (ck.last_d, cfg.n_max))
+        return offset
 
 
 def scan(cfg: ScanConfig) -> ScanSummary:
@@ -244,12 +253,29 @@ def scan(cfg: ScanConfig) -> ScanSummary:
     return ScanSummary(rows_written, hfd_count, time.perf_counter() - t0)
 
 
-def _read_csv_row(line: str, lineno: int) -> tuple[int, int, bool]:
-    """A canonical CSV row's (d, n, hfd) by one match; any other row raises ScanFileError
-    naming its first field that is not in the spelling scan writes."""
+@lru_cache(maxsize=2)
+def _bad_line(fmt: str) -> Callable[[bytes], re.Match]:
+    """The search (?m)^(?!ROW\n) for the first line of a block that is not a row in fmt's
+    one spelling, ended by a bare LF; it finds the block's end if every line is one.
+
+    ROW is the spelling scan writes: a flag 0 or 1 (CSV) or false or true (JSONL), an
+    integer without +, spaces, underscores or leading zeros, JSONL keys compact and in
+    field order.  The lookahead keeps no backtracking state from one row to the next.
+    """
+    integer = rb"(?:-?[1-9][0-9]*|0)"
+    if fmt == "csv":
+        row = b",".join(rb"[01]" if name in _BOOL_FIELDS else integer for name in FIELD_NAMES)
+    else:
+        row = rb"\{%s\}" % b",".join(
+            b'"%s":%s' % (name.encode(), rb"(?:false|true)" if name in _BOOL_FIELDS else integer)
+            for name in FIELD_NAMES
+        )
+    return re.compile(rb"(?m)^(?!%s\n)" % row).search
+
+
+def _explain_csv_row(line: str, lineno: int) -> None:
+    """Raise ScanFileError naming the first field of a CSV row not in the spelling scan writes."""
     parts = line.split(",")
-    if _CANONICAL_CSV_ROW.fullmatch(line):
-        return int(parts[0]), int(parts[1]), parts[-1] == "1"
     if len(parts) != len(FIELD_NAMES):
         raise ScanFileError(f"line {lineno}: expected {len(FIELD_NAMES)} fields, got {len(parts)}")
     for name, part in zip(FIELD_NAMES, parts):
@@ -261,12 +287,11 @@ def _read_csv_row(line: str, lineno: int) -> tuple[int, int, bool]:
             raise ScanFileError(f"line {lineno}: field {name} must be 0 or 1, got {value}")
         if str(value) != part:
             raise ScanFileError(f"line {lineno}: field {name} is not in canonical form: {part!r}")
-    raise InternalConsistencyError(f"line {lineno}: no field check rejects this non-canonical row")
 
 
-def _parse_jsonl_row(line: str, lineno: int) -> tuple[int, int, bool]:
-    """A JSONL row's (d, n, hfd); a line that is not an object of scan's fields and value
-    types raises ScanFileError."""
+def _explain_jsonl_row(line: str, lineno: int) -> None:
+    """Raise ScanFileError for a JSONL row that is not an object of scan's fields and value
+    types, or is one spelled otherwise than scan writes it (spaced, or keys reordered)."""
     try:
         obj = json.loads(line)
     except json.JSONDecodeError as exc:
@@ -276,43 +301,110 @@ def _parse_jsonl_row(line: str, lineno: int) -> tuple[int, int, bool]:
     for name in FIELD_NAMES:
         if type(obj[name]) is not (bool if name in _BOOL_FIELDS else int):
             raise ScanFileError(f"line {lineno}: field {name} has wrong type")
-    return obj["d"], obj["n"], obj["hfd"]
+    if line != _to_json({name: obj[name] for name in FIELD_NAMES}):
+        raise ScanFileError(f"line {lineno}: not in the spelling scan writes")
 
 
-def _scan_lines(fh: BufferedReader) -> tuple[str | None, Callable | None, Iterator[tuple[int, str]]]:
-    """A binary scan file's format and row reader, from its first line, and its rows as
-    (line number, text), with fh left at its first row.  A line that is blank, not UTF-8
-    or not ended by the bare LF scan writes raises ScanFileError; an empty file has no
-    format and no rows."""
+def _explain_header(line: str, lineno: int) -> None:
+    raise ScanFileError(f"line {lineno}: neither the CSV header nor a JSONL object")
 
-    def rows(start: int) -> Iterator[tuple[int, str]]:
-        for lineno, raw in enumerate(fh, start):
-            try:
-                line = raw.decode()
-            except UnicodeDecodeError:
-                raise ScanFileError(f"line {lineno}: not UTF-8") from None
-            if line[-1:] != "\n" or line[-2:-1] in ("\r", ""):  # no LF, CRLF or blank
-                why = "blank line" if line == "\n" else "does not end in a bare \\n"
-                raise ScanFileError(f"line {lineno}: {why}")
-            yield lineno, line[:-1]
 
-    if fh.peek(1)[:1] == b"{":  # a JSONL file's first line is its first row
-        return "jsonl", _parse_jsonl_row, rows(1)
-    _, header = next(rows(1), (1, None))
-    if header == CSV_HEADER:
-        return "csv", _read_csv_row, rows(2)
-    if header is not None:
-        raise ScanFileError("line 1: neither the CSV header nor a JSONL object")
-    return None, None, iter(())
+def _refuse(line: bytes, lineno: int, explain_row: Callable[[str, int], None]) -> NoReturn:
+    """Raise the ScanFileError that names why a refused line is not a row, by the per-line
+    rules: UTF-8, then the bare LF scan writes, then explain_row.  A line that passes them
+    all contradicts the block search, which refused it."""
+    try:
+        text = line.decode()
+    except UnicodeDecodeError:
+        raise ScanFileError(f"line {lineno}: not UTF-8") from None
+    if text[-1:] != "\n" or text[-2:-1] in ("\r", ""):  # no LF, CRLF or blank
+        why = "blank line" if text == "\n" else "does not end in a bare \\n"
+        raise ScanFileError(f"line {lineno}: {why}")
+    explain_row(text[:-1], lineno)
+    raise InternalConsistencyError(f"line {lineno}: refused by the block search, by no line rule")
+
+
+def _line_at(block: bytes, start: int) -> bytes:
+    """The line of block that begins at start, with its LF if it has one."""
+    end = block.find(b"\n", start)
+    return block[start:] if end < 0 else block[start : end + 1]
+
+
+def _cell(row: bytes) -> tuple[int, int]:
+    """A row's (d, n), from its first two fields: `d,n,...` or `{"d":d,"n":n,...`."""
+    d, n, _ = row.split(b",", 2)
+    return int(d.rpartition(b":")[2]), int(n.rpartition(b":")[2])
+
+
+def _line_blocks(fh: BinaryIO) -> Iterator[bytes]:
+    """fh's bytes as blocks of whole lines, read _BLOCK_SIZE bytes at a time (fewer from a
+    pipe); the last block is the file's unended last line, if it has one."""
+    pending: list[bytes] = []
+    while chunk := fh.read(_BLOCK_SIZE):
+        cut = chunk.rfind(b"\n") + 1
+        if cut:
+            pending.append(chunk[:cut])
+            yield b"".join(pending)
+            pending = [chunk[cut:]]
+        else:
+            pending.append(chunk)
+    if tail := b"".join(pending):
+        yield tail
+
+
+def _scan_file(fh: BinaryIO, rows: int | None = None) -> tuple[str | None, int, Iterator[bytes]]:
+    """A binary scan file's format and header length, from its first line, and its first
+    `rows` rows (every row by default) as blocks of whole lines.
+
+    A block whose lines are all rows in the format's one spelling, each ended by a bare
+    LF, passes on one search; the first line that is not raises ScanFileError naming it,
+    by the per-line rules.  Lines past `rows` are never checked.  An empty file has no
+    format and no rows.
+    """
+    blocks = _line_blocks(fh)
+    first = next(blocks, b"")
+    if first[:1] == b"{":  # a JSONL file's first line is its first row
+        fmt, explain, head = "jsonl", _explain_jsonl_row, 0
+    elif first.startswith(CSV_HEADER.encode() + b"\n"):
+        fmt, explain, head = "csv", _explain_csv_row, len(CSV_HEADER) + 1
+    elif first:
+        _refuse(_line_at(first, 0), 1, _explain_header)
+    else:
+        return None, 0, iter(())
+
+    def checked(left: int | None) -> Iterator[bytes]:
+        bad_line = _bad_line(fmt)
+        lineno = 2 if head else 1
+        for block in chain([first[head:]], blocks):
+            if left == 0:
+                return
+            lines = block.count(b"\n")
+            if left is not None:
+                if lines > left:
+                    rest = block.split(b"\n", left)[-1]  # what follows the left-th line end
+                    block, lines = block[: len(block) - len(rest)], left
+                left -= lines
+            start = bad_line(block).start()
+            if start < len(block):
+                _refuse(_line_at(block, start), lineno + block.count(b"\n", 0, start), explain)
+            if block:
+                yield block
+            lineno += lines
+
+    return fmt, head, checked(rows)
 
 
 def report_hfd(path: str) -> HfdReport:
     """Count hfd-true rows with n > 1, with a per-d breakdown, from a scan file."""
     per_d: dict[int, int] = {}
     with open(path, "rb") as fh:
-        _, read, lines = _scan_lines(fh)
-        for lineno, line in lines:
-            d, n, hfd = read(line, lineno)
-            if hfd and n > 1:
-                per_d[d] = per_d.get(d, 0) + 1
+        fmt, _, blocks = _scan_file(fh)
+        mark = _HFD_ROW_END.get(fmt)
+        for block in blocks:
+            end = block.find(mark)
+            while end >= 0:
+                d, n = _cell(block[block.rfind(b"\n", 0, end) + 1 : end])
+                if n > 1:
+                    per_d[d] = per_d.get(d, 0) + 1
+                end = block.find(mark, end + 1)
     return HfdReport(sum(per_d.values()), per_d)

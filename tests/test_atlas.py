@@ -284,10 +284,11 @@ def test_report_rejects_malformed_rows(tmp_path):
 
 
 def test_csv_reader_never_passes_a_rejected_row(tmp_path, monkeypatch):
-    # a canonical row only the pattern rejects is a contradiction, not a row
+    # a canonical row only the block search refuses is a contradiction, not a row
     path = tmp_path / "grid.csv"
     path.write_text(CSV_HEADER + "\n2,3,8,4,4,1,1,1,1,1,1\n")
-    monkeypatch.setattr(atlas, "_CANONICAL_CSV_ROW", re.compile("(?!)"))
+    refuse_every_line = re.compile(rb"(?m)^").search
+    monkeypatch.setattr(atlas, "_bad_line", lambda fmt: refuse_every_line)
     with pytest.raises(InternalConsistencyError, match="line 2"):
         report_hfd(str(path))
 
@@ -295,7 +296,7 @@ def test_csv_reader_never_passes_a_rejected_row(tmp_path, monkeypatch):
 def test_report_rejects_malformed_jsonl(tmp_path):
     bad = tmp_path / "bad.jsonl"
     rec = classify_order(OrderSpec(2, 2))
-    good_line = json.dumps(record_to_json_obj(rec))
+    good_line = json.dumps(record_to_json_obj(rec), separators=(",", ":"))
     bad.write_text(good_line + "\n{broken\n")
     with pytest.raises(ValueError, match="line 2"):
         report_hfd(str(bad))
@@ -304,6 +305,13 @@ def test_report_rejects_malformed_jsonl(tmp_path):
     bad.write_text(json.dumps(obj) + "\n")
     with pytest.raises(ValueError, match="line 1"):
         report_hfd(str(bad))
+    # only the spelling scan writes is read: compact, keys in field order
+    reordered = dict(reversed(record_to_json_obj(rec).items()))
+    for line in (json.dumps(record_to_json_obj(rec)), json.dumps(reordered, separators=(",", ":"))):
+        bad.write_text(good_line + "\n" + line + "\n")
+        with pytest.raises(ValueError) as exc:
+            report_hfd(str(bad))
+        assert str(exc.value) == "line 2: not in the spelling scan writes"
 
 
 def test_scan_validation(tmp_path):
@@ -311,3 +319,98 @@ def test_scan_validation(tmp_path):
         scan(ScanConfig(d_min=2, d_max=4, n_max=4, out=str(tmp_path / "x"), fmt="tsv"))
     with pytest.raises(ValueError):
         scan(ScanConfig(d_min=2, d_max=4, n_max=4, out=str(tmp_path / "x"), jobs=0))
+
+
+def _outcome(path):
+    try:
+        return report_hfd(str(path))
+    except ValueError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("fmt,window", [
+    ("csv", dict(d_min=-14, d_max=14, n_max=12)),
+    ("jsonl", dict(d_min=-6, d_max=6, n_max=6)),
+])
+def test_block_size_does_not_change_the_outcome(tmp_path, monkeypatch, fmt, window):
+    # a scan crossing many block boundaries and ~200 seeded one-byte mutations of it:
+    # every block size reads each alike, and a refusal names the mutated byte's line
+    out = tmp_path / f"grid.{fmt}"
+    summary = scan(ScanConfig(out=str(out), fmt=fmt, **window))
+    data = out.read_bytes()
+    assert len(data) > 40 * 64
+    rng = random.Random(10)
+    variants = [(data, None)]
+    for _ in range(200):
+        pos = rng.randrange(len(data))
+        byte = rng.choice([b for b in range(256) if b != data[pos]])
+        variants.append((data[:pos] + bytes([byte]) + data[pos + 1 :], pos))
+    refused = 0
+    for body, pos in variants:
+        out.write_bytes(body)
+        outcomes = []
+        for size in (1, 7, 64, atlas._BLOCK_SIZE):
+            monkeypatch.setattr(atlas, "_BLOCK_SIZE", size)
+            outcomes.append(_outcome(out))
+            monkeypatch.undo()
+        assert outcomes == [outcomes[0]] * 4, pos
+        if pos is None:
+            assert outcomes[0].total == summary.hfd > 0
+        elif isinstance(outcomes[0], str):
+            refused += 1
+            line = data.count(b"\n", 0, pos) + 1
+            assert outcomes[0].startswith(f"line {line}: "), (pos, outcomes[0])
+    assert refused > 150
+
+
+def test_block_edges(tmp_path, monkeypatch):
+    path = tmp_path / "grid.csv"
+    scan(ScanConfig(d_min=2, d_max=7, n_max=9, out=str(path)))
+    data = path.read_bytes()
+    lines = data.split(b"\n")[:-1]
+    head = len(lines[0]) + 1
+    expected = report_hfd(str(path))
+
+    def read(body, block_size):
+        path.write_bytes(body)
+        monkeypatch.setattr(atlas, "_BLOCK_SIZE", block_size)
+        try:
+            return _outcome(path)
+        finally:
+            monkeypatch.undo()
+
+    # a row split across a block boundary: the first block ends inside row 1
+    assert read(data, head + 5) == expected
+    # a CRLF only on the last row of a block: the first block is the header and rows 1-3
+    first_block = b"".join(line + b"\n" for line in lines[:4])
+    crlf = first_block[:-1] + b"\r\n" + data[len(first_block) :]
+    assert read(crlf, len(first_block) + 1) == "line 4: does not end in a bare \\n"
+    # a non-UTF-8 byte in the middle of a block, past rows the block search accepted
+    row = len(b"".join(line + b"\n" for line in lines[:20]))
+    assert read(data[: row + 3] + b"\xff" + data[row + 4 :], 1 << 16) == "line 21: not UTF-8"
+    # a last line with no line end, at every block size
+    for size in (1, 7, 1 << 16):
+        assert read(data[:-1], size) == f"line {len(lines)}: does not end in a bare \\n"
+    # a file that holds only the header, and an empty file
+    assert read(data[:head], 7) == atlas.HfdReport(0, {})
+    assert read(b"", 7) == atlas.HfdReport(0, {})
+
+
+def test_resume_checks_every_checkpointed_row(tmp_path):
+    # resume reads the checkpointed rows through report's reader: a corrupt middle row
+    # refuses the resume with report's message, and the file and checkpoint stay as they were
+    out, ck = tmp_path / "grid.csv", tmp_path / "grid.csv.checkpoint"
+    scan(small_cfg(out))
+    data = bytearray(out.read_bytes())
+    pos = data.index(b"\n", len(data) // 2) - 1  # the hfd flag of a middle row
+    data[pos : pos + 1] = b"x"
+    out.write_bytes(bytes(data))
+    before, ck_before = out.read_bytes(), ck.read_bytes()
+    with pytest.raises(ValueError) as reported:
+        report_hfd(str(out))
+    with pytest.raises(ValueError) as resumed:
+        scan(small_cfg(out, d_max=13, resume=True))
+    line = data.count(b"\n", 0, pos) + 1
+    assert str(reported.value) == f"line {line}: field hfd is not an integer: 'x'"
+    assert str(resumed.value) == str(reported.value)
+    assert (out.read_bytes(), ck.read_bytes()) == (before, ck_before)

@@ -213,6 +213,42 @@ def test_report_reads_a_jsonl_scan_from_a_pipe(tmp_path):
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, b"hfd_total=1\nd=-3 hfd=1\n", b"")
 
 
+def test_report_reads_a_csv_scan_from_a_pipe_in_short_writes(tmp_path):
+    # a CSV scan past 64 KiB, written into the pipe in pieces that end mid-row:
+    # the reader's blocks are whatever the pipe hands back, cut at their last line end
+    out = tmp_path / "grid.csv"
+    atlas.scan(atlas.ScanConfig(d_min=2, d_max=17, n_max=300, out=str(out)))
+    data = out.read_bytes()
+    assert len(data) > 1 << 16
+    rep = atlas.report_hfd(str(out))
+    expected = f"hfd_total={rep.total}\n" + "".join(
+        f"d={d} hfd={k}\n" for d, k in sorted(rep.per_d.items()))
+    proc = subprocess.Popen([sys.executable, "-m", "quadorders.cli", "report", "/dev/stdin"],
+                            stdin=subprocess.PIPE, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    for start in range(0, len(data), 4099):
+        proc.stdin.write(data[start : start + 4099])
+        proc.stdin.flush()
+    proc.stdin.close()
+    stdout, stderr = proc.stdout.read(), proc.stderr.read()
+    assert (proc.wait(timeout=60), stdout.decode(), stderr) == (0, expected, b"")
+
+
+def test_resume_refuses_a_respelled_jsonl_scan(capsys, tmp_path):
+    # json.dumps's default spelling (a space after : and ,) is not the one scan writes:
+    # resume would append compact rows after spaced ones, so it refuses and changes nothing
+    out = tmp_path / "grid.jsonl"
+    argv = ("scan", "--d-min", "2", "--d-max", "3", "--n-max", "3", "--format", "jsonl",
+            "--out", str(out))
+    assert run_cli(capsys, *argv)[0] == 0
+    rows = [json.loads(line) for line in out.read_text().splitlines()]
+    out.write_text("".join(json.dumps(row) + "\n" for row in rows))
+    before, ck_before = out.read_bytes(), (tmp_path / "grid.jsonl.checkpoint").read_bytes()
+    rc, _, err = run_cli(capsys, *argv[:4], "5", *argv[5:], "--resume")
+    assert (rc, err) == (1, "error: line 1: not in the spelling scan writes\n")
+    assert out.read_bytes() == before
+    assert (tmp_path / "grid.jsonl.checkpoint").read_bytes() == ck_before
+
+
 def _scan_oracle_disagrees(monkeypatch, tmp_path):
     brute_associated = atlas.brute_associated
     monkeypatch.setattr(atlas, "brute_associated", lambda F, U, n: not brute_associated(F, U, n))
