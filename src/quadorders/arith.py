@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from functools import lru_cache
+from math import isqrt
 
 CACHE_MAXSIZE = 1 << 16  # bound of every lru_cache; holds dozens of fields' m(p^a) tables
 
@@ -40,6 +41,27 @@ def factorize(n: int) -> tuple[tuple[int, int], ...]:
     if n > 1:
         out.append((n, 1))
     return tuple(out)
+
+
+@lru_cache(maxsize=1)  # the last window only: 2 * (hi - lo + 1) ints
+def window_plan(lo: int, hi: int) -> tuple[list[int], list[int]]:
+    """For each n in [lo, hi], lo >= 2: the power q = p^a of its least prime p, and n // q.
+
+    A segmented sieve (Crandall & Pomerance, Prime Numbers, 2005, section 3.2): each power
+    of each prime up to isqrt(hi) is set on its multiples by slice, larger primes and lower
+    powers first, so the least prime's full power remains.  Callers share the lists as is.
+    """
+    root = isqrt(hi)
+    prime = bytearray([1]) * (root + 1)
+    for p in range(2, isqrt(root) + 1):
+        prime[p * p :: p] = bytes(len(range(p * p, root + 1, p)))
+    powers = list(range(lo, hi + 1))
+    for p in reversed([p for p in range(2, root + 1) if prime[p]]):
+        q = p
+        while q <= hi:
+            powers[-lo % q :: q] = [q] * len(range(-lo % q, len(powers), q))
+            q *= p
+    return powers, [n // q for n, q in zip(range(lo, hi + 1), powers)]
 
 
 @lru_cache(maxsize=CACHE_MAXSIZE)

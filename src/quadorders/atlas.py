@@ -1,16 +1,13 @@
 """Grid census: classify Z + n*O_K over rectangles of (d, n) with checkpointed output.
 
-Rows stream to CSV or JSONL in (d, n) order, one checkpoint per completed d,
-so an interrupted scan can resume and produce a byte-identical file.  Workers
-parallelise over d; each classifies its d with classify_field and renders the
-row tuples into one block, which the parent writes in submission order, so the
-output is independent of the worker count.  A ClassificationRecord is a
-NamedTuple, so the record_to_* helpers render a record and a bare row alike;
-a record is built from a row only under --verify.  report and scan --resume read
-a scan file through one reader, _scan_file, so the two accept the same files.  It
-reads 64 KiB blocks of whole lines and checks each by one regex search for a line
-that is not a row in the format's one spelling, so an accepted row costs no Python
-work of its own; only a refused line is decoded, by per-line rules that name it.
+Rows stream to CSV or JSONL in (d, n) order, one checkpoint per completed d, so an
+interrupted scan can resume and produce a byte-identical file.  Workers parallelise
+over d; each takes its d's cells from classify_field and renders them into one block
+through one row template per field, with d, D and h_maximal in place; the parent writes
+the blocks in submission order, so the output is independent of the worker count.
+report and scan --resume read a scan file through one reader, _scan_file: it checks
+64 KiB blocks of whole lines by one regex search for a line that is not a row in the
+format's one spelling, and decodes only a refused line, by per-line rules that name it.
 """
 
 from __future__ import annotations
@@ -27,6 +24,7 @@ from multiprocessing import get_context
 from typing import BinaryIO, Callable, Iterator, NoReturn
 
 from .arith import InternalConsistencyError, is_squarefree
+from .classgroup import class_number
 from .classify import ClassificationRecord, classify_field
 from .oracle import (
     OracleBoundError,
@@ -43,8 +41,9 @@ _BOOL_FIELDS = ("ideal_preserving", "locally_associated", "associated", "hfd")
 _CSV_ROW = ",".join(["%d"] * len(FIELD_NAMES))  # a bool renders as 0 or 1
 _to_json = json.JSONEncoder(separators=(",", ":")).encode
 _BLOCK_SIZE = 1 << 16  # bytes read at a time; a block is cut at its last line end
+_FLAG_WORDS = {"csv": ("0", "1"), "jsonl": ("false", "true")}  # a flag's spelling, by value
 # the end of a row whose hfd flag is set, in each format's one spelling
-_HFD_ROW_END = {"csv": b",1\n", "jsonl": b'"hfd":true}\n'}
+_HFD_ROW_END = {"csv": ",1\n", "jsonl": '"hfd":true}\n'}
 
 
 class ScanVerificationError(RuntimeError):
@@ -117,23 +116,42 @@ def oracle_verdicts(rec: ClassificationRecord) -> list[tuple[str, bool, bool | N
     return out
 
 
+def _row_template(fmt: str, d: int, D: int, h: int) -> str:
+    """One field's row template in fmt: d, D and h_maximal in place, %s for flag words."""
+    fixed = {"d": d, "D": D, "h_maximal": h}
+    values = [str(fixed.get(name, "%s" if name in _BOOL_FIELDS else "%d")) for name in FIELD_NAMES]
+    if fmt == "csv":
+        return ",".join(values)
+    return "{%s}" % ",".join(f'"{name}":{x}' for name, x in zip(FIELD_NAMES, values))
+
+
+def _verified(d: int, D: int, h: int, cells: Iterator[tuple]) -> Iterator[tuple]:
+    """cells, each n > 1 checked by the brute oracles within their bounds (--verify)."""
+    for cell in cells:
+        rec = ClassificationRecord(d, cell[0], D, *cell[1:6], h, *cell[6:])
+        for name, claimed, got in oracle_verdicts(rec) if rec.n > 1 else ():  # n = 1: no quotient
+            if got is not None and got != claimed:
+                raise ScanVerificationError(
+                    f"{name} mismatch at d={d}, n={rec.n}: closed-form {claimed}, oracle {got}"
+                )
+        yield cell
+
+
 def _scan_one_d(task: tuple[int, int, int, str, bool]) -> tuple[int, str, int, int]:
     """One d's rows as a single newline-terminated block, with its row and hfd counts."""
     d, n_min, n_max, fmt, verify = task
-    csv = fmt == "csv"
-    lines: list[str] = []
-    hfd = 0
-    for row in classify_field(d, n_min, n_max):
-        if verify and row[1] > 1:  # Z + 1*O_K has no quotient to enumerate
-            for name, claimed, got in oracle_verdicts(ClassificationRecord(*row)):
-                if got is not None and got != claimed:
-                    raise ScanVerificationError(
-                        f"{name} mismatch at d={d}, n={row[1]}: closed-form {claimed}, oracle {got}"
-                    )
-        lines.append(_CSV_ROW % row if csv else _to_json(record_to_json_obj(row)))
-        if row[-1] and row[1] > 1:  # hfd, n > 1
-            hfd += 1
-    return d, "\n".join(lines) + "\n", len(lines), hfd
+    F = make_field(d)
+    h = class_number(F, fundamental_unit(F)).h
+    cells = classify_field(d, n_min, n_max)
+    cells = _verified(d, F.D, h, cells) if verify else cells
+    template, word = _row_template(fmt, d, F.D, h), _FLAG_WORDS[fmt]
+    block = "\n".join(
+        template % (n, m, L, word[ip], word[la], word[assoc], h_order, word[hfd])
+        for n, m, L, ip, la, assoc, h_order, hfd in cells
+    ) + "\n"
+    # the hfd rows, less n = 1's, which is one when h <= 2
+    hfd = block.count(_HFD_ROW_END[fmt]) - (n_min == 1 and h <= 2)
+    return d, block, n_max - n_min + 1, hfd
 
 
 def checkpoint_path(out: str) -> str:
@@ -240,10 +258,7 @@ def scan(cfg: ScanConfig) -> ScanSummary:
             fh.write(CSV_HEADER + "\n")
             fh.flush()
         with get_context("fork").Pool(cfg.jobs) if cfg.jobs > 1 else nullcontext() as pool:
-            if pool is None:
-                results = map(_scan_one_d, tasks)
-            else:
-                results = pool.imap(_scan_one_d, tasks, chunksize=1)
+            results = pool.imap(_scan_one_d, tasks, chunksize=1) if pool else map(_scan_one_d, tasks)
             for d, block, n_rows, hfd_d in results:
                 fh.write(block)
                 fh.flush()
@@ -399,7 +414,7 @@ def report_hfd(path: str) -> HfdReport:
     per_d: dict[int, int] = {}
     with open(path, "rb") as fh:
         fmt, _, blocks = _scan_file(fh)
-        mark = _HFD_ROW_END.get(fmt)
+        mark = _HFD_ROW_END.get(fmt, "").encode()
         for block in blocks:
             end = block.find(mark)
             while end >= 0:

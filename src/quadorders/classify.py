@@ -8,10 +8,9 @@ The finite criteria used here:
   half-factorial     h <= 2, and for n > 1 additionally R associated and
                      n a prime or twice an odd prime.
 
-_record applies them once and returns a row tuple in ClassificationRecord's
-field order; a record is a NamedTuple, so it equals its row.  classify_order
-wraps the row in a record, classify_field yields the bare rows of one field
-for the scanner to render.
+classify_order, the reference, applies them to one cell through factorize,
+min_power and l_value.  classify_field, the scan's kernel, composes the cells of
+a window of n from their cofactors' cells over arith.window_plan's sieve.
 """
 
 from __future__ import annotations
@@ -21,10 +20,10 @@ from dataclasses import dataclass
 from math import lcm
 from typing import NamedTuple
 
-from .arith import InternalConsistencyError, factorize, is_prime
+from .arith import InternalConsistencyError, factorize, is_prime, window_plan
 from .classgroup import class_number
 from .pell import fundamental_unit
-from .quadfield import FieldContext, field_char, make_field
+from .quadfield import field_char, make_field
 from .unitindex import l_value, local_data, min_power
 
 
@@ -59,18 +58,6 @@ def is_ideal_preserving(spec: OrderSpec) -> bool:
     return all(field_char(spec.d, p) == -1 for p, _ in factorize(spec.n))
 
 
-def _record(
-    F: FieldContext, h: int, n: int, m: int, L: int, ip: bool, prime_shape: bool
-) -> tuple:
-    """The row of Z + n*O_K from m, L, ideal-preserving and whether n is p or 2p, p odd."""
-    if L % m:
-        raise InternalConsistencyError(f"m={m} does not divide L={L} for d={F.d}, n={n}")
-    la = m == L
-    assoc = ip and la
-    hfd = h <= 2 and (n == 1 or (assoc and prime_shape))
-    return (F.d, n, F.D, m, L, ip, la, assoc, h, h * (L // m), hfd)
-
-
 def classify_order(spec: OrderSpec) -> ClassificationRecord:
     """The record of one cell; the reference that classify_field is tested against."""
     F = make_field(spec.d)
@@ -79,33 +66,49 @@ def classify_order(spec: OrderSpec) -> ClassificationRecord:
     n = spec.n
     m = min_power(F, U, n)
     L = l_value(n, spec.d)
+    if L % m:
+        raise InternalConsistencyError(f"m={m} does not divide L={L} for d={F.d}, n={n}")
+    ip, la = is_ideal_preserving(spec), m == L
     prime_shape = is_prime(n) or (n % 4 == 2 and is_prime(n // 2))  # p or 2p, p odd
-    return ClassificationRecord(*_record(F, h, n, m, L, is_ideal_preserving(spec), prime_shape))
+    hfd = h <= 2 and (n == 1 or (ip and la and prime_shape))
+    return ClassificationRecord(spec.d, n, F.D, m, L, ip, la, ip and la, h, h * (L // m), hfd)
 
 
 def classify_field(d: int, n_min: int, n_max: int) -> Iterator[tuple]:
-    """Yield the rows of Q(sqrt(d)) for n_min <= n <= n_max, in n order.
+    """Yield the cells (n, m, L, ip, la, assoc, h_order, hfd) of Q(sqrt(d)), its rows less
+    d, D and h_maximal, for n_min <= n <= n_max in n order; n_min < 1 raises ValueError.
 
-    Each cell is composed from its factorization n = prod p^a and a table of
-    (m(p^a), L(p^a), p inert) kept for this call: m by lcm, L by product,
-    ideal-preserving by AND.  An n_min < 1 raises factorize's ValueError.
+    With n = q * r from arith.window_plan, q = p^a for the least prime p of n, a cell is
+    m = lcm(m[r], m(q)), L = L[r] * L(q), ip = ip[r] and p inert: r's from its cell, or
+    from factorize(r) below the window, q's from a table kept for this call.
     """
+    if n_min < 1:
+        raise ValueError(f"n_min must be >= 1, got {n_min}")
     F = make_field(d)
     U = fundamental_unit(F)
     h = class_number(F, U).h
-    table: dict[tuple[int, int], tuple[int, int, bool]] = {}
-    for n in range(n_min, n_max + 1):
-        fac = factorize(n)
-        m, L, ip = 1, 1, True
-        for pa in fac:
-            entry = table.get(pa)
-            if entry is None:
-                entry = table[pa] = local_data(F, U, *pa)
-            m = lcm(m, entry[0])
-            L *= entry[1]
-            ip = ip and entry[2]
-        # n is p, or 2p with p odd
-        prime_shape = (len(fac) == 1 and fac[0][1] == 1) or (
-            len(fac) == 2 and fac[0] == (2, 1) and fac[1][1] == 1
-        )
-        yield _record(F, h, n, m, L, ip, prime_shape)
+    table: dict[int, tuple[int, int, bool]] = {}
+
+    def local(q: int) -> tuple[int, int, bool]:  # (m(q), L(q), p inert) on a table miss
+        return table.setdefault(q, local_data(F, U, *factorize(q)[0]))
+
+    if n_min == 1 <= n_max:
+        yield 1, 1, 1, True, True, True, h, h <= 2
+    lo = max(n_min, 2)
+    powers, cofactors = window_plan(lo, n_max) if lo <= n_max else ((), ())
+    ms, Ls, ips = [0] * len(powers), [0] * len(powers), [False] * len(powers)  # by n - lo
+    for i, (n, q, r) in enumerate(zip(range(lo, n_max + 1), powers, cofactors)):
+        m, L, ip = table.get(q) or local(q)
+        if r >= lo:
+            m, L, ip = lcm(ms[r - lo], m), Ls[r - lo] * L, ip and ips[r - lo]
+        elif r > 1:
+            for p, a in factorize(r):
+                mr, Lr, ipr = table.get(p**a) or local(p**a)
+                m, L, ip = lcm(m, mr), L * Lr, ip and ipr
+        if L % m:
+            raise InternalConsistencyError(f"m={m} does not divide L={L} for d={d}, n={n}")
+        ms[i], Ls[i], ips[i] = m, L, ip
+        assoc = ip and m == L
+        # half-factorial: n is p, or 2p with p odd (r is then odd)
+        hfd = assoc and h <= 2 and (is_prime(n) or (q == 2 and is_prime(r)))
+        yield n, m, L, ip, m == L, assoc, h * (L // m), hfd

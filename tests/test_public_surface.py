@@ -42,6 +42,7 @@ CACHED = [
     ("pell", "fundamental_unit"),
     ("classgroup", "class_number"),
     ("unitindex", "min_power_prime_power"),
+    ("arith", "window_plan"),  # the scan's one window, shared by its fields
 ]
 
 
