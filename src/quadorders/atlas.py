@@ -40,7 +40,7 @@ CSV_HEADER = ",".join(FIELD_NAMES)
 _BOOL_FIELDS = ("ideal_preserving", "locally_associated", "associated", "hfd")
 _CSV_ROW = ",".join(["%d"] * len(FIELD_NAMES))  # a bool renders as 0 or 1
 _to_json = json.JSONEncoder(separators=(",", ":")).encode
-_BLOCK_SIZE = 1 << 16  # bytes read at a time; a block is cut at its last line end
+_BLOCK_SIZE = 1 << 16  # bytes read at a time; a block runs on to its next line end
 _FLAG_WORDS = {"csv": ("0", "1"), "jsonl": ("false", "true")}  # a flag's spelling, by value
 # the end of a row whose hfd flag is set, in each format's one spelling
 _HFD_ROW_END = {"csv": ",1\n", "jsonl": '"hfd":true}\n'}
@@ -149,8 +149,8 @@ def _scan_one_d(task: tuple[int, int, int, str, bool]) -> tuple[int, str, int, i
         template % (n, m, L, word[ip], word[la], word[assoc], h_order, word[hfd])
         for n, m, L, ip, la, assoc, h_order, hfd in cells
     ) + "\n"
-    # the hfd rows, less n = 1's, which is one when h <= 2
-    hfd = block.count(_HFD_ROW_END[fmt]) - (n_min == 1 and h <= 2)
+    # the hfd rows past the n = 1 row, which is not counted
+    hfd = block.count(_HFD_ROW_END[fmt], block.index("\n") + 1 if n_min == 1 else 0)
     return d, block, n_max - n_min + 1, hfd
 
 
@@ -352,19 +352,11 @@ def _cell(row: bytes) -> tuple[int, int]:
 
 
 def _line_blocks(fh: BinaryIO) -> Iterator[bytes]:
-    """fh's bytes as blocks of whole lines, read _BLOCK_SIZE bytes at a time (fewer from a
-    pipe); the last block is the file's unended last line, if it has one."""
-    pending: list[bytes] = []
-    while chunk := fh.read(_BLOCK_SIZE):
-        cut = chunk.rfind(b"\n") + 1
-        if cut:
-            pending.append(chunk[:cut])
-            yield b"".join(pending)
-            pending = [chunk[cut:]]
-        else:
-            pending.append(chunk)
-    if tail := b"".join(pending):
-        yield tail
+    """fh's bytes as blocks of whole lines: _BLOCK_SIZE bytes at a time (fewer from a pipe),
+    completed to the next line end; the last block ends with the file's unended last line,
+    if it has one."""
+    while block := fh.read(_BLOCK_SIZE):
+        yield block + fh.readline()
 
 
 def _scan_file(fh: BinaryIO, rows: int | None = None) -> tuple[str | None, int, Iterator[bytes]]:

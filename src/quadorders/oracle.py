@@ -1,13 +1,16 @@
 """Brute-force verification of the order properties inside finite quotients.
 
 Everything here works by direct enumeration of residue pairs in O_K/(M) and is
-deliberately independent of the closed-form criteria: local associativity and
-associativity are decided by generating the unit subgroup (Z/M)^* * <u> element
-by element, ideal preservation by scanning for witnesses x in R with x in P
-but not in P' (or P^2).  An element is a unit of O_K/(M) iff its norm is prime
-to M.  Moduli are capped (default 200) since the scans are quadratic.  Only
-ring arithmetic is shared with the fast path (qi_mul, qi_norm, the roots of
-omega's minimal polynomial), never m, L or the field character (D/p).
+deliberately independent of the closed-form criteria.  An element is a unit of
+O_K/(M) iff its norm is prime to M; _units enumerates them once for the unit
+count and for local associativity.  Local associativity and associativity are
+decided by generating (Z/M)^* * <u>, resp. (Z/M) * <u>, element by element.
+Ideal preservation is one witness scan, run per test: x in the image of R with
+x in P but not in an excluded ideal (P^2, or another prime P'), whose image in
+O_K/(M) is the additive closure of its generators.  Moduli are capped (default
+200) since the scans are quadratic.  Only ring arithmetic is shared with the
+fast path (qi_mul, qi_norm, the roots of omega's minimal polynomial), never m,
+L or the field character (D/p).
 """
 
 from __future__ import annotations
@@ -32,45 +35,27 @@ def _check_modulus(M: int, bound: int) -> None:
         raise OracleBoundError(f"modulus {M} exceeds enumeration bound {bound}")
 
 
-class QuotientRing:
-    """O_K/(M) as explicit coordinate pairs (a, b) with 0 <= a, b < M."""
-
-    def __init__(self, F: FieldContext, M: int, bound: int = DEFAULT_ENUM_BOUND):
-        _check_modulus(M, bound)
-        self.F = F
-        self.M = M
-        self.elements = [(a, b) for a in range(M) for b in range(M)]
-
-    def mul(self, x: QI, y: QI) -> QI:
-        return qi_mul(self.F, x, y, self.M)
-
-    def is_unit(self, x: QI) -> bool:
-        return gcd(qi_norm(self.F, x), self.M) == 1
-
-    def units(self) -> set[tuple[int, int]]:
-        return {x for x in self.elements if self.is_unit(x)}
+def _units(F: FieldContext, M: int, bound: int) -> set[QI]:
+    """The units of O_K/(M) as coordinate pairs (a, b) with 0 <= a, b < M."""
+    _check_modulus(M, bound)
+    return {(a, b) for a in range(M) for b in range(M) if gcd(qi_norm(F, (a, b)), M) == 1}
 
 
 def quotient_unit_count(F: FieldContext, M: int, bound: int = DEFAULT_ENUM_BOUND) -> int:
     """|U(O_K/(M))| by enumeration."""
-    return len(QuotientRing(F, M, bound).units())
+    return len(_units(F, M, bound))
 
 
-def _unit_cosets(
-    Q: QuotientRing, U: FundamentalUnit, multipliers: list[tuple[int, int]]
-) -> set[tuple[int, int]]:
-    """Union of the sets multipliers * u^k for k >= 0, closed when u^k turns rational."""
-    n = Q.M
+def _unit_cosets(F: FieldContext, U: FundamentalUnit, n: int, multipliers: list[QI]) -> set[QI]:
+    """Union of the sets multipliers * u^k mod n for k >= 0, closed when u^k turns rational."""
     u = (U.u[0] % n, U.u[1] % n)
-    covered: set[tuple[int, int]] = set()
+    covered: set[QI] = set()
     w = (1 % n, 0)
     for _ in range(n * n + 1):
-        for z in multipliers:
-            covered.add(Q.mul(z, w))
-        w = Q.mul(w, u)
+        covered.update(qi_mul(F, z, w, n) for z in multipliers)
+        w = qi_mul(F, w, u, n)
         if w[1] == 0:
-            for z in multipliers:
-                covered.add(Q.mul(z, w))
+            covered.update(qi_mul(F, z, w, n) for z in multipliers)
             return covered
     raise RuntimeError(f"powers of the unit mod {n} never re-entered Z")
 
@@ -79,35 +64,29 @@ def brute_locally_associated(
     F: FieldContext, U: FundamentalUnit, n: int, bound: int = DEFAULT_ENUM_BOUND
 ) -> bool:
     """True iff every unit of O_K/(n) is a rational unit times a power of u."""
-    Q = QuotientRing(F, n, bound)
-    rational_units = [(z, 0) for z in range(n) if gcd(z, n) == 1]
-    return _unit_cosets(Q, U, rational_units) == Q.units()
+    units = _units(F, n, bound)
+    return _unit_cosets(F, U, n, [(z, 0) for z in range(n) if gcd(z, n) == 1]) == units
 
 
 def brute_associated(
     F: FieldContext, U: FundamentalUnit, n: int, bound: int = DEFAULT_ENUM_BOUND
 ) -> bool:
     """True iff every element of O_K/(n) is a rational integer times a power of u."""
-    Q = QuotientRing(F, n, bound)
-    everything = [(z, 0) for z in range(n)]
-    return len(_unit_cosets(Q, U, everything)) == n * n
+    _check_modulus(n, bound)
+    return len(_unit_cosets(F, U, n, [(z, 0) for z in range(n)])) == n * n
 
 
 def _ideal_image_mod(F: FieldContext, gens: list[QI], M: int) -> set[QI]:
-    """Image in O_K/(M) of the O_K-ideal generated by gens, as an additive closure."""
-    vecs = []
-    for g in gens:
-        vecs.append((g[0] % M, g[1] % M))
-        vecs.append(qi_mul(F, g, (0, 1), M))
+    """Image in O_K/(M) of the O_K-ideal generated by gens: the additive group spanned by
+    each g and g*omega, grown by one vector v at a time as the cosets span + k*v."""
     span = {(0, 0)}
-    frontier = [(0, 0)]
-    while frontier:
-        x = frontier.pop()
-        for v in vecs:
-            y = ((x[0] + v[0]) % M, (x[1] + v[1]) % M)
-            if y not in span:
-                span.add(y)
-                frontier.append(y)
+    for g in gens:
+        for a, b in ((g[0] % M, g[1] % M), qi_mul(F, g, (0, 1), M)):
+            grown, x = set(span), (a, b)
+            while x not in span:
+                grown.update([((s + x[0]) % M, (t + x[1]) % M) for s, t in span])
+                x = ((x[0] + a) % M, (x[1] + b) % M)
+            span = grown
     return span
 
 
@@ -119,6 +98,11 @@ def _prime_ideals_above(F: FieldContext, n: int) -> list[tuple[int, int | None]]
     return out
 
 
+def _prime_gens(p: int, r: int | None) -> list[QI]:
+    """Generators of P = (p) when inert (r None), else of P = (p, omega - r)."""
+    return [(p, 0)] if r is None else [(p, 0), (-r, 1)]
+
+
 def _in_prime(p: int, r: int | None, A: int, B: int) -> bool:
     # P = (p) when inert, else P = (p, omega - r); membership is a mod-p condition.
     if r is None:
@@ -126,12 +110,14 @@ def _in_prime(p: int, r: int | None, A: int, B: int) -> bool:
     return (A + B * r) % p == 0
 
 
-def _witness_exists(n: int, M: int, good, bad) -> bool:
-    """Scan the image of R = Z + n*O_K in O_K/(M) for x with good(x) and not bad(x)."""
+def _witness_exists(n: int, M: int, P: tuple[int, int | None], excluded: set[QI]) -> bool:
+    """Scan the image of R = Z + n*O_K in O_K/(M) for x in P outside the excluded ideal,
+    given by its image in O_K/(M) (the ideal contains M)."""
+    p, r = P
     step = gcd(n, M)
     for A in range(M):
         for B in range(0, M, step):
-            if good(A, B) and not bad(A, B):
+            if _in_prime(p, r, A, B) and (A, B) not in excluded:
                 return True
     return False
 
@@ -141,8 +127,8 @@ def brute_ideal_preserving(F: FieldContext, n: int, bound: int = DEFAULT_ENUM_BO
 
     R is ideal-preserving iff for every prime ideal P over a divisor of n,
     R meets P outside P^2, and for every ordered pair of distinct primes
-    P != P', R meets P outside P'.  Scans run mod p^2 for the P/P^2 and
-    same-p tests and mod p*p' across different rational primes.
+    P != P', R meets P outside P'.  Scans run mod p^2 for the P/P^2 test and
+    mod p*p' for the pair test (p^2 when both lie over p).
     """
     if n < 1:
         raise ValueError(f"order index must be >= 1, got {n}")
@@ -150,34 +136,16 @@ def brute_ideal_preserving(F: FieldContext, n: int, bound: int = DEFAULT_ENUM_BO
     for p, r in primes:
         M = p * p
         _check_modulus(M, bound)
-        if r is None:
-            def in_p2(A: int, B: int, q: int = M) -> bool:
-                return A % q == 0 and B % q == 0
-        else:
-            span = _ideal_image_mod(
-                F,
-                [(p * p, 0), (-p * r, p), qi_mul(F, (-r, 1), (-r, 1))],
-                M,
-            )
-
-            def in_p2(A: int, B: int, s=frozenset(span), q: int = M) -> bool:
-                return (A % q, B % q) in s
-
-        if not _witness_exists(
-            n, M, lambda A, B, p=p, r=r: _in_prime(p, r, A, B), in_p2
-        ):
+        gens = _prime_gens(p, r)  # P^2 is generated by the products of P's generators
+        square = _ideal_image_mod(F, [qi_mul(F, g, h) for g in gens for h in gens], M)
+        if not _witness_exists(n, M, (p, r), square):
             return False
-    for p1, r1 in primes:
-        for p2, r2 in primes:
-            if (p1, r1) == (p2, r2):
+    for P in primes:
+        for P2 in primes:
+            if P == P2:
                 continue
-            M = p1 * p1 if p1 == p2 else p1 * p2
+            M = P[0] * P2[0]
             _check_modulus(M, bound)
-            if not _witness_exists(
-                n,
-                M,
-                lambda A, B, p=p1, r=r1: _in_prime(p, r, A, B),
-                lambda A, B, p=p2, r=r2: _in_prime(p, r, A, B),
-            ):
+            if not _witness_exists(n, M, P, _ideal_image_mod(F, _prime_gens(*P2), M)):
                 return False
     return True

@@ -215,7 +215,7 @@ def test_report_reads_a_jsonl_scan_from_a_pipe(tmp_path):
 
 def test_report_reads_a_csv_scan_from_a_pipe_in_short_writes(tmp_path):
     # a CSV scan past 64 KiB, written into the pipe in pieces that end mid-row:
-    # the reader's blocks are whatever the pipe hands back, cut at their last line end
+    # the reader's blocks are whatever the pipe hands back, run on to the next line end
     out = tmp_path / "grid.csv"
     atlas.scan(atlas.ScanConfig(d_min=2, d_max=17, n_max=300, out=str(out)))
     data = out.read_bytes()
