@@ -20,10 +20,11 @@ from contextlib import nullcontext
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain
+from math import isqrt
 from multiprocessing import get_context
 from typing import BinaryIO, Callable, Iterator, NoReturn
 
-from .arith import InternalConsistencyError, is_squarefree
+from .arith import InternalConsistencyError
 from .classgroup import class_number
 from .classify import ClassificationRecord, classify_field
 from .oracle import (
@@ -176,11 +177,12 @@ def read_checkpoint(path: str) -> Checkpoint:
 
 
 def _squarefree_range(d_min: int, d_max: int) -> list[int]:
-    return [
-        d
-        for d in range(d_min, d_max + 1)
-        if d not in (0, 1) and is_squarefree(d)
-    ]
+    """The squarefree d in [d_min, d_max] other than 0 and 1, by a sieve on the p^2 multiples."""
+    keep = bytearray([1]) * (d_max - d_min + 1)
+    for p in range(2, isqrt(max(-d_min, d_max, 0)) + 1):  # p^2 <= the window's largest |d|
+        q = p * p
+        keep[-d_min % q :: q] = bytes(len(range(-d_min % q, len(keep), q)))
+    return [d for d, k in zip(range(d_min, d_max + 1), keep) if k and d not in (0, 1)]
 
 
 def _resume_offset(cfg: ScanConfig, ds: list[int], ck: Checkpoint) -> int:

@@ -6,6 +6,14 @@ b >= 0 on the boundary), so h is a direct count.  For D > 0 the reduced forms
 (0 < b < sqrt(D), sqrt(D) - b < 2|a| < sqrt(D) + b) fall into disjoint cycles
 under the reduction step rho, one cycle per narrow class; h equals the narrow
 count when the fundamental unit has norm -1 and half of it otherwise.
+
+Both enumerations run over b >= 0, then over the divisor pairs a*c = N with
+N = |b^2 - D|/4 (Cohen, A Course in Computational Algebraic Number Theory, 1993,
+section 5.3).  For D < 0, a runs over [b, sqrt(N)], so a <= c, and (a, -b, c) is
+added when 0 < b < a < c.  For D > 0 the bounds on |a| and |c| are the same and
+|a|*|c| = N, so the smaller of each pair runs over ((sqrt(D) - b)/2, sqrt(N)] and
+gives four forms.  Either way about 0.07*|D| candidates are tried, where a box
+over a and b tries |D|/3 (D < 0) or D/4 (D > 0).
 """
 
 from __future__ import annotations
@@ -38,21 +46,14 @@ def reduced_forms_negative(D: int) -> list[Form]:
     if D >= 0:
         raise ValueError(f"reduced_forms_negative requires D < 0, got {D}")
     forms: list[Form] = []
-    for a in range(1, isqrt(-D // 3) + 1):
-        for b in range(-a, a + 1):
-            if (b - D) % 2:
-                continue
-            num = b * b - D
-            if num % (4 * a):
-                continue
-            c = num // (4 * a)
-            if c < a:
-                continue
-            if b < 0 and (-b == a or a == c):
-                continue
-            if gcd(gcd(a, abs(b)), c) != 1:
-                continue
-            forms.append((a, b, c))
+    for b in range(D % 2, isqrt(-D // 3) + 1, 2):
+        N = (b * b - D) // 4
+        for a in [a for a in range(max(b, 1), isqrt(N) + 1) if not N % a]:
+            c = N // a
+            if gcd(a, b, c) == 1:
+                forms.append((a, b, c))
+                if 0 < b < a < c:
+                    forms.append((a, -b, c))
     forms.sort()
     return forms
 
@@ -64,17 +65,12 @@ def reduced_forms_indefinite(D: int) -> set[Form]:
     if D <= 0 or s * s == D:
         raise ValueError(f"reduced_forms_indefinite requires nonsquare D > 0, got {D}")
     forms: set[Form] = set()
-    for b in range(1, s + 1):
-        if (b - D) % 2:
-            continue
-        num = b * b - D
-        for abs_a in range(max((s - b + 2) // 2, 1), (s + b) // 2 + 1):
-            if num % (4 * abs_a):
-                continue
-            for a in (abs_a, -abs_a):
-                c = num // (4 * a)
-                if gcd(gcd(abs(a), b), abs(c)) == 1:
-                    forms.add((a, b, c))
+    for b in range(2 - D % 2, s + 1, 2):
+        N = (D - b * b) // 4
+        for x in [x for x in range((s - b) // 2 + 1, isqrt(N) + 1) if not N % x]:
+            y = N // x
+            if gcd(x, b, y) == 1:
+                forms.update(((x, b, -y), (-x, b, y), (y, b, -x), (-y, b, x)))
     return forms
 
 

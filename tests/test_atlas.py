@@ -206,6 +206,24 @@ def test_empty_window_writes_nothing(tmp_path):
     assert summary.records == 0 and not out.exists()
 
 
+@pytest.mark.parametrize(
+    "d_min, d_max",
+    [
+        (-16000, 16000),
+        (-5, 5),
+        (0, 1),
+        (-1, -1),
+        (5, 3),
+        (3, -5),
+        (10**9, 10**9 + 50),
+        (-(10**6) - 30, -(10**6)),
+    ],
+)
+def test_squarefree_range_is_the_squarefree_filter(d_min, d_max):
+    expected = [d for d in range(d_min, d_max + 1) if d not in (0, 1) and is_squarefree(d)]
+    assert atlas._squarefree_range(d_min, d_max) == expected
+
+
 def test_verify_mode_small_window(tmp_path):
     out = tmp_path / "v.csv"
     summary = scan(ScanConfig(d_min=-6, d_max=6, n_max=8, out=str(out), verify=True))

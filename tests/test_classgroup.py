@@ -1,3 +1,4 @@
+import random
 from math import gcd, isqrt
 
 import pytest
@@ -42,6 +43,46 @@ def count_reduced_definite_by_box_scan(D):
                     continue
                 count += 1
     return count
+
+
+def reference_forms_negative(D):
+    """The a-major box over b in [-a, a] that reduced_forms_negative replaced."""
+    forms = []
+    for a in range(1, isqrt(-D // 3) + 1):
+        for b in range(-a, a + 1):
+            if (b - D) % 2:
+                continue
+            num = b * b - D
+            if num % (4 * a):
+                continue
+            c = num // (4 * a)
+            if c < a:
+                continue
+            if b < 0 and (-b == a or a == c):
+                continue
+            if gcd(gcd(a, abs(b)), c) != 1:
+                continue
+            forms.append((a, b, c))
+    forms.sort()
+    return forms
+
+
+def reference_forms_indefinite(D):
+    """The width-b scan over |a| that reduced_forms_indefinite replaced."""
+    s = isqrt(D)
+    forms = set()
+    for b in range(1, s + 1):
+        if (b - D) % 2:
+            continue
+        num = b * b - D
+        for abs_a in range(max((s - b + 2) // 2, 1), (s + b) // 2 + 1):
+            if num % (4 * abs_a):
+                continue
+            for a in (abs_a, -abs_a):
+                c = num // (4 * a)
+                if gcd(gcd(abs(a), b), abs(c)) == 1:
+                    forms.add((a, b, c))
+    return forms
 
 
 def equivalence_components(D, forms):
@@ -91,6 +132,30 @@ def test_definite_matches_box_scan():
     for D in fundamental_discriminants(400):
         if D < 0:
             assert len(reduced_forms_negative(D)) == count_reduced_definite_by_box_scan(D)
+
+
+def assert_same_forms_as_reference(D):
+    if D < 0:
+        assert reduced_forms_negative(D) == reference_forms_negative(D), D
+    else:
+        assert reduced_forms_indefinite(D) == reference_forms_indefinite(D), D
+
+
+def test_forms_match_reference_up_to_3000():
+    for D in fundamental_discriminants(3000):
+        assert_same_forms_as_reference(D)
+
+
+def test_forms_match_reference_on_random_discriminants():
+    # |d| < 16000, so |D| < 64000
+    rng = random.Random(13)
+    sample = set()
+    while len(sample) < 300:
+        d = rng.randrange(-16000, 16000)
+        if d not in (0, 1) and is_squarefree(d):
+            sample.add(d if d % 4 == 1 else 4 * d)
+    for D in sorted(sample):
+        assert_same_forms_as_reference(D)
 
 
 def test_definite_forms_are_pairwise_inequivalent():
