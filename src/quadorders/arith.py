@@ -16,28 +16,20 @@ class InternalConsistencyError(RuntimeError):
 def factorize(n: int) -> tuple[tuple[int, int], ...]:
     """Prime factorization of n >= 1 as ascending (prime, exponent) pairs; () for n = 1.
 
-    Trial division over the 6k+-1 wheel; fine for the desk-scale n used here.
+    Trial division by 2 and then the odd numbers; fine for the desk-scale n used here.
     """
     if n < 1:
         raise ValueError(f"factorize requires n >= 1, got {n}")
     out: list[tuple[int, int]] = []
-    for p in (2, 3):
+    p = 2
+    while p * p <= n:
         if n % p == 0:
             e = 0
             while n % p == 0:
                 n //= p
                 e += 1
             out.append((p, e))
-    f = 5
-    while f * f <= n:
-        for p in (f, f + 2):
-            if n % p == 0:
-                e = 0
-                while n % p == 0:
-                    n //= p
-                    e += 1
-                out.append((p, e))
-        f += 6
+        p += 1 if p == 2 else 2
     if n > 1:
         out.append((n, 1))
     return tuple(out)

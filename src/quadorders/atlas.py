@@ -6,8 +6,8 @@ over d; each takes its d's cells from classify_field and renders them into one b
 through one row template per field, with d, D and h_maximal in place; the parent writes
 the blocks in submission order, so the output is independent of the worker count.
 report and scan --resume read a scan file through one reader, _scan_file: it checks
-64 KiB blocks of whole lines by one regex search for a line that is not a row in the
-format's one spelling, and decodes only a refused line, by per-line rules that name it.
+64 KiB blocks of whole lines by one regex search, built from the writer's row template,
+for a line not in that one spelling, and decodes only a refused line, to name it.
 """
 
 from __future__ import annotations
@@ -39,12 +39,23 @@ from .quadfield import make_field
 FIELD_NAMES = ClassificationRecord._fields
 CSV_HEADER = ",".join(FIELD_NAMES)
 _BOOL_FIELDS = ("ideal_preserving", "locally_associated", "associated", "hfd")
-_CSV_ROW = ",".join(["%d"] * len(FIELD_NAMES))  # a bool renders as 0 or 1
 _to_json = json.JSONEncoder(separators=(",", ":")).encode
 _BLOCK_SIZE = 1 << 16  # bytes read at a time; a block runs on to its next line end
 _FLAG_WORDS = {"csv": ("0", "1"), "jsonl": ("false", "true")}  # a flag's spelling, by value
-# the end of a row whose hfd flag is set, in each format's one spelling
-_HFD_ROW_END = {"csv": ",1\n", "jsonl": '"hfd":true}\n'}
+
+
+def _row_template(fmt: str, **fixed: int) -> str:
+    """The row spelling of fmt as a template: the fixed fields in place, %d for each other
+    integer and %s for each other flag's word.  Field order, separators and keys are here."""
+    values = [str(fixed.get(name, "%s" if name in _BOOL_FIELDS else "%d")) for name in FIELD_NAMES]
+    if fmt == "csv":
+        return ",".join(values)
+    return "{%s}" % ",".join(f'"{name}":{x}' for name, x in zip(FIELD_NAMES, values))
+
+
+_CSV_ROW = _row_template("csv").replace("%s", "%d")  # a bool renders as 0 or 1
+# the end of a row whose hfd flag, the last field, is set: the template past its last integer
+_HFD_ROW_END = {f: _row_template(f).rpartition("%d")[2] % w[1] + "\n" for f, w in _FLAG_WORDS.items()}
 
 
 class ScanVerificationError(RuntimeError):
@@ -99,8 +110,8 @@ def record_to_json_obj(rec: tuple) -> dict:
 
 
 def oracle_verdicts(rec: ClassificationRecord) -> list[tuple[str, bool, bool | None]]:
-    """(flag, closed-form value, oracle value) for each brute oracle on rec's cell;
-    the oracle value is None where the cell lies past that oracle's enumeration bound."""
+    """(flag, closed-form value, oracle value) for each brute oracle on rec's cell; the oracle
+    value is None outside its range: n = 1 (O_K, no quotient) or past its enumeration bound."""
     F, n = make_field(rec.d), rec.n
     U = fundamental_unit(F)
     oracles = (
@@ -111,26 +122,17 @@ def oracle_verdicts(rec: ClassificationRecord) -> list[tuple[str, bool, bool | N
     out: list[tuple[str, bool, bool | None]] = []
     for name, claimed, run in oracles:
         try:
-            out.append((name, claimed, run()))
+            out.append((name, claimed, run() if n > 1 else None))
         except OracleBoundError:
             out.append((name, claimed, None))
     return out
-
-
-def _row_template(fmt: str, d: int, D: int, h: int) -> str:
-    """One field's row template in fmt: d, D and h_maximal in place, %s for flag words."""
-    fixed = {"d": d, "D": D, "h_maximal": h}
-    values = [str(fixed.get(name, "%s" if name in _BOOL_FIELDS else "%d")) for name in FIELD_NAMES]
-    if fmt == "csv":
-        return ",".join(values)
-    return "{%s}" % ",".join(f'"{name}":{x}' for name, x in zip(FIELD_NAMES, values))
 
 
 def _verified(d: int, D: int, h: int, cells: Iterator[tuple]) -> Iterator[tuple]:
     """cells, each n > 1 checked by the brute oracles within their bounds (--verify)."""
     for cell in cells:
         rec = ClassificationRecord(d, cell[0], D, *cell[1:6], h, *cell[6:])
-        for name, claimed, got in oracle_verdicts(rec) if rec.n > 1 else ():  # n = 1: no quotient
+        for name, claimed, got in oracle_verdicts(rec):
             if got is not None and got != claimed:
                 raise ScanVerificationError(
                     f"{name} mismatch at d={d}, n={rec.n}: closed-form {claimed}, oracle {got}"
@@ -145,7 +147,7 @@ def _scan_one_d(task: tuple[int, int, int, str, bool]) -> tuple[int, str, int, i
     h = class_number(F, fundamental_unit(F)).h
     cells = classify_field(d, n_min, n_max)
     cells = _verified(d, F.D, h, cells) if verify else cells
-    template, word = _row_template(fmt, d, F.D, h), _FLAG_WORDS[fmt]
+    template, word = _row_template(fmt, d=d, D=F.D, h_maximal=h), _FLAG_WORDS[fmt]
     block = "\n".join(
         template % (n, m, L, word[ip], word[la], word[assoc], h_order, word[hfd])
         for n, m, L, ip, la, assoc, h_order, hfd in cells
@@ -255,11 +257,12 @@ def scan(cfg: ScanConfig) -> ScanSummary:
         os.remove(ck_path)
 
     tasks = [(d, cfg.n_min, cfg.n_max, cfg.fmt, cfg.verify) for d in ds]
+    jobs = min(cfg.jobs, len(ds))  # a worker past one per field would never get a task
     with open(cfg.out, mode, newline="") as fh:
         if mode == "w" and cfg.fmt == "csv":
             fh.write(CSV_HEADER + "\n")
             fh.flush()
-        with get_context("fork").Pool(cfg.jobs) if cfg.jobs > 1 else nullcontext() as pool:
+        with get_context("fork").Pool(jobs) if jobs > 1 else nullcontext() as pool:
             results = pool.imap(_scan_one_d, tasks, chunksize=1) if pool else map(_scan_one_d, tasks)
             for d, block, n_rows, hfd_d in results:
                 fh.write(block)
@@ -275,19 +278,13 @@ def _bad_line(fmt: str) -> Callable[[bytes], re.Match]:
     """The search (?m)^(?!ROW\n) for the first line of a block that is not a row in fmt's
     one spelling, ended by a bare LF; it finds the block's end if every line is one.
 
-    ROW is the spelling scan writes: a flag 0 or 1 (CSV) or false or true (JSONL), an
-    integer without +, spaces, underscores or leading zeros, JSONL keys compact and in
-    field order.  The lookahead keeps no backtracking state from one row to the next.
+    ROW is the row template scan fills, escaped, with each %s a flag word of fmt and
+    each %d an integer without +, spaces, underscores or leading zeros.  The lookahead
+    keeps no backtracking state from one row to the next.
     """
-    integer = rb"(?:-?[1-9][0-9]*|0)"
-    if fmt == "csv":
-        row = b",".join(rb"[01]" if name in _BOOL_FIELDS else integer for name in FIELD_NAMES)
-    else:
-        row = rb"\{%s\}" % b",".join(
-            b'"%s":%s' % (name.encode(), rb"(?:false|true)" if name in _BOOL_FIELDS else integer)
-            for name in FIELD_NAMES
-        )
-    return re.compile(rb"(?m)^(?!%s\n)" % row).search
+    row = re.escape(_row_template(fmt)).replace("%d", r"(?:-?[1-9][0-9]*|0)")
+    row = row.replace("%s", "(?:%s)" % "|".join(_FLAG_WORDS[fmt]))
+    return re.compile(rb"(?m)^(?!%s\n)" % row.encode()).search
 
 
 def _explain_csv_row(line: str, lineno: int) -> None:

@@ -12,11 +12,10 @@ import sys
 from dataclasses import fields
 from math import log10
 
-from .atlas import (ScanConfig, ScanFileError, _to_json, oracle_verdicts, record_to_json_obj,
-                    report_hfd, scan)
+from .atlas import (_FLAG_WORDS, ScanConfig, ScanFileError, _to_json, oracle_verdicts,
+                    record_to_json_obj, report_hfd, scan)
 from .classgroup import class_number
 from .classify import OrderSpec, classify_order
-from .oracle import OracleBoundError
 from .pell import FundamentalUnit, fundamental_unit, verify_unit
 from .quadfield import FieldContext, make_field, unit_xy
 from .unitindex import l_value
@@ -50,10 +49,6 @@ def format_unit(F: FieldContext, U: FundamentalUnit) -> str:
     if F.half:
         return f"({_sqrt_expr(x, y, F.d)})/2"
     return _sqrt_expr(x // 2, y, F.d)
-
-
-def _bool_word(v: bool) -> str:
-    return "true" if v else "false"
 
 
 def cmd_classify(args: argparse.Namespace) -> int:
@@ -100,16 +95,17 @@ def cmd_verify(args: argparse.Namespace) -> int:
     verdicts = oracle_verdicts(rec)
     skipped = [name for name, _, got in verdicts if got is None]
     if skipped:
-        raise OracleBoundError(
-            f"n={rec.n} is past the enumeration bound of the oracle(s) {', '.join(skipped)}"
+        raise ValueError(
+            f"n={rec.n} is outside the range of the oracle(s) {', '.join(skipped)}, which "
+            f"enumerate O_K/(M) for 2 <= M <= their enumeration bound"
         )
     (_, la, bla), (_, ip, bip), (_, assoc, bassoc) = verdicts
     ok = (la, ip, assoc) == (bla, bip, bassoc)
+    word = _FLAG_WORDS["jsonl"]
     print(
         f"{'OK' if ok else 'MISMATCH'} "
-        f"(la: closed-form={_bool_word(la)} oracle={_bool_word(bla)}; "
-        f"ip: {_bool_word(ip)}/{_bool_word(bip)}; "
-        f"assoc: {_bool_word(assoc)}/{_bool_word(bassoc)})"
+        f"(la: closed-form={word[la]} oracle={word[bla]}; "
+        f"ip: {word[ip]}/{word[bip]}; assoc: {word[assoc]}/{word[bassoc]})"
     )
     return 0 if ok else 1
 

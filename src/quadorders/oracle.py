@@ -5,12 +5,12 @@ deliberately independent of the closed-form criteria.  An element is a unit of
 O_K/(M) iff its norm is prime to M; _units enumerates them once for the unit
 count and for local associativity.  Local associativity and associativity are
 decided by generating (Z/M)^* * <u>, resp. (Z/M) * <u>, element by element.
-Ideal preservation is one witness scan, run per test: x in the image of R with
-x in P but not in an excluded ideal (P^2, or another prime P'), whose image in
-O_K/(M) is the additive closure of its generators.  Moduli are capped (default
-200) since the scans are quadratic.  Only ring arithmetic is shared with the
-fast path (qi_mul, qi_norm, the roots of omega's minimal polynomial), never m,
-L or the field character (D/p).
+Ideal preservation is one witness loop over (P, excluded ideal) pairs, P^2 then
+each other prime P': x in the image of R, in P, outside the excluded ideal,
+whose image in O_K/(M) is the additive closure of its generators.  Moduli are
+capped (default 200) since the scans are quadratic.  Only ring arithmetic is
+shared with the fast path (qi_mul, qi_norm, the roots of omega's minimal
+polynomial), never m, L or the field character (D/p).
 """
 
 from __future__ import annotations
@@ -47,7 +47,9 @@ def quotient_unit_count(F: FieldContext, M: int, bound: int = DEFAULT_ENUM_BOUND
 
 
 def _unit_cosets(F: FieldContext, U: FundamentalUnit, n: int, multipliers: list[QI]) -> set[QI]:
-    """Union of the sets multipliers * u^k mod n for k >= 0, closed when u^k turns rational."""
+    """Union of the sets multipliers * u^k mod n for k >= 0, up to the first rational u^k = c:
+    c^2 = N(u)^k = +-1 makes c a unit, so multipliers * c, for multipliers all of Z/(n) or
+    its units, is the k = 0 set already covered."""
     u = (U.u[0] % n, U.u[1] % n)
     covered: set[QI] = set()
     w = (1 % n, 0)
@@ -55,7 +57,6 @@ def _unit_cosets(F: FieldContext, U: FundamentalUnit, n: int, multipliers: list[
         covered.update(qi_mul(F, z, w, n) for z in multipliers)
         w = qi_mul(F, w, u, n)
         if w[1] == 0:
-            covered.update(qi_mul(F, z, w, n) for z in multipliers)
             return covered
     raise RuntimeError(f"powers of the unit mod {n} never re-entered Z")
 
@@ -133,19 +134,12 @@ def brute_ideal_preserving(F: FieldContext, n: int, bound: int = DEFAULT_ENUM_BO
     if n < 1:
         raise ValueError(f"order index must be >= 1, got {n}")
     primes = _prime_ideals_above(F, n)
-    for p, r in primes:
-        M = p * p
+    for P, Q in [(P, P) for P in primes] + [(P, Q) for P in primes for Q in primes if Q != P]:
+        M = P[0] * Q[0]
         _check_modulus(M, bound)
-        gens = _prime_gens(p, r)  # P^2 is generated by the products of P's generators
-        square = _ideal_image_mod(F, [qi_mul(F, g, h) for g in gens for h in gens], M)
-        if not _witness_exists(n, M, (p, r), square):
+        gens = _prime_gens(*Q)
+        if Q == P:  # P^2 is generated by the products of P's generators
+            gens = [qi_mul(F, g, h) for g in gens for h in gens]
+        if not _witness_exists(n, M, P, _ideal_image_mod(F, gens, M)):
             return False
-    for P in primes:
-        for P2 in primes:
-            if P == P2:
-                continue
-            M = P[0] * P2[0]
-            _check_modulus(M, bound)
-            if not _witness_exists(n, M, P, _ideal_image_mod(F, _prime_gens(*P2), M)):
-                return False
     return True

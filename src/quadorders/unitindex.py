@@ -82,6 +82,8 @@ def min_power(F: FieldContext, U: FundamentalUnit, n: int) -> int:
 def l_value(n: int, d: int) -> int:
     """L(n, d), the product of L(p^a) over the prime powers of n."""
     make_field(d)  # rejects d in {0, 1} and non-squarefree d, even when n = 1
+    if n < 1:
+        raise ValueError(f"order index must be >= 1, got {n}")
     out = 1
     for p, a in factorize(n):
         out *= p ** (a - 1) * (p - field_char(d, p))

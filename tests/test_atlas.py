@@ -2,6 +2,7 @@ import json
 import os
 import random
 import re
+from multiprocessing import get_context
 
 import pytest
 
@@ -93,6 +94,32 @@ def test_scan_worker_count_invariance(tmp_path):
     scan(small_cfg(a, jobs=1))
     scan(small_cfg(b, jobs=3))
     assert a.read_bytes() == b.read_bytes()
+
+
+def test_scan_starts_no_more_workers_than_fields(tmp_path, monkeypatch):
+    # one field runs in-process at any --jobs: no pool is asked for
+    one, pooled = tmp_path / "one.csv", tmp_path / "pooled.csv"
+    scan(small_cfg(one, d_min=5, d_max=5, jobs=1))
+
+    def no_pool(method):
+        raise AssertionError("a one-field scan asked for a worker pool")
+
+    monkeypatch.setattr(atlas, "get_context", no_pool)
+    scan(small_cfg(pooled, d_min=5, d_max=5, jobs=4))
+    assert pooled.read_bytes() == one.read_bytes()
+    # two fields at --jobs 8 ask for a pool of two
+    sizes = []
+    real = get_context("fork")
+
+    class Spy:
+        def Pool(self, processes):
+            sizes.append(processes)
+            return real.Pool(processes)
+
+    monkeypatch.setattr(atlas, "get_context", lambda method: Spy())
+    scan(small_cfg(pooled, d_min=5, d_max=6, jobs=8))
+    scan(small_cfg(one, d_min=5, d_max=6, jobs=1))
+    assert sizes == [2] and pooled.read_bytes() == one.read_bytes()
 
 
 def test_resume_is_byte_identical(tmp_path):

@@ -113,6 +113,20 @@ def test_verify_bound_exceeded(capsys):
     assert "bound" in err
 
 
+def test_verify_n1_names_the_input(capsys):
+    # n = 1 is O_K itself, with no quotient for the oracles to enumerate
+    rc, _, err = run_cli(capsys, "verify", "-d", "2", "-n", "1")
+    assert rc == 2
+    assert err.startswith("error: n=1 is outside the range of the oracle(s) ")
+    assert "modulus must be" not in err
+
+
+def test_lfun_rejects_index_below_1(capsys):
+    rc, _, err = run_cli(capsys, "lfun", "-d", "2", "-n", "0")
+    assert rc == 2
+    assert err == "error: order index must be >= 1, got 0\n"
+
+
 def test_scan_and_report(capsys, tmp_path):
     out = tmp_path / "grid.csv"
     rc, text, _ = run_cli(
@@ -296,7 +310,7 @@ def _classify_m_not_dividing_l(monkeypatch, tmp_path):
                  id="report-malformed-row"),
     pytest.param(lambda mp, tp: _report_on(tp, b"2,3,8,4,4,1,1,1,1,1,\xff\n"), 1,
                  id="report-non-utf8-byte"),
-    # any other ValueError (OracleBoundError among them) exits 2
+    # any other ValueError (a cell outside the oracles' range among them) exits 2
     pytest.param(lambda mp, tp: ("verify", "-d", "2", "-n", "5000"), 2, id="verify-past-bound"),
     pytest.param(lambda mp, tp: ("scan", "--d-min", "2", "--d-max", "3", "--n-max", "3",
                                  "--jobs", "0", "--out", str(tp / "x.csv")), 2, id="scan-jobs-0"),
