@@ -37,7 +37,7 @@ def factorize(n: int) -> tuple[tuple[int, int], ...]:
 
 @lru_cache(maxsize=1)  # the last window only: 2 * (hi - lo + 1) ints
 def window_plan(lo: int, hi: int) -> tuple[list[int], list[int]]:
-    """For each n in [lo, hi], lo >= 2: the power q = p^a of its least prime p, and n // q.
+    """For each n in [lo, hi], lo >= 1: q = p^a for the least prime p of n (1 at n = 1), and n // q.
 
     A segmented sieve (Crandall & Pomerance, Prime Numbers, 2005, section 3.2): each power
     of each prime up to isqrt(hi) is set on its multiples by slice, larger primes and lower

@@ -2,9 +2,10 @@
 
 Rows stream to CSV or JSONL in (d, n) order, one checkpoint per completed d, so an
 interrupted scan can resume and produce a byte-identical file.  Workers parallelise
-over d; each takes its d's cells from classify_field and renders them into one block
-through one row template per field, with d, D and h_maximal in place; the parent writes
-the blocks in submission order, so the output is independent of the worker count.
+over d; each sets its field up once, takes its cells from classify_field (and under
+--verify checks them with oracle_verdicts, building no record), and renders them into one
+block through one row template per field, with d, D and h_maximal in place; the parent
+writes the blocks in submission order, so the output is independent of the worker count.
 report and scan --resume read a scan file through one reader, _scan_file: it checks
 64 KiB blocks of whole lines by one regex search, built from the writer's row template,
 for a line not in that one spelling, and decodes only a refused line, to name it.
@@ -18,7 +19,6 @@ import re
 import time
 from contextlib import nullcontext
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import chain
 from math import isqrt
 from multiprocessing import get_context
@@ -27,14 +27,9 @@ from typing import BinaryIO, Callable, Iterator, NoReturn
 from .arith import InternalConsistencyError
 from .classgroup import class_number
 from .classify import ClassificationRecord, classify_field
-from .oracle import (
-    OracleBoundError,
-    brute_associated,
-    brute_ideal_preserving,
-    brute_locally_associated,
-)
-from .pell import fundamental_unit
-from .quadfield import make_field
+from .oracle import oracle_verdicts
+from .pell import FundamentalUnit, fundamental_unit
+from .quadfield import FieldContext, make_field
 
 FIELD_NAMES = ClassificationRecord._fields
 CSV_HEADER = ",".join(FIELD_NAMES)
@@ -109,33 +104,14 @@ def record_to_json_obj(rec: tuple) -> dict:
     return dict(zip(FIELD_NAMES, rec))
 
 
-def oracle_verdicts(rec: ClassificationRecord) -> list[tuple[str, bool, bool | None]]:
-    """(flag, closed-form value, oracle value) for each brute oracle on rec's cell; the oracle
-    value is None outside its range: n = 1 (O_K, no quotient) or past its enumeration bound."""
-    F, n = make_field(rec.d), rec.n
-    U = fundamental_unit(F)
-    oracles = (
-        ("locally_associated", rec.locally_associated, lambda: brute_locally_associated(F, U, n)),
-        ("ideal_preserving", rec.ideal_preserving, lambda: brute_ideal_preserving(F, n)),
-        ("associated", rec.associated, lambda: brute_associated(F, U, n)),
-    )
-    out: list[tuple[str, bool, bool | None]] = []
-    for name, claimed, run in oracles:
-        try:
-            out.append((name, claimed, run() if n > 1 else None))
-        except OracleBoundError:
-            out.append((name, claimed, None))
-    return out
-
-
-def _verified(d: int, D: int, h: int, cells: Iterator[tuple]) -> Iterator[tuple]:
-    """cells, each n > 1 checked by the brute oracles within their bounds (--verify)."""
+def _verified(F: FieldContext, U: FundamentalUnit, cells: Iterator[tuple]) -> Iterator[tuple]:
+    """cells, each checked by the brute oracles where they have a value (--verify)."""
     for cell in cells:
-        rec = ClassificationRecord(d, cell[0], D, *cell[1:6], h, *cell[6:])
-        for name, claimed, got in oracle_verdicts(rec):
+        n, _, _, ip, la, assoc = cell[:6]
+        for (name, got), claimed in zip(oracle_verdicts(F, U, n).items(), (la, ip, assoc)):
             if got is not None and got != claimed:
                 raise ScanVerificationError(
-                    f"{name} mismatch at d={d}, n={rec.n}: closed-form {claimed}, oracle {got}"
+                    f"{name} mismatch at d={F.d}, n={n}: closed-form {claimed}, oracle {got}"
                 )
         yield cell
 
@@ -144,9 +120,10 @@ def _scan_one_d(task: tuple[int, int, int, str, bool]) -> tuple[int, str, int, i
     """One d's rows as a single newline-terminated block, with its row and hfd counts."""
     d, n_min, n_max, fmt, verify = task
     F = make_field(d)
-    h = class_number(F, fundamental_unit(F)).h
-    cells = classify_field(d, n_min, n_max)
-    cells = _verified(d, F.D, h, cells) if verify else cells
+    U = fundamental_unit(F)
+    h = class_number(F, U).h
+    cells = classify_field(F, U, h, n_min, n_max)
+    cells = _verified(F, U, cells) if verify else cells
     template, word = _row_template(fmt, d=d, D=F.D, h_maximal=h), _FLAG_WORDS[fmt]
     block = "\n".join(
         template % (n, m, L, word[ip], word[la], word[assoc], h_order, word[hfd])
@@ -273,7 +250,6 @@ def scan(cfg: ScanConfig) -> ScanSummary:
     return ScanSummary(rows_written, hfd_count, time.perf_counter() - t0)
 
 
-@lru_cache(maxsize=2)
 def _bad_line(fmt: str) -> Callable[[bytes], re.Match]:
     """The search (?m)^(?!ROW\n) for the first line of a block that is not a row in fmt's
     one spelling, ended by a bare LF; it finds the block's end if every line is one.

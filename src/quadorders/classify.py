@@ -9,8 +9,8 @@ The finite criteria used here:
                      n a prime or twice an odd prime.
 
 classify_order, the reference, applies them to one cell through factorize,
-min_power and l_value.  classify_field, the scan's kernel, composes the cells of
-a window of n from their cofactors' cells over arith.window_plan's sieve.
+min_power and l_value.  classify_field, the scan's kernel, composes the cells of a
+set-up field's window of n, n = 1 (q = r = 1) too, over arith.window_plan's sieve.
 """
 
 from __future__ import annotations
@@ -22,8 +22,8 @@ from typing import NamedTuple
 
 from .arith import InternalConsistencyError, factorize, is_prime, window_plan
 from .classgroup import class_number
-from .pell import fundamental_unit
-from .quadfield import field_char, make_field
+from .pell import FundamentalUnit, fundamental_unit
+from .quadfield import FieldContext, field_char, make_field
 from .unitindex import l_value, local_data, min_power
 
 
@@ -74,41 +74,38 @@ def classify_order(spec: OrderSpec) -> ClassificationRecord:
     return ClassificationRecord(spec.d, n, F.D, m, L, ip, la, ip and la, h, h * (L // m), hfd)
 
 
-def classify_field(d: int, n_min: int, n_max: int) -> Iterator[tuple]:
-    """Yield the cells (n, m, L, ip, la, assoc, h_order, hfd) of Q(sqrt(d)), its rows less
-    d, D and h_maximal, for n_min <= n <= n_max in n order; n_min < 1 raises ValueError.
+def classify_field(
+    F: FieldContext, U: FundamentalUnit, h: int, n_min: int, n_max: int
+) -> Iterator[tuple]:
+    """Yield the cells (n, m, L, ip, la, assoc, h_order, hfd) of F, with unit U and class
+    number h, for n_min <= n <= n_max in n order; n_min < 1 raises ValueError.
 
-    With n = q * r from arith.window_plan, q = p^a for the least prime p of n, a cell is
-    m = lcm(m[r], m(q)), L = L[r] * L(q), ip = ip[r] and p inert: r's from its cell, or
-    from factorize(r) below the window, q's from a table kept for this call.
+    With n = q * r from arith.window_plan, q = p^a for the least prime p of n (q = r = 1 at
+    n = 1), a cell is m = lcm(m[r], m(q)), L = L[r] * L(q), ip = ip[r] and p inert: r's from
+    its cell, or from factorize(r) below the window, q's from a table kept for this call;
+    both start at n = 1's cell (1, 1, True).
     """
     if n_min < 1:
         raise ValueError(f"n_min must be >= 1, got {n_min}")
-    F = make_field(d)
-    U = fundamental_unit(F)
-    h = class_number(F, U).h
-    table: dict[int, tuple[int, int, bool]] = {}
+    table: dict[int, tuple[int, int, bool]] = {1: (1, 1, True)}
 
     def local(q: int) -> tuple[int, int, bool]:  # (m(q), L(q), p inert) on a table miss
         return table.setdefault(q, local_data(F, U, *factorize(q)[0]))
 
-    if n_min == 1 <= n_max:
-        yield 1, 1, 1, True, True, True, h, h <= 2
-    lo = max(n_min, 2)
-    powers, cofactors = window_plan(lo, n_max) if lo <= n_max else ((), ())
-    ms, Ls, ips = [0] * len(powers), [0] * len(powers), [False] * len(powers)  # by n - lo
-    for i, (n, q, r) in enumerate(zip(range(lo, n_max + 1), powers, cofactors)):
+    powers, cofactors = window_plan(n_min, n_max) if n_min <= n_max else ((), ())
+    ms, Ls, ips = [1] * len(powers), [1] * len(powers), [True] * len(powers)  # by n - n_min
+    for i, (n, q, r) in enumerate(zip(range(n_min, n_max + 1), powers, cofactors)):
         m, L, ip = table.get(q) or local(q)
-        if r >= lo:
-            m, L, ip = lcm(ms[r - lo], m), Ls[r - lo] * L, ip and ips[r - lo]
+        if r >= n_min:
+            m, L, ip = lcm(ms[r - n_min], m), Ls[r - n_min] * L, ip and ips[r - n_min]
         elif r > 1:
             for p, a in factorize(r):
                 mr, Lr, ipr = table.get(p**a) or local(p**a)
                 m, L, ip = lcm(m, mr), L * Lr, ip and ipr
         if L % m:
-            raise InternalConsistencyError(f"m={m} does not divide L={L} for d={d}, n={n}")
+            raise InternalConsistencyError(f"m={m} does not divide L={L} for d={F.d}, n={n}")
         ms[i], Ls[i], ips[i] = m, L, ip
         assoc = ip and m == L
-        # half-factorial: n is p, or 2p with p odd (r is then odd)
-        hfd = assoc and h <= 2 and (is_prime(n) or (q == 2 and is_prime(r)))
+        # half-factorial: n is 1, p, or 2p with p odd (r is then odd)
+        hfd = assoc and h <= 2 and (n == 1 or is_prime(n) or (q == 2 and is_prime(r)))
         yield n, m, L, ip, m == L, assoc, h * (L // m), hfd

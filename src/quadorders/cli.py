@@ -12,10 +12,11 @@ import sys
 from dataclasses import fields
 from math import log10
 
-from .atlas import (_FLAG_WORDS, ScanConfig, ScanFileError, _to_json, oracle_verdicts,
-                    record_to_json_obj, report_hfd, scan)
+from .atlas import (_FLAG_WORDS, ScanConfig, ScanFileError, _to_json, record_to_json_obj,
+                    report_hfd, scan)
 from .classgroup import class_number
 from .classify import OrderSpec, classify_order
+from .oracle import oracle_verdicts
 from .pell import FundamentalUnit, fundamental_unit, verify_unit
 from .quadfield import FieldContext, make_field, unit_xy
 from .unitindex import l_value
@@ -92,14 +93,16 @@ def cmd_classnum(args: argparse.Namespace) -> int:
 
 def cmd_verify(args: argparse.Namespace) -> int:
     rec = classify_order(OrderSpec(args.d, args.n))
-    verdicts = oracle_verdicts(rec)
-    skipped = [name for name, _, got in verdicts if got is None]
+    F = make_field(rec.d)
+    verdicts = oracle_verdicts(F, fundamental_unit(F), rec.n)
+    skipped = [name for name, got in verdicts.items() if got is None]
     if skipped:
         raise ValueError(
             f"n={rec.n} is outside the range of the oracle(s) {', '.join(skipped)}, which "
             f"enumerate O_K/(M) for 2 <= M <= their enumeration bound"
         )
-    (_, la, bla), (_, ip, bip), (_, assoc, bassoc) = verdicts
+    bla, bip, bassoc = verdicts.values()
+    la, ip, assoc = rec.locally_associated, rec.ideal_preserving, rec.associated
     ok = (la, ip, assoc) == (bla, bip, bassoc)
     word = _FLAG_WORDS["jsonl"]
     print(

@@ -8,8 +8,9 @@ decided by generating (Z/M)^* * <u>, resp. (Z/M) * <u>, element by element.
 Ideal preservation is one witness loop over (P, excluded ideal) pairs, P^2 then
 each other prime P': x in the image of R, in P, outside the excluded ideal,
 whose image in O_K/(M) is the additive closure of its generators.  Moduli are
-capped (default 200) since the scans are quadratic.  Only ring arithmetic is
-shared with the fast path (qi_mul, qi_norm, the roots of omega's minimal
+capped (default 200) since the scans are quadratic.  oracle_verdicts holds their
+range: no value at n = 1 (O_K, no quotient) or past the cap.  Only ring arithmetic
+is shared with the fast path (qi_mul, qi_norm, the roots of omega's minimal
 polynomial), never m, L or the field character (D/p).
 """
 
@@ -143,3 +144,18 @@ def brute_ideal_preserving(F: FieldContext, n: int, bound: int = DEFAULT_ENUM_BO
         if not _witness_exists(n, M, P, _ideal_image_mod(F, gens, M)):
             return False
     return True
+
+
+def oracle_verdicts(F: FieldContext, U: FundamentalUnit, n: int) -> dict[str, bool | None]:
+    """Each oracle's flag at index n, by name in a fixed order; None at n = 1 or past its bound."""
+    verdicts: dict[str, bool | None] = {}
+    for name, oracle, args in (
+        ("locally_associated", brute_locally_associated, (F, U, n)),
+        ("ideal_preserving", brute_ideal_preserving, (F, n)),
+        ("associated", brute_associated, (F, U, n)),
+    ):
+        try:
+            verdicts[name] = oracle(*args) if n > 1 else None
+        except OracleBoundError:
+            verdicts[name] = None
+    return verdicts

@@ -11,7 +11,9 @@ from quadorders import (
     ScanConfig,
     ScanVerificationError,
     atlas,
+    class_number,
     classify_order,
+    oracle,
     record_to_csv_row,
     record_to_json_obj,
     report_hfd,
@@ -75,9 +77,12 @@ def test_rows_match_classifier(tmp_path):
     # the kernel's cell is the reference's record without the field's d, D and h_maximal,
     # also where the window starts at n, so the cofactor is folded from below the window
     for d in [-1, -3, 2, 5, 94] + sample:
+        F = make_field(d)
+        U = fundamental_unit(F)
+        h = class_number(F, U).h
         for n in range(1, 61):
             rec = classify_order(OrderSpec(d, n))
-            cell = next(classify_field(d, n, n))
+            cell = next(classify_field(F, U, h, n, n))
             assert type(cell) is tuple and cell == tuple(rec[i] for i in CELL_FIELDS), (d, n)
             assert [type(x) for x in cell] == [type(rec[i]) for i in CELL_FIELDS]
 
@@ -264,15 +269,29 @@ def test_verify_mode_small_window(tmp_path):
     assert checked.read_bytes() == plain.read_bytes()
 
 
+def test_scan_sets_each_field_up_once(tmp_path):
+    # the worker sets a field up once and hands F, U and h to the kernel and to --verify,
+    # so neither the cells nor their oracle checks look the field up again
+    setups = (make_field, fundamental_unit, class_number)
+    window = dict(d_min=-7, d_max=7, n_min=1, n_max=12, jobs=1)
+    k = 11  # the squarefree d in [-7, 7] but 1
+    for verify in (False, True):
+        before = [f.cache_info() for f in setups]
+        scan(ScanConfig(out=str(tmp_path / f"{verify}.csv"), verify=verify, **window))
+        after = [f.cache_info() for f in setups]
+        assert [a.hits + a.misses - b.hits - b.misses for a, b in zip(after, before)] == [k] * 3
+
+
 def test_oracle_verdicts_skip_and_mismatch(tmp_path, monkeypatch):
     # 31^2 is past the ideal-preserving oracle's bound, 31 is not past the others'
-    verdicts = atlas.oracle_verdicts(classify_order(OrderSpec(7, 31)))
-    assert [(name, got) for name, _, got in verdicts] == [
+    F = make_field(7)
+    verdicts = oracle.oracle_verdicts(F, fundamental_unit(F), 31)
+    assert list(verdicts.items()) == [
         ("locally_associated", False), ("ideal_preserving", None), ("associated", False)
     ]
     # an oracle that disagrees with the closed form stops the scan; a skipped oracle cannot
-    brute_associated = atlas.brute_associated
-    monkeypatch.setattr(atlas, "brute_associated", lambda F, U, n: not brute_associated(F, U, n))
+    brute_associated = oracle.brute_associated
+    monkeypatch.setattr(oracle, "brute_associated", lambda F, U, n: not brute_associated(F, U, n))
     with pytest.raises(ScanVerificationError, match="associated mismatch at d=2, n=2"):
         scan(ScanConfig(d_min=2, d_max=2, n_max=2, out=str(tmp_path / "v.csv"), verify=True))
 

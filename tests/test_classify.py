@@ -3,6 +3,7 @@ import pytest
 from quadorders import classify
 from quadorders.arith import InternalConsistencyError, factorize, is_prime, is_squarefree
 from quadorders.classify import OrderSpec, classify_order, is_ideal_preserving
+from quadorders.pell import fundamental_unit
 from quadorders.quadfield import make_field, omega_roots
 
 
@@ -34,8 +35,9 @@ def test_spec_validation():
     with pytest.raises(ValueError):
         OrderSpec(2, 0)
     OrderSpec(-1, 1)
+    F = make_field(2)
     with pytest.raises(ValueError):
-        list(classify.classify_field(2, 0, 3))
+        list(classify.classify_field(F, fundamental_unit(F), 1, 0, 3))
 
 
 def test_fixture_records():
@@ -89,8 +91,9 @@ def test_order_class_number(monkeypatch):
     # the per-field kernel takes (m, L, inert) from the uncached local_data; m = 4 does not
     # divide L = 6
     monkeypatch.setattr(classify, "local_data", lambda F, U, p, a: (4, 6, True))
+    F = make_field(2)
     with pytest.raises(InternalConsistencyError, match="n=5"):
-        list(classify.classify_field(2, 5, 5))
+        list(classify.classify_field(F, fundamental_unit(F), 1, 5, 5))
 
 
 def test_index_one_is_trivial():

@@ -4,7 +4,7 @@ import sys
 
 import pytest
 
-from quadorders import OrderSpec, atlas, classify_order, make_field, record_to_json_obj
+from quadorders import OrderSpec, atlas, classify_order, make_field, oracle, record_to_json_obj
 from quadorders.cli import format_unit, main
 from quadorders.pell import FundamentalUnit
 
@@ -264,8 +264,8 @@ def test_resume_refuses_a_respelled_jsonl_scan(capsys, tmp_path):
 
 
 def _scan_oracle_disagrees(monkeypatch, tmp_path):
-    brute_associated = atlas.brute_associated
-    monkeypatch.setattr(atlas, "brute_associated", lambda F, U, n: not brute_associated(F, U, n))
+    brute_associated = oracle.brute_associated
+    monkeypatch.setattr(oracle, "brute_associated", lambda F, U, n: not brute_associated(F, U, n))
     return ("scan", "--d-min", "2", "--d-max", "2", "--n-max", "2", "--verify",
             "--out", str(tmp_path / "v.csv"))
 

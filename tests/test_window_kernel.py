@@ -11,7 +11,17 @@ import random
 
 import pytest
 
-from quadorders import OrderSpec, ScanConfig, classify_order, record_to_csv_row, record_to_json_obj, scan
+from quadorders import (
+    OrderSpec,
+    ScanConfig,
+    class_number,
+    classify_order,
+    fundamental_unit,
+    make_field,
+    record_to_csv_row,
+    record_to_json_obj,
+    scan,
+)
 from quadorders.arith import factorize, window_plan
 from quadorders.atlas import _BOOL_FIELDS, _scan_one_d, _to_json
 from quadorders.classify import classify_field
@@ -30,12 +40,14 @@ def reference_row(d, n):
 
 
 def test_plan_is_least_prime_power_and_cofactor():
-    for lo, hi in [(2, 3000), (997, 1400), (10**6, 10**6 + 50), (65_500, 65_600)]:
+    # n = 1 has no prime: its cell is the identity the kernel composes from, q = r = 1
+    for lo, hi in [(1, 3000), (2, 3000), (997, 1400), (10**6, 10**6 + 50), (65_500, 65_600)]:
         powers, cofactors = window_plan(lo, hi)
         assert len(powers) == len(cofactors) == hi - lo + 1
         for n, q, r in zip(range(lo, hi + 1), powers, cofactors):
-            p, a = factorize(n)[0]
+            p, a = factorize(n)[0] if n > 1 else (1, 1)
             assert (q, r) == (p**a, n // p**a), n
+    assert window_plan(1, 1) == ([1], [1])
     assert window_plan(2, 1) == ([], [])
 
 
@@ -71,9 +83,12 @@ def test_windows_with_cofactors_below(tmp_path, n_min):
 def test_cells_equal_the_reference_across_windows():
     # a cell does not depend on where its window starts
     for d in (-3, 10, 79):
-        whole = list(classify_field(d, 1, 400))
+        F = make_field(d)
+        U = fundamental_unit(F)
+        field = F, U, class_number(F, U).h
+        whole = list(classify_field(*field, 1, 400))
         for n_min in (2, 5, 128, 243, 400):
-            assert list(classify_field(d, n_min, 400)) == whole[n_min - 1 :], (d, n_min)
+            assert list(classify_field(*field, n_min, 400)) == whole[n_min - 1 :], (d, n_min)
 
 
 @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
