@@ -39,10 +39,14 @@ def factorize(n: int) -> tuple[tuple[int, int], ...]:
 def window_plan(lo: int, hi: int) -> tuple[list[int], list[int]]:
     """For each n in [lo, hi], lo >= 1: q = p^a for the least prime p of n (1 at n = 1), and n // q.
 
-    A segmented sieve (Crandall & Pomerance, Prime Numbers, 2005, section 3.2): each power
-    of each prime up to isqrt(hi) is set on its multiples by slice, larger primes and lower
-    powers first, so the least prime's full power remains.  Callers share the lists as is.
+    A window of one n is read from factorize(n), with no sieve.  A wider one is a segmented
+    sieve (Crandall & Pomerance, Prime Numbers, 2005, section 3.2): each power of each prime
+    up to isqrt(hi) is set on its multiples by slice, larger primes and lower powers first,
+    so the least prime's full power remains.  Callers share the lists as is.
     """
+    if lo == hi:
+        p, a = factorize(lo)[0] if lo > 1 else (1, 1)
+        return [p**a], [lo // p**a]
     root = isqrt(hi)
     prime = bytearray([1]) * (root + 1)
     for p in range(2, isqrt(root) + 1):

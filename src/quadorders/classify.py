@@ -8,9 +8,8 @@ The finite criteria used here:
   half-factorial     h <= 2, and for n > 1 additionally R associated and
                      n a prime or twice an odd prime.
 
-classify_order, the reference, applies them to one cell through factorize,
-min_power and l_value.  classify_field, the scan's kernel, composes the cells of a
-set-up field's window of n, n = 1 (q = r = 1) too, over arith.window_plan's sieve.
+classify_field, the one kernel, composes a set-up field's cells over arith.window_plan, n = 1
+(q = r = 1) too; classify_order is its window of one n, which the plan reads from factorize.
 """
 
 from __future__ import annotations
@@ -24,7 +23,7 @@ from .arith import InternalConsistencyError, factorize, is_prime, window_plan
 from .classgroup import class_number
 from .pell import FundamentalUnit, fundamental_unit
 from .quadfield import FieldContext, field_char, make_field
-from .unitindex import l_value, local_data, min_power
+from .unitindex import local_data
 
 
 @dataclass(frozen=True, slots=True)
@@ -59,19 +58,12 @@ def is_ideal_preserving(spec: OrderSpec) -> bool:
 
 
 def classify_order(spec: OrderSpec) -> ClassificationRecord:
-    """The record of one cell; the reference that classify_field is tested against."""
+    """The record of one cell: classify_field's window of the one n, with the field's d, D, h."""
     F = make_field(spec.d)
     U = fundamental_unit(F)
     h = class_number(F, U).h
-    n = spec.n
-    m = min_power(F, U, n)
-    L = l_value(n, spec.d)
-    if L % m:
-        raise InternalConsistencyError(f"m={m} does not divide L={L} for d={F.d}, n={n}")
-    ip, la = is_ideal_preserving(spec), m == L
-    prime_shape = is_prime(n) or (n % 4 == 2 and is_prime(n // 2))  # p or 2p, p odd
-    hfd = h <= 2 and (n == 1 or (ip and la and prime_shape))
-    return ClassificationRecord(spec.d, n, F.D, m, L, ip, la, ip and la, h, h * (L // m), hfd)
+    n, m, L, ip, la, assoc, h_order, hfd = next(classify_field(F, U, h, spec.n, spec.n))
+    return ClassificationRecord(spec.d, n, F.D, m, L, ip, la, assoc, h, h_order, hfd)
 
 
 def classify_field(

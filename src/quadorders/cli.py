@@ -1,7 +1,7 @@
 """Command-line entry point.
 
 Subcommands: classify, unit, lfun, classnum, verify, scan, report.
-Exit codes: 0 success or a closed stdout, 1 failed check or corrupt data, 2 bad usage.
+Exit codes: 0 ok or a closed stdout, 1 failed check or corrupt data, 2 bad usage or out of memory.
 """
 
 from __future__ import annotations
@@ -194,6 +194,9 @@ def main(argv: list[str] | None = None) -> int:
     except BrokenPipeError:  # the reader stopped early (report | head): nothing is wrong
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 0
+    except MemoryError:  # a window too wide for this machine: ask for less
+        print("error: out of memory; split the window into smaller scans", file=sys.stderr)
+        return 2
     except (RuntimeError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1 if isinstance(exc, (RuntimeError, ScanFileError)) else 2

@@ -24,6 +24,7 @@ from quadorders.atlas import CSV_HEADER, Checkpoint, checkpoint_path, read_check
 from quadorders.classify import ClassificationRecord, classify_field
 from quadorders.pell import fundamental_unit
 from quadorders.quadfield import make_field
+from test_classify import reference_record
 from test_unitindex import reference_min_power
 
 # a kernel cell's fields: the record's, less the field's d, D and h_maximal
@@ -55,7 +56,7 @@ def test_scan_small_grid(tmp_path):
 
 
 def test_rows_match_classifier(tmp_path):
-    # the scan classifies per field (classify_field); classify_order is the reference,
+    # the scan classifies per field (classify_field); reference_record is the reference,
     # and each row's m is checked against the divisor search, an m algorithm of its own
     rng = random.Random(5)
     sample = rng.sample([d for d in range(-3000, 3000) if d not in (0, 1) and is_squarefree(d)], 6)
@@ -71,7 +72,7 @@ def test_rows_match_classifier(tmp_path):
         tables = {}
         for line in lines:
             d, n, _, m = map(int, line.split(",")[:4])
-            assert line == record_to_csv_row(classify_order(OrderSpec(d, n)))
+            assert line == record_to_csv_row(reference_record(d, n))
             F = make_field(d)
             assert m == reference_min_power(F, fundamental_unit(F), n, tables.setdefault(d, {}))
     # the kernel's cell is the reference's record without the field's d, D and h_maximal,
@@ -81,7 +82,7 @@ def test_rows_match_classifier(tmp_path):
         U = fundamental_unit(F)
         h = class_number(F, U).h
         for n in range(1, 61):
-            rec = classify_order(OrderSpec(d, n))
+            rec = reference_record(d, n)
             cell = next(classify_field(F, U, h, n, n))
             assert type(cell) is tuple and cell == tuple(rec[i] for i in CELL_FIELDS), (d, n)
             assert [type(x) for x in cell] == [type(rec[i]) for i in CELL_FIELDS]
@@ -218,7 +219,7 @@ def test_jsonl_round_trip(tmp_path):
     assert len(lines) == 54
     for line in lines:
         obj = json.loads(line)
-        rec = classify_order(OrderSpec(obj["d"], obj["n"]))
+        rec = reference_record(obj["d"], obj["n"])
         assert obj == record_to_json_obj(rec)
     assert report_hfd(str(out)).total == report_hfd_total_csv(tmp_path)
 

@@ -2,9 +2,34 @@ import pytest
 
 from quadorders import classify
 from quadorders.arith import InternalConsistencyError, factorize, is_prime, is_squarefree
-from quadorders.classify import OrderSpec, classify_order, is_ideal_preserving
+from quadorders.classgroup import class_number
+from quadorders.classify import (
+    ClassificationRecord,
+    OrderSpec,
+    classify_order,
+    is_ideal_preserving,
+)
 from quadorders.pell import fundamental_unit
 from quadorders.quadfield import make_field, omega_roots
+from quadorders.unitindex import l_value, min_power
+
+
+def reference_record(d, n):
+    """The record of one cell, each rule applied to it on its own through factorize,
+    min_power and l_value: the reference that the kernel, classify_field, and so
+    classify_order and the scan, are tested against."""
+    spec = OrderSpec(d, n)
+    F = make_field(spec.d)
+    U = fundamental_unit(F)
+    h = class_number(F, U).h
+    m = min_power(F, U, n)
+    L = l_value(n, spec.d)
+    if L % m:
+        raise InternalConsistencyError(f"m={m} does not divide L={L} for d={F.d}, n={n}")
+    ip, la = is_ideal_preserving(spec), m == L
+    prime_shape = is_prime(n) or (n % 4 == 2 and is_prime(n // 2))  # p or 2p, p odd
+    hfd = h <= 2 and (n == 1 or (ip and la and prime_shape))
+    return ClassificationRecord(spec.d, n, F.D, m, L, ip, la, ip and la, h, h * (L // m), hfd)
 
 
 def is_locally_associated(spec):
@@ -84,16 +109,23 @@ def test_order_class_number(monkeypatch):
     assert classify_order(OrderSpec(2, 5)).h_order == 2
     assert classify_order(OrderSpec(-5, 1)).h_order == 2
     assert classify_order(OrderSpec(-5, 3)).h_order == 4  # h = 2, L = 2, m = 1
-    # an m that does not divide L is a bug, never a record
-    monkeypatch.setattr(classify, "min_power", lambda F, U, n: 4)
-    with pytest.raises(InternalConsistencyError):
-        classify_order(OrderSpec(2, 5))
-    # the per-field kernel takes (m, L, inert) from the uncached local_data; m = 4 does not
-    # divide L = 6
+    # an m that does not divide L is a bug, never a record: the kernel, which classify_order
+    # takes its one cell from, reads (m, L, inert) from the uncached local_data; m = 4 does
+    # not divide L = 6
     monkeypatch.setattr(classify, "local_data", lambda F, U, p, a: (4, 6, True))
+    with pytest.raises(InternalConsistencyError, match="n=5"):
+        classify_order(OrderSpec(2, 5))
     F = make_field(2)
     with pytest.raises(InternalConsistencyError, match="n=5"):
         list(classify.classify_field(F, fundamental_unit(F), 1, 5, 5))
+
+
+@pytest.mark.parametrize("d", [2, -7, 94])
+def test_one_n_far_from_one(d):
+    # classify_order's one-n window is planned from factorize(n), so n past any sieve's
+    # reach is one cell: a prime power of 2 and of 3, twice a prime power, a prime
+    for n in (2**40, 3**25, 2 * 5**17, 10**9 + 7):
+        assert classify_order(OrderSpec(d, n)) == reference_record(d, n), n
 
 
 def test_index_one_is_trivial():

@@ -293,8 +293,17 @@ def _resume_csv_as_jsonl(monkeypatch, tmp_path):
 
 
 def _classify_m_not_dividing_l(monkeypatch, tmp_path):
-    monkeypatch.setattr("quadorders.classify.min_power", lambda F, U, n: 4)  # L(5, 2) = 6
+    # (m, L, inert) for every prime power; L(5, 2) = 6
+    monkeypatch.setattr("quadorders.classify.local_data", lambda F, U, p, a: (4, 6, True))
     return "classify", "-d", "2", "-n", "5"
+
+
+def _scan_out_of_memory(monkeypatch, tmp_path):
+    def no_memory(cfg):  # stands in for a window too wide to allocate; nothing is allocated
+        raise MemoryError
+
+    monkeypatch.setattr("quadorders.cli.scan", no_memory)
+    return "scan", "--d-min", "2", "--d-max", "3", "--n-max", "3", "--out", str(tmp_path / "x.csv")
 
 
 @pytest.mark.parametrize("make_argv,rc", [
@@ -315,6 +324,8 @@ def _classify_m_not_dividing_l(monkeypatch, tmp_path):
     pytest.param(lambda mp, tp: ("scan", "--d-min", "2", "--d-max", "3", "--n-max", "3",
                                  "--jobs", "0", "--out", str(tp / "x.csv")), 2, id="scan-jobs-0"),
     pytest.param(_resume_csv_as_jsonl, 2, id="resume-csv-scan-as-jsonl"),
+    # out of memory exits 2 with a message, not a traceback
+    pytest.param(_scan_out_of_memory, 2, id="scan-out-of-memory"),
 ])
 def test_exit_codes_through_main(capsys, monkeypatch, tmp_path, make_argv, rc):
     argv = make_argv(monkeypatch, tmp_path)

@@ -1,21 +1,20 @@
 """The scan's per-field kernel against the per-cell reference.
 
-classify_field composes each cell from its cofactor over arith.window_plan's
-sieve; classify_order goes through factorize, min_power and l_value.  Each case
-here scans a window and compares every row it checks with the reference's row.
+classify_field composes each cell from its cofactor over arith.window_plan;
+test_classify.reference_record goes through factorize, min_power and l_value.  Each
+case here scans a window and compares every row it checks with the reference's row.
 The row templates of atlas are compared with record_to_csv_row and the JSON
 encoding of record_to_json_obj, byte for byte.
 """
 
 import random
+import tracemalloc
 
 import pytest
 
 from quadorders import (
-    OrderSpec,
     ScanConfig,
     class_number,
-    classify_order,
     fundamental_unit,
     make_field,
     record_to_csv_row,
@@ -25,6 +24,7 @@ from quadorders import (
 from quadorders.arith import factorize, window_plan
 from quadorders.atlas import _BOOL_FIELDS, _scan_one_d, _to_json
 from quadorders.classify import classify_field
+from test_classify import reference_record
 
 
 def scanned_rows(tmp_path, **window):
@@ -36,12 +36,14 @@ def scanned_rows(tmp_path, **window):
 
 
 def reference_row(d, n):
-    return record_to_csv_row(classify_order(OrderSpec(d, n)))
+    return record_to_csv_row(reference_record(d, n))
 
 
 def test_plan_is_least_prime_power_and_cofactor():
     # n = 1 has no prime: its cell is the identity the kernel composes from, q = r = 1
-    for lo, hi in [(1, 3000), (2, 3000), (997, 1400), (10**6, 10**6 + 50), (65_500, 65_600)]:
+    # a window of one n is read from factorize(n), past any sieve's reach too
+    for lo, hi in [(1, 3000), (2, 3000), (997, 1400), (10**6, 10**6 + 50), (65_500, 65_600),
+                   (2, 2), (10**6, 10**6), (2**40, 2**40), (10**9 + 7, 10**9 + 7)]:
         powers, cofactors = window_plan(lo, hi)
         assert len(powers) == len(cofactors) == hi - lo + 1
         for n, q, r in zip(range(lo, hi + 1), powers, cofactors):
@@ -49,6 +51,18 @@ def test_plan_is_least_prime_power_and_cofactor():
             assert (q, r) == (p**a, n // p**a), n
     assert window_plan(1, 1) == ([1], [1])
     assert window_plan(2, 1) == ([], [])
+
+
+def test_one_n_plan_does_not_sieve():
+    # a sieve to isqrt(2**40) peaks at megabytes; factorize(2**40) needs a few tuples
+    window_plan.cache_clear()
+    tracemalloc.start()
+    try:
+        window_plan(2**40, 2**40)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024, peak
 
 
 def test_past_the_factorize_cache(tmp_path):
@@ -100,7 +114,7 @@ def test_row_templates_render_as_the_record_helpers(fmt):
         _, block, rows, hfd = _scan_one_d((d, 1, 80, fmt, False))
         lines = block.split("\n")
         assert lines[-1] == "" and rows == len(lines) - 1 == 80
-        recs = [classify_order(OrderSpec(d, n)) for n in range(1, 81)]
+        recs = [reference_record(d, n) for n in range(1, 81)]
         assert lines[:-1] == [render(rec) for rec in recs]
         assert hfd == sum(rec.hfd for rec in recs[1:])
         for rec in recs:
