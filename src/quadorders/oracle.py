@@ -16,6 +16,7 @@ polynomial), never m, L or the field character (D/p).
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from math import gcd
 
 from .arith import factorize
@@ -92,12 +93,17 @@ def _ideal_image_mod(F: FieldContext, gens: list[QI], M: int) -> set[QI]:
     return span
 
 
-def _prime_ideals_above(F: FieldContext, n: int) -> list[tuple[int, int | None]]:
-    """(p, root) for each prime ideal over each p | n; root None marks the inert case."""
-    out: list[tuple[int, int | None]] = []
+def _ideal_pairs(F: FieldContext, n: int, bound: int) -> Iterator[tuple[tuple, tuple]]:
+    """(P, P) for each prime ideal P = (p, root) over n (root None: p inert), then (P, Q) for
+    each ordered pair of distinct ones.  Each p^2 meets the bound before omega_roots, which
+    scans all of range(p), runs on p: a large p fails at once, after the smaller p's tests."""
+    primes: list[tuple[int, int | None]] = []
     for p, _ in factorize(n):
-        out.extend((p, r) for r in omega_roots(F, p) or (None,))
-    return out
+        _check_modulus(p * p, bound)
+        for P in [(p, r) for r in omega_roots(F, p) or (None,)]:
+            primes.append(P)
+            yield P, P
+    yield from ((P, Q) for P in primes for Q in primes if Q != P)
 
 
 def _prime_gens(p: int, r: int | None) -> list[QI]:
@@ -134,8 +140,7 @@ def brute_ideal_preserving(F: FieldContext, n: int, bound: int = DEFAULT_ENUM_BO
     """
     if n < 1:
         raise ValueError(f"order index must be >= 1, got {n}")
-    primes = _prime_ideals_above(F, n)
-    for P, Q in [(P, P) for P in primes] + [(P, Q) for P in primes for Q in primes if Q != P]:
+    for P, Q in _ideal_pairs(F, n, bound):
         M = P[0] * Q[0]
         _check_modulus(M, bound)
         gens = _prime_gens(*Q)

@@ -4,13 +4,19 @@ L(n, d) = |U(O_K/(n))| / phi(n) is multiplicative with L(1) = 1 and
 L(p^a) = p^(a-1) * (p - (D/p)), (D/p) the field character (including p = 2);
 these match the unit counts of the split, inert and ramified local quotients.
 
-m(n) is the least k >= 1 with u^k in the order of index n, u the fundamental
-unit (for d < 0, the torsion generator).  With u = (x + y*sqrt(D))/2 of norm
-N, u^k = (V_k + y*U_k*sqrt(D))/2 for the Lucas sequences U, V of P = x, Q = N,
-so u^k lies in Z + p^a*O_K exactly when p^a | y*U_k: m(p^a) is the rank of
-apparition of p^a in y*U.  The valid k form a subgroup of Z and m(p^a) divides
-L(p^a, d), so m(p^a) is L with primes divided out while the quotient stays
-valid (order reduction); m is multiplicative-by-lcm over the prime powers of n.
+m(n), the least k >= 1 with u^k in the order of index n (u the fundamental unit,
+for d < 0 the torsion generator), is the lcm of the m(p^a), each dividing L(p^a).
+With u = alpha = (x + y*sqrt(D))/2, beta its conjugate and N = alpha*beta the norm,
+u^k = (V_k + y*U_k*sqrt(D))/2 for the Lucas sequences of P = x, Q = N, so u^k is in
+Z + p^a*O_K iff p^a | y*U_k.
+For odd p, a = 1 and p not dividing y*D, p | U_k iff z^k = 1, z = alpha/beta:
+  - split p: z = alpha^2 * N in F_p^*, with sqrt(D) mod p one pow when p = 3 (mod 4),
+    else Tonelli-Shanks (Cohen, A Course in Computational Algebraic Number Theory, Alg. 1.5.1);
+  - inert p: z is on the norm-one torus of F_(p^2), so z^k = 1 iff V_k(P', 1) = 2 (mod p),
+    P' = z + 1/z = (x^2 - 2N) * N, and V_jk = V_j(V_k) (Lehmer, Ann. Math. 1930).
+Both share one order loop: for r^e || L, z^(L/r^e) is raised to the r-th power until it
+is one.  A u not of norm N mod p, s^2 != D, or z^L != 1 raises InternalConsistencyError.
+Any other p^a takes apparition_rank: order reduction of U_k mod p^a from k = L.
 """
 
 from __future__ import annotations
@@ -54,6 +60,39 @@ def apparition_rank(F: FieldContext, U: FundamentalUnit, q: int, L: int) -> int:
     return k
 
 
+def lucas_v(P: int, k: int, M: int) -> int:
+    """V_k(P, 1) mod M for k >= 1, by a ladder on (V_j, V_{j+1}): two products per bit."""
+    v0, v1 = P % M, (P * P - 2) % M  # (V_1, V_2)
+    if k == 2:
+        return v1
+    for bit in bin(k)[3:]:
+        # V_{2j} = V_j^2 - 2, V_{2j+1} = V_j V_{j+1} - P, V_{2j+2} = V_{j+1}^2 - 2
+        if bit == "1":
+            v0, v1 = (v0 * v1 - P) % M, (v1 * v1 - 2) % M
+        else:
+            v0, v1 = (v0 * v0 - 2) % M, (v0 * v1 - P) % M
+    return v0
+
+
+def sqrt_mod(n: int, p: int) -> int:
+    """s with s^2 = n (mod p), p an odd prime (Cohen, Alg. 1.5.1); a non-square n raises."""
+    n %= p
+    if p % 4 == 3:
+        s = pow(n, (p + 1) // 4, p)
+    else:
+        e = ((p - 1) & (1 - p)).bit_length() - 1  # 2^e exactly divides p - 1
+        q = (p - 1) >> e
+        g = next(c for c in range(2, p) if pow(c, (p - 1) // 2, p) == p - 1)
+        y, s, b = pow(g, q, p), pow(n, (q + 1) // 2, p), pow(n, q, p)
+        while b != 1 and pow(b, 1 << (e - 1), p) == 1:  # b = s^2 / n, of order 2^j < 2^e
+            j = next(j for j in range(1, e) if pow(b, 1 << j, p) == 1)
+            t = pow(y, 1 << (e - j - 1), p)
+            y, e, s, b = t * t % p, j, s * t % p, b * t * t % p
+    if s * s % p != n:
+        raise InternalConsistencyError(f"{n} has no square root mod {p}")
+    return s
+
+
 def local_data(F: FieldContext, U: FundamentalUnit, p: int, a: int) -> tuple[int, int, bool]:
     """(m(p^a), L(p^a), p inert), reading the field character once.
 
@@ -62,7 +101,26 @@ def local_data(F: FieldContext, U: FundamentalUnit, p: int, a: int) -> tuple[int
     """
     chi = field_char(F.d, p)
     L = p ** (a - 1) * (p - chi)
-    return apparition_rank(F, U, p**a, L), L, chi == -1
+    x, y = unit_xy(F, U.u)
+    if a > 1 or p == 2 or not chi or y * F.D % p == 0:
+        return apparition_rank(F, U, p**a, L), L, chi == -1
+    x, y, N = x % p, y % p, U.norm_sign
+    if (x * x - F.D * y * y - 4 * N) % p:
+        raise InternalConsistencyError(f"u is not a unit of norm {N} mod {p} for d = {F.d}")
+    if chi == 1:  # z = alpha/beta = alpha^2 * N in F_p
+        alpha = (x + y * sqrt_mod(F.D, p)) * ((p + 1) // 2) % p
+        z, one, power = alpha * alpha * N % p, 1, pow
+    else:  # z on the norm-one torus, carried as z + 1/z
+        z, one, power = (x * x - 2 * N) * N % p, 2, lucas_v
+    m = 1
+    for r, e in factorize(L):
+        t, j = power(z, L // r**e, p), 0
+        while t != one:
+            if j == e:
+                raise InternalConsistencyError(f"u^L is not in the order for L({p}, {F.d}) = {L}")
+            t, j = power(t, r, p), j + 1
+        m *= r**j
+    return m, L, chi == -1
 
 
 @lru_cache(maxsize=CACHE_MAXSIZE)

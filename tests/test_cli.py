@@ -321,6 +321,9 @@ def _scan_out_of_memory(monkeypatch, tmp_path):
                  id="report-non-utf8-byte"),
     # any other ValueError (a cell outside the oracles' range among them) exits 2
     pytest.param(lambda mp, tp: ("verify", "-d", "2", "-n", "5000"), 2, id="verify-past-bound"),
+    # a prime n past the bound: refused before the roots mod n are searched, at once
+    pytest.param(lambda mp, tp: ("verify", "-d", "2", "-n", "1000000007"), 2,
+                 id="verify-large-prime"),
     pytest.param(lambda mp, tp: ("scan", "--d-min", "2", "--d-max", "3", "--n-max", "3",
                                  "--jobs", "0", "--out", str(tp / "x.csv")), 2, id="scan-jobs-0"),
     pytest.param(_resume_csv_as_jsonl, 2, id="resume-csv-scan-as-jsonl"),

@@ -3,6 +3,7 @@ from math import gcd
 
 import pytest
 
+from quadorders import oracle
 from quadorders.arith import is_squarefree
 from quadorders.classify import OrderSpec, classify_order
 from quadorders.oracle import (
@@ -97,6 +98,28 @@ def test_split_prime_fails_ideal_preservation():
     F = make_field(-5)
     assert field_char(-5, 3) == 1
     assert not brute_ideal_preserving(F, 3)
+
+
+def test_bound_is_checked_before_the_roots(monkeypatch):
+    # omega_roots scans all of range(p): a prime past the bound must be refused before it
+    # runs, and a prime below the bound that already fails keeps its False
+    seen = []
+
+    def roots(F, p):
+        assert p * p <= DEFAULT_ENUM_BOUND, f"omega_roots ran on p = {p}"
+        seen.append(p)
+        return omega_roots(F, p)
+
+    monkeypatch.setattr(oracle, "omega_roots", roots)
+    F = make_field(2)
+    with pytest.raises(OracleBoundError, match="1000000014000000049"):
+        brute_ideal_preserving(F, 1000000007)
+    assert seen == []
+    with pytest.raises(OracleBoundError):
+        brute_ideal_preserving(F, 5 * 1000000007)  # 5 is inert in Q(sqrt(2)): no False
+    assert seen == [5]
+    assert not brute_ideal_preserving(F, 2 * 1000000007)  # 2 ramified: P meets R inside P^2
+    assert seen == [5, 2]
 
 
 def test_ramified_prime_fails_ideal_preservation():

@@ -3,16 +3,19 @@ from math import lcm
 
 import pytest
 
+from quadorders import unitindex
 from quadorders.arith import InternalConsistencyError, factorize, is_prime, is_squarefree
-from quadorders.pell import fundamental_unit
-from quadorders.quadfield import field_char, make_field, qi_mul
+from quadorders.pell import FundamentalUnit, fundamental_unit
+from quadorders.quadfield import field_char, make_field, qi_mul, unit_xy
 from quadorders.unitindex import (
     apparition_rank,
     l_value,
     local_data,
     lucas_u,
+    lucas_v,
     min_power,
     min_power_prime_power,
+    sqrt_mod,
 )
 
 
@@ -186,3 +189,102 @@ def test_wrong_l_is_an_internal_error():
     assert apparition_rank(F, U, 5, 12) == 3
     with pytest.raises(InternalConsistencyError, match=r"L\(5, 2\) = 4"):
         apparition_rank(F, U, 5, 4)
+
+
+def test_lucas_v_matches_recurrence():
+    for P in range(-3, 6):
+        seq = [2, P]
+        while len(seq) < 200:
+            seq.append(P * seq[-1] - seq[-2])
+        for M in (2, 9, 10, 97):
+            assert [lucas_v(P, k, M) for k in range(1, 200)] == [v % M for v in seq[1:]]
+            # V_jk(P) = V_j(V_k(P)), the step of the inert route's order loop
+            assert all(lucas_v(lucas_v(P, k, M), j, M) == seq[j * k] % M
+                       for j in (2, 3, 5) for k in range(1, 200 // j))
+
+
+def test_sqrt_mod():
+    # every residue of every odd prime below 300, so 2^e || p - 1 for e up to 5 (p = 97, 193)
+    for p in (p for p in range(3, 300) if is_prime(p)):
+        squares = {r * r % p for r in range(p)}
+        for n in range(-p, 2 * p):
+            if n % p in squares:
+                assert sqrt_mod(n, p) ** 2 % p == n % p, (n, p)
+            else:
+                with pytest.raises(InternalConsistencyError):
+                    sqrt_mod(n, p)
+
+
+def routes_taken(monkeypatch):
+    """Patch the three routes' entry points to note which one a local_data call reaches."""
+    taken = []
+    routes = (("sqrt_mod", "split"), ("lucas_v", "inert"), ("apparition_rank", "ladder"))
+    for name, route in routes:
+        def spy(*args, _f=getattr(unitindex, name), _route=route):
+            taken.append(_route)
+            return _f(*args)
+        monkeypatch.setattr(unitindex, name, spy)
+    return taken
+
+
+def test_fast_routes_match_the_ladder(monkeypatch):
+    # d mod 8 in {1, 2, 3, 5, 6, 7} (17, 2, 3, 5, 6, 7); units of norm -1 (2, 5, 17, 41) and
+    # +1 (3, 6, 7, 94); 3 | y at d = 7 (u = 8 + 3*sqrt(7)); the torsion generators of -1, -3
+    ds = [-3, -1, 2, 3, 5, 6, 7, 17, 41, 94]
+    assert {d % 8 for d in ds if d > 0} == {1, 2, 3, 5, 6, 7}
+    assert {fundamental_unit(make_field(d)).norm_sign for d in ds if d > 0} == {-1, 1}
+    primes = [p for p in range(2, 10**4) if is_prime(p)]
+    taken = routes_taken(monkeypatch)
+    route_of = {}
+    for d in ds:
+        F = make_field(d)
+        U = fundamental_unit(F)
+        y = unit_xy(F, U.u)[1]
+        for p in primes:
+            chi = field_char(d, p)
+            route = "ladder" if p == 2 or y * F.D % p == 0 else "split" if chi == 1 else "inert"
+            taken.clear()
+            m, L, inert = local_data(F, U, p, 1)
+            assert set(taken) == {route}, (d, p, taken)
+            assert (L, inert) == (p - chi, chi == -1)
+            assert m == apparition_rank(F, U, p, L), (d, p)  # the unpatched ladder
+            route_of[d, p] = route
+    assert set(route_of.values()) == {"split", "inert", "ladder"}
+    split_residues = {p % 8 for (d, p), route in route_of.items() if route == "split"}
+    assert split_residues == {1, 3, 5, 7}  # 1: Tonelli-Shanks with 8 | p - 1; 3, 7: one pow
+    assert route_of[7, 3] == "ladder" and field_char(7, 3) == 1  # split, but 3 | y
+    odd_ladder = [(d, p) for (d, p), route in route_of.items() if route == "ladder" and p > 2]
+    assert {field_char(d, p) for d, p in odd_ladder} == {-1, 0, 1}
+
+
+@pytest.mark.parametrize(
+    "d, p, chi",
+    [
+        (2, 11, 1),  # inert, called split: sqrt(D) by one pow (p = 3 mod 4) has s^2 != D
+        (2, 13, 1),  # inert, called split: Tonelli-Shanks (p = 5 mod 8) finds no root
+        (3, 17, 1),  # inert, called split: Tonelli-Shanks (p = 1 mod 16)
+        (2, 7, -1),  # split, called inert: z^(p+1) = z^2 != 1 as z != -1
+        (2, 17, -1),
+        (5, 11, -1),
+    ],
+)
+def test_fast_routes_refuse_a_wrong_character(monkeypatch, d, p, chi):
+    F = make_field(d)
+    U = fundamental_unit(F)
+    assert field_char(d, p) == -chi
+    monkeypatch.setattr(unitindex, "field_char", lambda d, p: chi)
+    with pytest.raises(InternalConsistencyError):
+        local_data(F, U, p, 1)
+
+
+@pytest.mark.parametrize("p", [7, 17, 5, 13])  # split in Q(sqrt(2)), then inert
+def test_fast_routes_refuse_a_wrong_unit(p):
+    F = make_field(2)
+    U = fundamental_unit(F)  # 1 + sqrt(2), norm -1
+    for fake in (
+        FundamentalUnit(U.u, 1, 2),  # the wrong norm sign
+        FundamentalUnit((3, 1), 1, 2),  # 3 + sqrt(2), of norm 7: no unit mod p
+        FundamentalUnit((3, 1), -1, 2),
+    ):
+        with pytest.raises(InternalConsistencyError, match=f"norm {fake.norm_sign} mod {p}"):
+            local_data(F, fake, p, 1)
