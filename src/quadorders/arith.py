@@ -6,6 +6,7 @@ from functools import lru_cache
 from math import isqrt
 
 CACHE_MAXSIZE = 1 << 16  # bound of every lru_cache; holds dozens of fields' m(p^a) tables
+TRIAL_BOUND = 10**7  # factorize's last trial divisor: every n < 10^14 factors, in about 1 s
 
 
 class InternalConsistencyError(RuntimeError):
@@ -16,22 +17,25 @@ class InternalConsistencyError(RuntimeError):
 def factorize(n: int) -> tuple[tuple[int, int], ...]:
     """Prime factorization of n >= 1 as ascending (prime, exponent) pairs; () for n = 1.
 
-    Trial division by 2 and then the odd numbers; fine for the desk-scale n used here.
+    Trial division by 2 and then the odd numbers up to TRIAL_BOUND; a cofactor left that
+    this does not certify prime (so above 10^14) is refused with a ValueError.
     """
     if n < 1:
         raise ValueError(f"factorize requires n >= 1, got {n}")
     out: list[tuple[int, int]] = []
-    p = 2
-    while p * p <= n:
-        if n % p == 0:
+    m, p = n, 2
+    while p * p <= m and p <= TRIAL_BOUND:
+        if m % p == 0:
             e = 0
-            while n % p == 0:
-                n //= p
+            while m % p == 0:
+                m //= p
                 e += 1
             out.append((p, e))
         p += 1 if p == 2 else 2
-    if n > 1:
-        out.append((n, 1))
+    if p * p <= m:
+        raise ValueError(f"n = {n} is too large to factor: no factor of {m} up to {TRIAL_BOUND}")
+    if m > 1:
+        out.append((m, 1))
     return tuple(out)
 
 

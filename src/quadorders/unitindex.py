@@ -9,14 +9,13 @@ for d < 0 the torsion generator), is the lcm of the m(p^a), each dividing L(p^a)
 With u = alpha = (x + y*sqrt(D))/2, beta its conjugate and N = alpha*beta the norm,
 u^k = (V_k + y*U_k*sqrt(D))/2 for the Lucas sequences of P = x, Q = N, so u^k is in
 Z + p^a*O_K iff p^a | y*U_k.
-For odd p, a = 1 and p not dividing y*D, p | U_k iff z^k = 1, z = alpha/beta:
-  - split p: z = alpha^2 * N in F_p^*, with sqrt(D) mod p one pow when p = 3 (mod 4),
-    else Tonelli-Shanks (Cohen, A Course in Computational Algebraic Number Theory, Alg. 1.5.1);
-  - inert p: z is on the norm-one torus of F_(p^2), so z^k = 1 iff V_k(P', 1) = 2 (mod p),
-    P' = z + 1/z = (x^2 - 2N) * N, and V_jk = V_j(V_k) (Lehmer, Ann. Math. 1930).
-Both share one order loop: for r^e || L, z^(L/r^e) is raised to the r-th power until it
-is one.  A u not of norm N mod p, s^2 != D, or z^L != 1 raises InternalConsistencyError.
-Any other p^a takes apparition_rank: order reduction of U_k mod p^a from k = L.
+For a = 1 and p unramified, u^k is in Z + p*O_K iff z^k = 1 in the reduced ring O_K/(p),
+z = alpha/beta, as conjugation fixes exactly F_p there.  P' = z + 1/z = (x^2 - 2N) * N is
+in F_p and (z^k - 1)^2 = z^k * (V_k(P', 1) - 2), so z^k = 1 iff V_k(P', 1) = 2 (mod p),
+split or inert, p = 2 included; V_jk = V_j(V_k) (Lehmer, Ann. Math. 1930).  For r^e || L,
+V_(L/r^e) is raised to the r-th power until it is 2.  A u not of norm N mod p, or
+z^L != 1, raises InternalConsistencyError.
+Ramified p and a >= 2 take apparition_rank: order reduction of U_k mod p^a from k = L.
 """
 
 from __future__ import annotations
@@ -74,25 +73,6 @@ def lucas_v(P: int, k: int, M: int) -> int:
     return v0
 
 
-def sqrt_mod(n: int, p: int) -> int:
-    """s with s^2 = n (mod p), p an odd prime (Cohen, Alg. 1.5.1); a non-square n raises."""
-    n %= p
-    if p % 4 == 3:
-        s = pow(n, (p + 1) // 4, p)
-    else:
-        e = ((p - 1) & (1 - p)).bit_length() - 1  # 2^e exactly divides p - 1
-        q = (p - 1) >> e
-        g = next(c for c in range(2, p) if pow(c, (p - 1) // 2, p) == p - 1)
-        y, s, b = pow(g, q, p), pow(n, (q + 1) // 2, p), pow(n, q, p)
-        while b != 1 and pow(b, 1 << (e - 1), p) == 1:  # b = s^2 / n, of order 2^j < 2^e
-            j = next(j for j in range(1, e) if pow(b, 1 << j, p) == 1)
-            t = pow(y, 1 << (e - j - 1), p)
-            y, e, s, b = t * t % p, j, s * t % p, b * t * t % p
-    if s * s % p != n:
-        raise InternalConsistencyError(f"{n} has no square root mod {p}")
-    return s
-
-
 def local_data(F: FieldContext, U: FundamentalUnit, p: int, a: int) -> tuple[int, int, bool]:
     """(m(p^a), L(p^a), p inert), reading the field character once.
 
@@ -101,24 +81,20 @@ def local_data(F: FieldContext, U: FundamentalUnit, p: int, a: int) -> tuple[int
     """
     chi = field_char(F.d, p)
     L = p ** (a - 1) * (p - chi)
-    x, y = unit_xy(F, U.u)
-    if a > 1 or p == 2 or not chi or y * F.D % p == 0:
+    if a > 1 or not chi:
         return apparition_rank(F, U, p**a, L), L, chi == -1
+    x, y = unit_xy(F, U.u)
     x, y, N = x % p, y % p, U.norm_sign
     if (x * x - F.D * y * y - 4 * N) % p:
         raise InternalConsistencyError(f"u is not a unit of norm {N} mod {p} for d = {F.d}")
-    if chi == 1:  # z = alpha/beta = alpha^2 * N in F_p
-        alpha = (x + y * sqrt_mod(F.D, p)) * ((p + 1) // 2) % p
-        z, one, power = alpha * alpha * N % p, 1, pow
-    else:  # z on the norm-one torus, carried as z + 1/z
-        z, one, power = (x * x - 2 * N) * N % p, 2, lucas_v
+    P = (x * x - 2 * N) * N % p  # z + 1/z for z = alpha/beta
     m = 1
     for r, e in factorize(L):
-        t, j = power(z, L // r**e, p), 0
-        while t != one:
+        t, j = lucas_v(P, L // r**e, p), 0
+        while (t - 2) % p:  # z^k = 1 iff V_k = 2, also at p = 2 where 2 = 0
             if j == e:
                 raise InternalConsistencyError(f"u^L is not in the order for L({p}, {F.d}) = {L}")
-            t, j = power(t, r, p), j + 1
+            t, j = lucas_v(t, r, p), j + 1
         m *= r**j
     return m, L, chi == -1
 

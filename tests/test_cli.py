@@ -324,6 +324,11 @@ def _scan_out_of_memory(monkeypatch, tmp_path):
     # a prime n past the bound: refused before the roots mod n are searched, at once
     pytest.param(lambda mp, tp: ("verify", "-d", "2", "-n", "1000000007"), 2,
                  id="verify-large-prime"),
+    # a prime n past 10^14: factorize stops trial division at 10^7 and refuses it
+    pytest.param(lambda mp, tp: ("classify", "-d", "2", "-n", str(10**18 + 3)), 2,
+                 id="classify-n-too-large-to-factor"),
+    pytest.param(lambda mp, tp: ("verify", "-d", "2", "-n", str(10**18 + 3)), 2,
+                 id="verify-n-too-large-to-factor"),
     pytest.param(lambda mp, tp: ("scan", "--d-min", "2", "--d-max", "3", "--n-max", "3",
                                  "--jobs", "0", "--out", str(tp / "x.csv")), 2, id="scan-jobs-0"),
     pytest.param(_resume_csv_as_jsonl, 2, id="resume-csv-scan-as-jsonl"),

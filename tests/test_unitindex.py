@@ -15,7 +15,6 @@ from quadorders.unitindex import (
     lucas_v,
     min_power,
     min_power_prime_power,
-    sqrt_mod,
 )
 
 
@@ -203,23 +202,10 @@ def test_lucas_v_matches_recurrence():
                        for j in (2, 3, 5) for k in range(1, 200 // j))
 
 
-def test_sqrt_mod():
-    # every residue of every odd prime below 300, so 2^e || p - 1 for e up to 5 (p = 97, 193)
-    for p in (p for p in range(3, 300) if is_prime(p)):
-        squares = {r * r % p for r in range(p)}
-        for n in range(-p, 2 * p):
-            if n % p in squares:
-                assert sqrt_mod(n, p) ** 2 % p == n % p, (n, p)
-            else:
-                with pytest.raises(InternalConsistencyError):
-                    sqrt_mod(n, p)
-
-
 def routes_taken(monkeypatch):
-    """Patch the three routes' entry points to note which one a local_data call reaches."""
+    """Patch the two routes' entry points to note which one a local_data call reaches."""
     taken = []
-    routes = (("sqrt_mod", "split"), ("lucas_v", "inert"), ("apparition_rank", "ladder"))
-    for name, route in routes:
+    for name, route in (("lucas_v", "torus"), ("apparition_rank", "ladder")):
         def spy(*args, _f=getattr(unitindex, name), _route=route):
             taken.append(_route)
             return _f(*args)
@@ -242,28 +228,32 @@ def test_fast_routes_match_the_ladder(monkeypatch):
         y = unit_xy(F, U.u)[1]
         for p in primes:
             chi = field_char(d, p)
-            route = "ladder" if p == 2 or y * F.D % p == 0 else "split" if chi == 1 else "inert"
             taken.clear()
             m, L, inert = local_data(F, U, p, 1)
-            assert set(taken) == {route}, (d, p, taken)
             assert (L, inert) == (p - chi, chi == -1)
+            # the one rule: the ladder exactly at ramified p, else the torus; L = 1 needs neither
+            route = "ladder" if not chi else "torus" if L > 1 else None
+            assert set(taken) == ({route} - {None}), (d, p, taken)
             assert m == apparition_rank(F, U, p, L), (d, p)  # the unpatched ladder
+            assert m == 1 or y % p, (d, p)  # p | y: u is in Z + p*O_K
             route_of[d, p] = route
-    assert set(route_of.values()) == {"split", "inert", "ladder"}
-    split_residues = {p % 8 for (d, p), route in route_of.items() if route == "split"}
-    assert split_residues == {1, 3, 5, 7}  # 1: Tonelli-Shanks with 8 | p - 1; 3, 7: one pow
-    assert route_of[7, 3] == "ladder" and field_char(7, 3) == 1  # split, but 3 | y
-    odd_ladder = [(d, p) for (d, p), route in route_of.items() if route == "ladder" and p > 2]
-    assert {field_char(d, p) for d, p in odd_ladder} == {-1, 0, 1}
+    assert {field_char(d, p) for (d, p), route in route_of.items() if route == "torus"} == {-1, 1}
+    assert route_of[7, 3] == "torus" and field_char(7, 3) == 1  # split, and 3 | y
+    # p = 2 unramified: inert at d = 5 mod 8 (L = 3), split at d = 1 mod 8 (L = 1, m = 1)
+    assert route_of[-3, 2] == route_of[5, 2] == "torus"
+    assert route_of[17, 2] is route_of[41, 2] is None
+    assert route_of[7, 7] == route_of[2, 2] == "ladder"
 
 
+# A character of the wrong sign gives L = p - chi off by 2 from a multiple of the order of
+# z = alpha/beta, so z^L = z^(+-2), which is 1 only at z = +-1, that is at p | x*y.
 @pytest.mark.parametrize(
     "d, p, chi",
     [
-        (2, 11, 1),  # inert, called split: sqrt(D) by one pow (p = 3 mod 4) has s^2 != D
-        (2, 13, 1),  # inert, called split: Tonelli-Shanks (p = 5 mod 8) finds no root
-        (3, 17, 1),  # inert, called split: Tonelli-Shanks (p = 1 mod 16)
-        (2, 7, -1),  # split, called inert: z^(p+1) = z^2 != 1 as z != -1
+        (2, 11, 1),  # inert, called split: z^10 = z^-2 as z^12 = 1
+        (2, 13, 1),  # inert, called split: z^12 = z^-2 as z^14 = 1
+        (3, 17, 1),  # inert, called split: z^16 = z^-2 as z^18 = 1
+        (2, 7, -1),  # split, called inert: z^8 = z^2 as z^6 = 1
         (2, 17, -1),
         (5, 11, -1),
     ],
@@ -273,7 +263,7 @@ def test_fast_routes_refuse_a_wrong_character(monkeypatch, d, p, chi):
     U = fundamental_unit(F)
     assert field_char(d, p) == -chi
     monkeypatch.setattr(unitindex, "field_char", lambda d, p: chi)
-    with pytest.raises(InternalConsistencyError):
+    with pytest.raises(InternalConsistencyError, match=r"u\^L is not in the order"):
         local_data(F, U, p, 1)
 
 
