@@ -1,8 +1,10 @@
 """Grid census: classify Z + n*O_K over rectangles of (d, n) with checkpointed output.
 
-Rows stream to CSV or JSONL in (d, n) order, one checkpoint per completed d, so an
-interrupted scan can resume and produce a byte-identical file.  Workers parallelise
-over d; each sets its field up once, takes its cells from classify_field (and under
+Rows stream to CSV or JSONL in (d, n) order, one checkpoint per task of consecutive d,
+so an interrupted scan can resume and produce a byte-identical file.  The scan splits
+its fields into tasks, four per worker and at most _TASK_CELLS rows unless one field's
+alone is more, and runs them in-process or on a pool of at most one worker per task.
+A task sets each of its fields up once, takes its cells from classify_field (and under
 --verify checks them with oracle_verdicts, building no record), and renders them into one
 block through one row template per field, with d, D and h_maximal in place; the parent
 writes the blocks in submission order, so the output is independent of the worker count.
@@ -36,6 +38,7 @@ CSV_HEADER = ",".join(FIELD_NAMES)
 _BOOL_FIELDS = ("ideal_preserving", "locally_associated", "associated", "hfd")
 _to_json = json.JSONEncoder(separators=(",", ":")).encode
 _BLOCK_SIZE = 1 << 16  # bytes read at a time; a block runs on to its next line end
+_TASK_CELLS = 1 << 14  # rows of a scan task at most, unless one field's alone is more
 _FLAG_WORDS = {"csv": ("0", "1"), "jsonl": ("false", "true")}  # a flag's spelling, by value
 
 
@@ -116,9 +119,8 @@ def _verified(F: FieldContext, U: FundamentalUnit, cells: Iterator[tuple]) -> It
         yield cell
 
 
-def _scan_one_d(task: tuple[int, int, int, str, bool]) -> tuple[int, str, int, int]:
-    """One d's rows as a single newline-terminated block, with its row and hfd counts."""
-    d, n_min, n_max, fmt, verify = task
+def _scan_one_d(d: int, n_min: int, n_max: int, fmt: str, verify: bool) -> tuple[str, int]:
+    """One d's rows as a single newline-terminated block, with its hfd count."""
     F = make_field(d)
     U = fundamental_unit(F)
     h = class_number(F, U).h
@@ -130,8 +132,14 @@ def _scan_one_d(task: tuple[int, int, int, str, bool]) -> tuple[int, str, int, i
         for n, m, L, ip, la, assoc, h_order, hfd in cells
     ) + "\n"
     # the hfd rows past the n = 1 row, which is not counted
-    hfd = block.count(_HFD_ROW_END[fmt], block.index("\n") + 1 if n_min == 1 else 0)
-    return d, block, n_max - n_min + 1, hfd
+    return block, block.count(_HFD_ROW_END[fmt], block.index("\n") + 1 if n_min == 1 else 0)
+
+
+def _scan_fields(task: tuple[list[int], int, int, str, bool]) -> tuple[int, str, int, int]:
+    """A task's fields, consecutive d, as one block, with its last d and its row and hfd counts."""
+    ds, n_min, n_max, fmt, verify = task
+    blocks, hfds = zip(*(_scan_one_d(d, n_min, n_max, fmt, verify) for d in ds))
+    return ds[-1], "".join(blocks), len(ds) * (n_max - n_min + 1), sum(hfds)
 
 
 def checkpoint_path(out: str) -> str:
@@ -233,20 +241,25 @@ def scan(cfg: ScanConfig) -> ScanSummary:
     elif os.path.exists(ck_path):
         os.remove(ck_path)
 
-    tasks = [(d, cfg.n_min, cfg.n_max, cfg.fmt, cfg.verify) for d in ds]
-    jobs = min(cfg.jobs, len(ds))  # a worker past one per field would never get a task
+    # tasks of consecutive d, each one block and one checkpoint: four per worker, as
+    # Pool.map's default, of at most _TASK_CELLS rows unless one field's alone is more;
+    # with jobs <= len(ds) there are at least jobs tasks, so at most one worker per task
+    jobs = min(cfg.jobs, len(ds))
+    size = max(1, min(-(-len(ds) // (4 * jobs)), _TASK_CELLS // (cfg.n_max - cfg.n_min + 1)))
+    tasks = [(ds[i : i + size], cfg.n_min, cfg.n_max, cfg.fmt, cfg.verify)
+             for i in range(0, len(ds), size)]
     with open(cfg.out, mode, newline="") as fh:
         if mode == "w" and cfg.fmt == "csv":
             fh.write(CSV_HEADER + "\n")
             fh.flush()
         with get_context("fork").Pool(jobs) if jobs > 1 else nullcontext() as pool:
-            results = pool.imap(_scan_one_d, tasks, chunksize=1) if pool else map(_scan_one_d, tasks)
-            for d, block, n_rows, hfd_d in results:
+            results = pool.imap(_scan_fields, tasks) if pool else map(_scan_fields, tasks)
+            for last_d, block, n_rows, hfd_task in results:
                 fh.write(block)
                 fh.flush()
                 rows_written += n_rows
-                hfd_count += hfd_d
-                _write_checkpoint(ck_path, Checkpoint(d, rows_written, hfd_count))
+                hfd_count += hfd_task
+                _write_checkpoint(ck_path, Checkpoint(last_d, rows_written, hfd_count))
     return ScanSummary(rows_written, hfd_count, time.perf_counter() - t0)
 
 

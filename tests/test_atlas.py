@@ -128,6 +128,76 @@ def test_scan_starts_no_more_workers_than_fields(tmp_path, monkeypatch):
     assert sizes == [2] and pooled.read_bytes() == one.read_bytes()
 
 
+def spy_checkpoints(monkeypatch):
+    written = []
+    real = atlas._write_checkpoint
+
+    def spy(path, ck):
+        written.append(ck)
+        real(path, ck)
+
+    monkeypatch.setattr(atlas, "_write_checkpoint", spy)
+    return written
+
+
+def test_small_n_fields_share_a_task(tmp_path, monkeypatch):
+    # 121 fields of both signs at n <= 40, as a sweep: tasks of consecutive d, four per
+    # worker, so at most 4 * jobs + 1 checkpoints, each on a field boundary
+    one, pooled = tmp_path / "one.jsonl", tmp_path / "pooled.jsonl"
+    window = dict(d_min=-97, d_max=97, n_max=40, fmt="jsonl")
+    scan(ScanConfig(out=str(one), jobs=1, **window))
+    written = spy_checkpoints(monkeypatch)
+    summary = scan(ScanConfig(out=str(pooled), jobs=2, **window))
+    assert pooled.read_bytes() == one.read_bytes()
+    assert 2 <= len(written) <= 4 * 2 + 1
+    assert written[-1] == Checkpoint(97, summary.records, summary.hfd) and summary.records == 121 * 39
+    rows = [json.loads(line) for line in pooled.read_text().splitlines()]
+    for ck in written:
+        assert (rows[ck.rows - 1]["d"], rows[ck.rows - 1]["n"]) == (ck.last_d, 40)
+        assert ck.hfd == sum(row["hfd"] for row in rows[: ck.rows])
+
+
+def test_census_window_keeps_one_field_per_task(tmp_path, monkeypatch):
+    # 9,999 rows a field: a task of two would pass _TASK_CELLS, so each field is its own
+    written = spy_checkpoints(monkeypatch)
+    scan(small_cfg(tmp_path / "census.csv", d_max=7, n_max=10**4, jobs=2))
+    assert [ck.last_d for ck in written] == [2, 3, 5, 6, 7]
+    assert [ck.rows for ck in written] == [9_999 * k for k in range(1, 6)]
+
+
+def test_interrupted_task_leaves_the_tasks_before_it(tmp_path, monkeypatch):
+    # 18 fields in [2, 30] at --jobs 1: tasks of 5, the first 2 to 7, the second 10, 11,
+    # 13, 14, 15; the scan stops at d = 14, inside the second, after setting up 10 to 13
+    full, part = tmp_path / "full.csv", tmp_path / "part.csv"
+    window = dict(d_min=2, d_max=30, n_max=10)
+    scan(ScanConfig(out=str(full), **window))
+    real, seen = atlas.make_field, []
+
+    class Interrupted(Exception):
+        pass
+
+    def make_field(d):
+        seen.append(d)
+        if d == 14:
+            raise Interrupted
+        return real(d)
+
+    monkeypatch.setattr(atlas, "make_field", make_field)
+    with pytest.raises(Interrupted):
+        scan(ScanConfig(out=str(part), **window))
+    assert seen == [2, 3, 5, 6, 7, 10, 11, 13, 14]
+    # the file holds exactly the first task's rows, and the checkpoint ends there
+    lines = full.read_bytes().splitlines(keepends=True)
+    assert part.read_bytes() == b"".join(lines[: 1 + 5 * 9])
+    assert read_checkpoint(checkpoint_path(str(part))) == Checkpoint(
+        7, 45, sum(line.endswith(b",1\n") for line in lines[1:46])
+    )
+    monkeypatch.setattr(atlas, "make_field", real)
+    summary = scan(ScanConfig(out=str(part), resume=True, jobs=2, **window))
+    assert part.read_bytes() == full.read_bytes()
+    assert summary.records == len(lines) - 1
+
+
 def test_resume_is_byte_identical(tmp_path):
     full, part = tmp_path / "full.csv", tmp_path / "part.csv"
     scan(ScanConfig(d_min=2, d_max=15, n_max=8, out=str(full)))

@@ -331,6 +331,10 @@ def _scan_out_of_memory(monkeypatch, tmp_path):
                  id="verify-n-too-large-to-factor"),
     pytest.param(lambda mp, tp: ("scan", "--d-min", "2", "--d-max", "3", "--n-max", "3",
                                  "--jobs", "0", "--out", str(tp / "x.csv")), 2, id="scan-jobs-0"),
+    # a window of two n past 10^14: refused before a sieve to 2^30 is allocated
+    pytest.param(lambda mp, tp: ("scan", "--d-min", "2", "--d-max", "3", "--n-min", str(2**60),
+                                 "--n-max", str(2**60 + 1), "--out", str(tp / "x.csv")), 2,
+                 id="scan-n-window-too-large-to-sieve"),
     pytest.param(_resume_csv_as_jsonl, 2, id="resume-csv-scan-as-jsonl"),
     # out of memory exits 2 with a message, not a traceback
     pytest.param(_scan_out_of_memory, 2, id="scan-out-of-memory"),

@@ -22,7 +22,7 @@ from quadorders import (
     scan,
 )
 from quadorders.arith import factorize, window_plan
-from quadorders.atlas import _BOOL_FIELDS, _scan_one_d, _to_json
+from quadorders.atlas import _BOOL_FIELDS, _scan_fields, _to_json
 from quadorders.classify import classify_field
 from test_classify import reference_record
 
@@ -63,6 +63,21 @@ def test_one_n_plan_does_not_sieve():
     finally:
         tracemalloc.stop()
     assert peak < 64 * 1024, peak
+
+
+def test_wide_plan_past_factorize_is_refused_before_allocating():
+    # a sieve to isqrt(2**60 + 1) would be a 1 GB bytearray; 10^14 is where factorize stops
+    window_plan.cache_clear()
+    tracemalloc.start()
+    try:
+        for lo, hi in [(2**60, 2**60 + 1), (2, 10**14), (10**14 - 1, 10**14)]:
+            with pytest.raises(ValueError, match=rf"n window \[{lo}, {hi}\] is too large"):
+                window_plan(lo, hi)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024, peak
+    assert window_plan(10**14, 10**14) == ([2**14], [5**14])
 
 
 def test_past_the_factorize_cache(tmp_path):
@@ -111,7 +126,8 @@ def test_row_templates_render_as_the_record_helpers(fmt):
     render = record_to_csv_row if fmt == "csv" else lambda rec: _to_json(record_to_json_obj(rec))
     seen = {name: set() for name in _BOOL_FIELDS}
     for d in (-1, -3, -23, -5, 2, 5, 79, 94):
-        _, block, rows, hfd = _scan_one_d((d, 1, 80, fmt, False))
+        last_d, block, rows, hfd = _scan_fields(([d], 1, 80, fmt, False))
+        assert last_d == d
         lines = block.split("\n")
         assert lines[-1] == "" and rows == len(lines) - 1 == 80
         recs = [reference_record(d, n) for n in range(1, 81)]
