@@ -9,8 +9,9 @@ A task sets each of its fields up once, takes its cells from classify_field (and
 block through one row template per field, with d, D and h_maximal in place; the parent
 writes the blocks in submission order, so the output is independent of the worker count.
 report and scan --resume read a scan file through one reader, _scan_file: it checks
-64 KiB blocks of whole lines by one regex search, built from the writer's row template,
-for a line not in that one spelling, and decodes only a refused line, to name it.
+64 KiB blocks of whole lines by one regex search from line end to line end, built from
+the writer's row template, for a line not in that one spelling, and decodes only a
+refused line, to name it.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from math import isqrt
 from multiprocessing import get_context
 from typing import BinaryIO, Callable, Iterator, NoReturn
 
-from .arith import InternalConsistencyError
+from .arith import InternalConsistencyError, window_plan
 from .classgroup import class_number
 from .classify import ClassificationRecord, classify_field
 from .oracle import oracle_verdicts
@@ -225,6 +226,7 @@ def scan(cfg: ScanConfig) -> ScanSummary:
     ds = _squarefree_range(cfg.d_min, cfg.d_max)
     if not ds or cfg.n_min > cfg.n_max:
         return ScanSummary(0, 0, time.perf_counter() - t0)
+    window_plan(cfg.n_min, cfg.n_max)  # refuses a window it cannot plan before a file is touched
 
     rows_written = 0
     hfd_count = 0
@@ -263,17 +265,19 @@ def scan(cfg: ScanConfig) -> ScanSummary:
     return ScanSummary(rows_written, hfd_count, time.perf_counter() - t0)
 
 
-def _bad_line(fmt: str) -> Callable[[bytes], re.Match]:
-    """The search (?m)^(?!ROW\n) for the first line of a block that is not a row in fmt's
-    one spelling, ended by a bare LF; it finds the block's end if every line is one.
+def _bad_line(fmt: str) -> Callable[[bytes], int]:
+    """The offset in a block of its first line that is not a row in fmt's one spelling,
+    ended by a bare LF, or the block's length if every line is one.
 
     ROW is the row template scan fills, escaped, with each %s a flag word of fmt and
-    each %d an integer without +, spaces, underscores or leading zeros.  The lookahead
-    keeps no backtracking state from one row to the next.
+    each %d an integer without +, spaces, underscores or leading zeros.  The search is
+    for \n(?!ROW\n) in LF + block: the literal LF lets the regex engine skip from one line
+    end to the next, and the lookahead keeps no backtracking state from one row to the next.
     """
     row = re.escape(_row_template(fmt)).replace("%d", r"(?:-?[1-9][0-9]*|0)")
     row = row.replace("%s", "(?:%s)" % "|".join(_FLAG_WORDS[fmt]))
-    return re.compile(rb"(?m)^(?!%s\n)" % row.encode()).search
+    search = re.compile(rb"\n(?!%s\n)" % row.encode()).search
+    return lambda block: search(b"\n" + block).start()
 
 
 def _explain_csv_row(line: str, lineno: int) -> None:
@@ -379,7 +383,7 @@ def _scan_file(fh: BinaryIO, rows: int | None = None) -> tuple[str | None, int, 
                     rest = block.split(b"\n", left)[-1]  # what follows the left-th line end
                     block, lines = block[: len(block) - len(rest)], left
                 left -= lines
-            start = bad_line(block).start()
+            start = bad_line(block)
             if start < len(block):
                 _refuse(_line_at(block, start), lineno + block.count(b"\n", 0, start), explain)
             if block:

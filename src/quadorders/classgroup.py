@@ -4,16 +4,18 @@ A form (a, b, c) has discriminant b^2 - 4ac = D.  For D < 0 every class of
 positive definite forms contains exactly one reduced form (|b| <= a <= c with
 b >= 0 on the boundary), so h is a direct count.  For D > 0 the reduced forms
 (0 < b < sqrt(D), sqrt(D) - b < 2|a| < sqrt(D) + b) fall into disjoint cycles
-under the reduction step rho, one cycle per narrow class; h equals the narrow
-count when the fundamental unit has norm -1 and half of it otherwise.
+under the reduction step rho, one cycle per narrow class, walked by rho^2 over the
+forms with a > 0, since rho flips the sign of a (Cohen, A Course in Computational
+Algebraic Number Theory, 1993, section 5.6; Buchmann & Vollmer, Binary Quadratic Forms,
+2007, ch. 6); h equals the narrow count when the fundamental unit has norm -1 and half
+of it otherwise.
 
 Both enumerations run over b >= 0, then over the divisor pairs a*c = N with
-N = |b^2 - D|/4 (Cohen, A Course in Computational Algebraic Number Theory, 1993,
-section 5.3).  For D < 0, a runs over [b, sqrt(N)], so a <= c, and (a, -b, c) is
-added when 0 < b < a < c.  For D > 0 the bounds on |a| and |c| are the same and
-|a|*|c| = N, so the smaller of each pair runs over ((sqrt(D) - b)/2, sqrt(N)] and
-gives four forms.  Either way about 0.07*|D| candidates are tried, where a box
-over a and b tries |D|/3 (D < 0) or D/4 (D > 0).
+N = |b^2 - D|/4 (Cohen, section 5.3).  For D < 0, a runs over [b, sqrt(N)], so
+a <= c, and (a, -b, c) is added when 0 < b < a < c.  For D > 0 the bounds on |a|
+and |c| are the same and |a|*|c| = N, so the smaller of each pair runs over
+((sqrt(D) - b)/2, sqrt(N)] and gives four forms.  Either way about 0.07*|D|
+candidates are tried, where a box over a and b tries |D|/3 (D < 0) or D/4 (D > 0).
 """
 
 from __future__ import annotations
@@ -84,22 +86,24 @@ def rho_step(D: int, form: Form) -> Form:
 
 
 def narrow_class_number(D: int) -> int:
-    """Number of rho-cycles on the reduced indefinite forms of discriminant D."""
+    """Number of rho-cycles on the reduced indefinite forms of discriminant D, walked by
+    rho^2 over the forms with a > 0.  A reduced form has b^2 < D, so ac < 0, and
+    rho(a, b, c) = (c, b', c') alternates the sign of a along each cycle.  Each middle form
+    must be reduced and each image with a > 0 one not yet reached."""
     forms = reduced_forms_indefinite(D)
-    seen: set[Form] = set()
+    unvisited = {f for f in forms if f[0] > 0}
     cycles = 0
-    for f in sorted(forms):
-        if f in seen:
-            continue
+    while unvisited:
+        f = g = unvisited.pop()
         cycles += 1
-        g = f
         while True:
-            seen.add(g)
-            g = rho_step(D, g)
-            if g == f:
+            if (mid := rho_step(D, g)) not in forms:
+                raise InternalConsistencyError(f"rho left the reduced forms at {mid} (D={D})")
+            if (g := rho_step(D, mid)) == f:
                 break
-            if g not in forms or g in seen:
+            if g not in unvisited:
                 raise InternalConsistencyError(f"rho left its cycle at {g} (D={D})")
+            unvisited.remove(g)
     return cycles
 
 

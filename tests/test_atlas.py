@@ -2,6 +2,7 @@ import json
 import os
 import random
 import re
+import tracemalloc
 from multiprocessing import get_context
 
 import pytest
@@ -426,10 +427,61 @@ def test_csv_reader_never_passes_a_rejected_row(tmp_path, monkeypatch):
     # a canonical row only the block search refuses is a contradiction, not a row
     path = tmp_path / "grid.csv"
     path.write_text(CSV_HEADER + "\n2,3,8,4,4,1,1,1,1,1,1\n")
-    refuse_every_line = re.compile(rb"(?m)^").search
-    monkeypatch.setattr(atlas, "_bad_line", lambda fmt: refuse_every_line)
+    monkeypatch.setattr(atlas, "_bad_line", lambda fmt: lambda block: 0)  # refuses line 1
     with pytest.raises(InternalConsistencyError, match="line 2"):
         report_hfd(str(path))
+
+
+def reference_bad_line(fmt):
+    """The block check the LF-anchored search replaced: (?m)^(?!ROW\n), tried at every byte."""
+    row = re.escape(atlas._row_template(fmt)).replace("%d", r"(?:-?[1-9][0-9]*|0)")
+    row = row.replace("%s", "(?:%s)" % "|".join(atlas._FLAG_WORDS[fmt]))
+    search = re.compile(rb"(?m)^(?!%s\n)" % row.encode()).search
+    return lambda block: search(block).start()
+
+
+def first_block(tmp_path, fmt):
+    """The first block of whole lines _scan_file checks in a scan file, past the CSV header."""
+    out = tmp_path / f"grid.{fmt}"
+    scan(ScanConfig(d_min=-40, d_max=40, n_max=80, fmt=fmt, out=str(out)))
+    with open(out, "rb") as fh:
+        block = next(atlas._line_blocks(fh))
+    block = block[len(CSV_HEADER) + 1 :] if fmt == "csv" else block
+    assert len(block) > atlas._BLOCK_SIZE - 100 and block.endswith(b"\n")
+    return block
+
+
+@pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+def test_block_check_finds_the_line_the_reference_finds(tmp_path, fmt):
+    # the same offset as the per-byte reference search: on a clean 64 KiB block, on 400
+    # one-byte corruptions of it, and on empty, CRLF and unended blocks
+    check, reference = atlas._bad_line(fmt), reference_bad_line(fmt)
+    block = first_block(tmp_path, fmt)
+    rng = random.Random(20)
+    variants = [block, b"", b"\n", b"x", block[:-1], block[:-1] + b"\r\n"]
+    variants += [block.replace(b"\n", b"\r\n", 1), block[: block.index(b"\n")]]
+    for _ in range(400):
+        pos = rng.randrange(len(block))
+        byte = rng.choice(b"\n\r,:-0123456789{}\"x" + bytes(range(256)))
+        variants.append(block[:pos] + bytes([byte]) + block[pos + 1 :])
+    offsets = [check(v) for v in variants]
+    assert offsets == [reference(v) for v in variants]
+    assert offsets[:4] == [len(block), 0, 0, 0] and offsets[4] < len(block)
+    assert sum(o < len(v) for o, v in zip(offsets, variants)) > 300
+
+
+@pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+def test_block_check_keeps_no_state_per_row(tmp_path, fmt):
+    # a greedy (?:ROW\n)* match would keep backtracking state for each of about 2,000 rows
+    check, block = atlas._bad_line(fmt), first_block(tmp_path, fmt)
+    assert check(block) == len(block)
+    tracemalloc.start()
+    try:
+        assert check(block) == len(block)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 128 * 1024, peak
 
 
 def test_report_rejects_malformed_jsonl(tmp_path):

@@ -3,7 +3,8 @@ from math import gcd, isqrt
 
 import pytest
 
-from quadorders.arith import is_squarefree
+from quadorders import classgroup
+from quadorders.arith import InternalConsistencyError, is_squarefree
 from quadorders.classgroup import (
     class_number,
     narrow_class_number,
@@ -176,6 +177,32 @@ def test_rho_permutes_reduced_forms():
         forms = reduced_forms_indefinite(D)
         image = {rho_step(D, f) for f in forms}
         assert image == forms
+
+
+def test_rho_alternates_the_sign_of_a():
+    # so each rho-cycle is one rho^2-cycle on the forms with a > 0, which narrow_class_number walks
+    for D in fundamental_discriminants(2000):
+        if D > 0:
+            for f in reduced_forms_indefinite(D):
+                assert f[0] * rho_step(D, f)[0] < 0, (D, f)
+
+
+@pytest.mark.parametrize("start,bad,message", [
+    # a form with a > 0 sent to a form of discriminant 40 that is not reduced (b = 0)
+    ((3, 2, -3), (-1, 0, 10), "rho left the reduced forms at"),
+    # a form with a < 0 sent to a form with a > 0 that is not reduced
+    ((-3, 2, 3), (1, 0, -10), "rho left its cycle at"),
+    # a form with a < 0 sent to a reduced form with a > 0 of the other cycle: rho^2 reaches
+    # that form twice
+    ((-3, 2, 3), (1, 6, -1), "rho left its cycle at"),
+])
+def test_walk_refuses_a_step_off_the_cycle(monkeypatch, start, bad, message):
+    # D = 40 has 8 reduced forms in 2 cycles; rho_step is patched at one form
+    forms, rho = reduced_forms_indefinite(40), rho_step
+    assert start in forms and bad != rho(40, start)
+    monkeypatch.setattr(classgroup, "rho_step", lambda D, f: bad if f == start else rho(D, f))
+    with pytest.raises(InternalConsistencyError, match=message):
+        classgroup.narrow_class_number(40)
 
 
 def test_narrow_count_matches_equivalence_components():

@@ -344,3 +344,15 @@ def test_exit_codes_through_main(capsys, monkeypatch, tmp_path, make_argv, rc):
     capsys.readouterr()
     got, out, err = run_cli(capsys, *argv)
     assert got == rc and out == "" and err.startswith("error: "), (got, out, err)
+
+
+def test_refused_n_window_leaves_a_finished_scan_as_it_was(capsys, tmp_path):
+    # the window is refused before --out is opened for writing or its checkpoint removed
+    out = tmp_path / "keep.csv"
+    window = ("scan", "--d-min", "2", "--d-max", "5", "--out", str(out))
+    assert run_cli(capsys, *window, "--n-max", "5")[0] == 0
+    before = out.read_bytes(), (tmp_path / "keep.csv.checkpoint").read_bytes()
+    assert len(before[0]) == 347
+    rc, _, err = run_cli(capsys, *window, "--n-min", str(2**60), "--n-max", str(2**60 + 1))
+    assert rc == 2 and "too large to sieve" in err
+    assert (out.read_bytes(), (tmp_path / "keep.csv.checkpoint").read_bytes()) == before
