@@ -1,25 +1,31 @@
 """Brute-force verification of the order properties inside finite quotients.
 
-Everything here works by direct enumeration of residue pairs in O_K/(M) and is
-deliberately independent of the closed-form criteria.  An element is a unit of
-O_K/(M) iff its norm is prime to M; _units enumerates them once for the unit
-count and for local associativity.  Local associativity and associativity are
-decided by generating (Z/M)^* * <u>, resp. (Z/M) * <u>, element by element.
-Ideal preservation is one witness loop over (P, excluded ideal) pairs, P^2 then
-each other prime P': x in the image of R, in P, outside the excluded ideal,
-whose image in O_K/(M) is the additive closure of its generators.  Moduli are
-capped (default 200) since the scans are quadratic.  oracle_verdicts holds their
-range: no value at n = 1 (O_K, no quotient) or past the cap.  Only ring arithmetic
-is shared with the fast path (qi_mul, qi_norm, the roots of omega's minimal
-polynomial), never m, L or the field character (D/p).
+Everything here works by direct enumeration of O_K/(M) and is deliberately
+independent of the closed-form criteria.  An element a + b*omega of O_K/(M),
+0 <= a, b < M, is coded as the int a*M + b.  It is a unit iff its norm
+N(a, b) = a^2 + B*ab + C*b^2 is prime to M; the coefficients come from qi_norm
+itself, C = N(0, 1) and B = N(1, 1) - 1 - C, and _units tests N mod M against a
+mask of the residues prime to M one row of b at a time, once for the unit count
+and for local associativity.  Local associativity and associativity are decided
+by generating (Z/M)^* * <u>, resp. (Z/M) * <u>, one power of u at a time; a
+rational multiplier z scales both coordinates.  Ideal preservation is one
+witness loop over (P, excluded ideal) pairs, P^2 then each other prime P': x in
+the image of R, in P, outside the excluded ideal.  That ideal's image in O_K/(M)
+is read through the Hermite form (d1, c, d2) of the lattice spanned by its
+generators, their omega-multiples and M*Z^2: (A, B) lies in it iff d2 | B and
+d1 | A - (B/d2)*c.  Moduli are capped (default 200) since the scans are
+quadratic.  oracle_verdicts holds their range: no value at n = 1 (O_K, no
+quotient) or past the cap.  Only ring arithmetic is shared with the fast path
+(qi_mul, qi_norm, the roots of omega's minimal polynomial), never m, L or the
+field character (D/p).
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator
 from math import gcd
 
-from .arith import factorize
+from .arith import InternalConsistencyError, factorize
 from .pell import FundamentalUnit
 from .quadfield import QI, FieldContext, omega_roots, qi_mul, qi_norm
 
@@ -37,10 +43,18 @@ def _check_modulus(M: int, bound: int) -> None:
         raise OracleBoundError(f"modulus {M} exceeds enumeration bound {bound}")
 
 
-def _units(F: FieldContext, M: int, bound: int) -> set[QI]:
-    """The units of O_K/(M) as coordinate pairs (a, b) with 0 <= a, b < M."""
+def _units(F: FieldContext, M: int, bound: int) -> set[int]:
+    """The units of O_K/(M), each a + b*omega with 0 <= a, b < M coded as the int a*M + b,
+    found one row of b at a time by the norm form N(a, b) = a^2 + B*ab + C*b^2."""
     _check_modulus(M, bound)
-    return {(a, b) for a in range(M) for b in range(M) if gcd(qi_norm(F, (a, b)), M) == 1}
+    C = qi_norm(F, (0, 1))
+    B = qi_norm(F, (1, 1)) - 1 - C
+    unit = bytes(gcd(k, M) == 1 for k in range(M))
+    units: set[int] = set()
+    for b in range(M):
+        Bb, Cb = B * b, C * b * b
+        units.update([a * M + b for a in range(M) if unit[(a * (a + Bb) + Cb) % M]])
+    return units
 
 
 def quotient_unit_count(F: FieldContext, M: int, bound: int = DEFAULT_ENUM_BOUND) -> int:
@@ -48,19 +62,22 @@ def quotient_unit_count(F: FieldContext, M: int, bound: int = DEFAULT_ENUM_BOUND
     return len(_units(F, M, bound))
 
 
-def _unit_cosets(F: FieldContext, U: FundamentalUnit, n: int, multipliers: list[QI]) -> set[QI]:
-    """Union of the sets multipliers * u^k mod n for k >= 0, up to the first rational u^k = c:
-    c^2 = N(u)^k = +-1 makes c a unit, so multipliers * c, for multipliers all of Z/(n) or
-    its units, is the k = 0 set already covered."""
+def _unit_cosets(
+    F: FieldContext, U: FundamentalUnit, n: int, multipliers: Iterable[int]
+) -> set[int]:
+    """Union of the sets multipliers * u^k mod n, coded as _units codes them, for k >= 0 up to
+    the first rational u^k = c: c^2 = N(u)^k = +-1 makes c a unit, so multipliers * c, for
+    multipliers all of Z/(n) or its units, is the k = 0 set already covered.  A rational z
+    scales both coordinates: z*(a, b) = (z*a, z*b)."""
     u = (U.u[0] % n, U.u[1] % n)
-    covered: set[QI] = set()
-    w = (1 % n, 0)
+    covered: set[int] = set()
+    a, b = 1 % n, 0
     for _ in range(n * n + 1):
-        covered.update(qi_mul(F, z, w, n) for z in multipliers)
-        w = qi_mul(F, w, u, n)
-        if w[1] == 0:
+        covered.update([z * a % n * n + z * b % n for z in multipliers])
+        a, b = qi_mul(F, (a, b), u, n)
+        if b == 0:
             return covered
-    raise RuntimeError(f"powers of the unit mod {n} never re-entered Z")
+    raise InternalConsistencyError(f"powers of the unit mod {n} never re-entered Z")
 
 
 def brute_locally_associated(
@@ -68,7 +85,7 @@ def brute_locally_associated(
 ) -> bool:
     """True iff every unit of O_K/(n) is a rational unit times a power of u."""
     units = _units(F, n, bound)
-    return _unit_cosets(F, U, n, [(z, 0) for z in range(n) if gcd(z, n) == 1]) == units
+    return _unit_cosets(F, U, n, [z for z in range(n) if gcd(z, n) == 1]) == units
 
 
 def brute_associated(
@@ -76,21 +93,23 @@ def brute_associated(
 ) -> bool:
     """True iff every element of O_K/(n) is a rational integer times a power of u."""
     _check_modulus(n, bound)
-    return len(_unit_cosets(F, U, n, [(z, 0) for z in range(n)])) == n * n
+    return len(_unit_cosets(F, U, n, range(n))) == n * n
 
 
-def _ideal_image_mod(F: FieldContext, gens: list[QI], M: int) -> set[QI]:
-    """Image in O_K/(M) of the O_K-ideal generated by gens: the additive group spanned by
-    each g and g*omega, grown by one vector v at a time as the cosets span + k*v."""
-    span = {(0, 0)}
+def _ideal_lattice(F: FieldContext, gens: list[QI], M: int) -> tuple[int, int, int]:
+    """Hermite form (d1, c, d2) of the lattice spanned by each g, g*omega and M*Z^2, the
+    preimage in O_K of the image in O_K/(M) of the ideal generated by gens: its members are
+    x*(d1, 0) + y*(c, d2).  Each vector enters by Euclid on the second coordinates."""
+    d1, c, d2 = M, 0, M
     for g in gens:
-        for a, b in ((g[0] % M, g[1] % M), qi_mul(F, g, (0, 1), M)):
-            grown, x = set(span), (a, b)
-            while x not in span:
-                grown.update([((s + x[0]) % M, (t + x[1]) % M) for s, t in span])
-                x = ((x[0] + a) % M, (x[1] + b) % M)
-            span = grown
-    return span
+        for a, b in (g, qi_mul(F, g, (0, 1))):
+            while b:
+                q = d2 // b
+                (c, d2), (a, b) = (a, b), (c - q * a, d2 - q * b)
+            d1 = gcd(d1, a)
+    if d2 < 0:
+        c, d2 = -c, -d2
+    return d1, c % d1, d2
 
 
 def _ideal_pairs(F: FieldContext, n: int, bound: int) -> Iterator[tuple[tuple, tuple]]:
@@ -111,21 +130,19 @@ def _prime_gens(p: int, r: int | None) -> list[QI]:
     return [(p, 0)] if r is None else [(p, 0), (-r, 1)]
 
 
-def _in_prime(p: int, r: int | None, A: int, B: int) -> bool:
-    # P = (p) when inert, else P = (p, omega - r); membership is a mod-p condition.
-    if r is None:
-        return A % p == 0 and B % p == 0
-    return (A + B * r) % p == 0
-
-
-def _witness_exists(n: int, M: int, P: tuple[int, int | None], excluded: set[QI]) -> bool:
+def _witness_exists(
+    n: int, M: int, P: tuple[int, int | None], excluded: tuple[int, int, int]
+) -> bool:
     """Scan the image of R = Z + n*O_K in O_K/(M) for x in P outside the excluded ideal,
-    given by its image in O_K/(M) (the ideal contains M)."""
+    given by the Hermite form of its preimage (the ideal contains M).  Only members of P
+    are walked: A = -B*r (mod p) when P = (p, omega - r), p | A, B when P = (p) is inert."""
     p, r = P
-    step = gcd(n, M)
-    for A in range(M):
-        for B in range(0, M, step):
-            if _in_prime(p, r, A, B) and (A, B) not in excluded:
+    d1, c, d2 = excluded
+    for B in range(0, M, gcd(n, M)):
+        if r is None and B % p:
+            continue
+        for A in range(0 if r is None else -B * r % p, M, p):
+            if B % d2 or (A - B // d2 * c) % d1:
                 return True
     return False
 
@@ -146,7 +163,7 @@ def brute_ideal_preserving(F: FieldContext, n: int, bound: int = DEFAULT_ENUM_BO
         gens = _prime_gens(*Q)
         if Q == P:  # P^2 is generated by the products of P's generators
             gens = [qi_mul(F, g, h) for g in gens for h in gens]
-        if not _witness_exists(n, M, P, _ideal_image_mod(F, gens, M)):
+        if not _witness_exists(n, M, P, _ideal_lattice(F, gens, M)):
             return False
     return True
 

@@ -4,20 +4,134 @@ from math import gcd
 import pytest
 
 from quadorders import oracle
-from quadorders.arith import is_squarefree
+from quadorders.arith import InternalConsistencyError, factorize, is_squarefree
 from quadorders.classify import OrderSpec, classify_order
 from quadorders.oracle import (
     OracleBoundError,
     DEFAULT_ENUM_BOUND,
-    _ideal_image_mod,
+    _ideal_lattice,
     _units,
     brute_associated,
     brute_ideal_preserving,
     brute_locally_associated,
+    oracle_verdicts,
     quotient_unit_count,
 )
-from quadorders.pell import fundamental_unit
-from quadorders.quadfield import field_char, make_field, omega_roots, qi_mul
+from quadorders.pell import FundamentalUnit, fundamental_unit
+from quadorders.quadfield import field_char, make_field, omega_roots, qi_mul, qi_norm
+
+
+# The reference oracles: the same enumerations spelled with pair tuples and sets, each
+# norm by qi_norm, each multiple by qi_mul, each ideal image as its span set in O_K/(M)
+# and each prime's membership as its own mod-p test.  oracle.py must decide as they do.
+
+
+def _reference_check(M, bound=DEFAULT_ENUM_BOUND):
+    if M > bound:
+        raise OracleBoundError(f"modulus {M} exceeds enumeration bound {bound}")
+
+
+def reference_units(F, M):
+    _reference_check(M)
+    return {(a, b) for a in range(M) for b in range(M) if gcd(qi_norm(F, (a, b)), M) == 1}
+
+
+def reference_unit_cosets(F, U, n, multipliers):
+    u = (U.u[0] % n, U.u[1] % n)
+    covered = set()
+    w = (1 % n, 0)
+    for _ in range(n * n + 1):
+        covered.update(qi_mul(F, z, w, n) for z in multipliers)
+        w = qi_mul(F, w, u, n)
+        if w[1] == 0:
+            return covered
+    raise InternalConsistencyError(f"powers of the unit mod {n} never re-entered Z")
+
+
+def reference_ideal_image_mod(F, gens, M):
+    """The additive group of O_K/(M) spanned by each g and g*omega, grown by one vector
+    v at a time as the cosets span + k*v."""
+    span = {(0, 0)}
+    for g in gens:
+        for a, b in ((g[0] % M, g[1] % M), qi_mul(F, g, (0, 1), M)):
+            grown, x = set(span), (a, b)
+            while x not in span:
+                grown.update([((s + x[0]) % M, (t + x[1]) % M) for s, t in span])
+                x = ((x[0] + a) % M, (x[1] + b) % M)
+            span = grown
+    return span
+
+
+def _reference_in_prime(p, r, A, B):
+    if r is None:
+        return A % p == 0 and B % p == 0
+    return (A + B * r) % p == 0
+
+
+def reference_ideal_preserving(F, n):
+    primes = []
+    for p, _ in factorize(n):
+        _reference_check(p * p)
+        for P in [(p, r) for r in omega_roots(F, p)] or [(p, None)]:
+            primes.append(P)
+            if not _reference_pair(F, n, P, P):
+                return False
+    pairs = [(P, Q) for P in primes for Q in primes if Q != P]
+    return all(_reference_pair(F, n, P, Q) for P, Q in pairs)
+
+
+def _reference_pair(F, n, P, Q):
+    M = P[0] * Q[0]
+    _reference_check(M)
+    (p, r), (q, s) = P, Q
+    gens = [(q, 0)] if s is None else [(q, 0), (-s, 1)]
+    if Q == P:
+        gens = [qi_mul(F, g, h) for g in gens for h in gens]
+    excluded = reference_ideal_image_mod(F, gens, M)
+    step = gcd(n, M)
+    return any(
+        _reference_in_prime(p, r, A, B) and (A, B) not in excluded
+        for A in range(M)
+        for B in range(0, M, step)
+    )
+
+
+def reference_verdicts(F, U, n):
+    """oracle_verdicts by the reference oracles, None wherever they meet the bound."""
+    def la():
+        units = reference_units(F, n)
+        rational_units = [(z, 0) for z in range(n) if gcd(z, n) == 1]
+        return reference_unit_cosets(F, U, n, rational_units) == units
+
+    def assoc():
+        _reference_check(n)
+        return len(reference_unit_cosets(F, U, n, [(z, 0) for z in range(n)])) == n * n
+
+    verdicts = {}
+    for name, run in (
+        ("locally_associated", la),
+        ("ideal_preserving", lambda: reference_ideal_preserving(F, n)),
+        ("associated", assoc),
+    ):
+        try:
+            verdicts[name] = run()
+        except OracleBoundError:
+            verdicts[name] = None
+    return verdicts
+
+
+def test_oracle_verdicts_match_the_reference_oracles():
+    # every cell of squarefree |d| <= 100, 2 <= n <= 60, each None included
+    cells = 0
+    for d in range(-100, 101):
+        if d in (0, 1) or not is_squarefree(d):
+            continue
+        F = make_field(d)
+        U = fundamental_unit(F)
+        for n in range(2, 61):
+            assert oracle_verdicts(F, U, n) == reference_verdicts(F, U, n), (d, n)
+            cells += 1
+    assert cells == 7139
 
 
 def test_quotient_unit_count_fixtures():
@@ -60,17 +174,28 @@ def test_bound_is_enforced():
 
 
 def test_quotient_ring_unit_criterion():
-    # norm coprime to M is exactly invertibility: every unit has an inverse pair
+    # norm coprime to M is exactly invertibility, for every element of O_K/(M), each
+    # decoded from the int a*M + b that _units holds it as
     for d in (2, 5, -3, -5):
         F = make_field(d)
         for M in (2, 3, 4, 6):
             elements = [(a, b) for a in range(M) for b in range(M)]
-            units = _units(F, M, DEFAULT_ENUM_BOUND)
+            units = {divmod(x, M) for x in _units(F, M, DEFAULT_ENUM_BOUND)}
             one = (1 % M, 0)
-            for x in units:
-                assert any(qi_mul(F, x, y, M) == one for y in units)
-            for x in set(elements) - units:
-                assert all(qi_mul(F, x, y, M) != one for y in elements)
+            for x in elements:
+                invertible = any(qi_mul(F, x, y, M) == one for y in elements)
+                assert (x in units) == invertible == (gcd(qi_norm(F, x), M) == 1), (d, M, x)
+
+
+def test_unit_walk_that_never_turns_rational_is_an_internal_error():
+    # N(1 + 2*sqrt(2)) = -7: u is no unit mod 7, so its powers never re-enter Z
+    F = make_field(2)
+    U = FundamentalUnit(u=(1, 2), norm_sign=-1, torsion_order=2)
+    assert qi_norm(F, U.u) == -7
+    with pytest.raises(InternalConsistencyError, match="never re-entered Z"):
+        brute_locally_associated(F, U, 7)
+    with pytest.raises(InternalConsistencyError, match="never re-entered Z"):
+        brute_associated(F, U, 7)
 
 
 def test_brute_flags_fixtures():
@@ -178,30 +303,58 @@ def lattice_contains(basis_a, basis_b, x):
     return basis_a is not None and basis_a[0] != 0 and a % basis_a[0] == 0
 
 
+def _excluded_ideals(F):
+    """(M, gens) for each P^2 over p and each prime Q over q modulo p*q, p, q in 2, 3, 5:
+    the ideals that brute_ideal_preserving reads through their lattices."""
+    for p in (2, 3, 5):
+        # one prime ideal (p, omega - r) per root; P^2 = (p^2) when p is inert
+        roots = omega_roots(F, p)
+        for r in roots:
+            yield p * p, [(p * p, 0), (-p * r, p), qi_mul(F, (-r, 1), (-r, 1))]
+        if not roots:
+            yield p * p, [(p * p, 0)]
+        for q in (2, 3, 5):
+            for s in omega_roots(F, q) or (None,):
+                yield p * q, [(q, 0)] if s is None else [(q, 0), (-s, 1)]
+
+
 def test_prime_square_image_matches_exact_lattice():
-    # the mod-p^2 additive closure of P^2 agrees with exact membership in the
-    # Z-lattice spanned by its generators, on a small-height window
+    # membership in the Hermite form of each excluded ideal's lattice agrees with exact
+    # membership in the Z-lattice spanned by its generators, their omega-multiples and
+    # M*Z^2, and with the mod-M span set of the reference oracles, on a small-height
+    # window; the form is canonical, with 0 <= c < d1 and d1, d2 positive divisors of M
     for d in (2, -5, 17, -3):
         F = make_field(d)
-        for p in (2, 3, 5):
-            M = p * p
-            # one prime ideal (p, omega - r) per root; P^2 = (p^2) when p is inert
-            cases = [
-                (r, [(M, 0), (-p * r, p), qi_mul(F, (-r, 1), (-r, 1))]) for r in omega_roots(F, p)
-            ] or [(None, [(M, 0)])]
-            for r, gens in cases:
-                span = _ideal_image_mod(F, gens, M)
-                vectors = []
-                for g in gens:
-                    vectors.append(g)
-                    vectors.append(qi_mul(F, g, (0, 1)))
-                # the lattice of the ideal plus p^2 O_K, matching the quotient image
-                vectors += [(M, 0), (0, M)]
-                basis_a, basis_b = hnf_lattice(vectors)
-                for a in range(-2 * M, 2 * M + 1):
-                    for b in range(-2 * M, 2 * M + 1):
-                        exact = lattice_contains(basis_a, basis_b, (a, b))
-                        assert ((a % M, b % M) in span) == exact, (d, p, r, a, b)
+        for M, gens in _excluded_ideals(F):
+            d1, c, d2 = _ideal_lattice(F, gens, M)
+            assert M % d1 == 0 and M % d2 == 0 and 0 <= c < d1 and d2 > 0, (d, M, gens)
+            span = reference_ideal_image_mod(F, gens, M)
+            vectors = []
+            for g in gens:
+                vectors.append(g)
+                vectors.append(qi_mul(F, g, (0, 1)))
+            # the lattice of the ideal plus M O_K, matching the quotient image
+            vectors += [(M, 0), (0, M)]
+            basis_a, basis_b = hnf_lattice(vectors)
+            for a in range(-2 * M, 2 * M + 1):
+                for b in range(-2 * M, 2 * M + 1):
+                    exact = lattice_contains(basis_a, basis_b, (a, b))
+                    hermite = b % d2 == 0 and (a - b // d2 * c) % d1 == 0
+                    assert hermite == exact == ((a % M, b % M) in span), (d, M, gens, a, b)
+
+
+def test_witness_walk_stays_inside_the_prime():
+    # with R = O_K (n = 1), P holds an element outside P^2 but none outside P itself:
+    # the walk visits members of P only, inert P = (p) included
+    for d in (2, -5, 17, -3, 5, -1):
+        F = make_field(d)
+        for p in (2, 3, 5, 7):
+            for r in omega_roots(F, p) or (None,):
+                P = oracle._prime_gens(p, r)
+                square = [qi_mul(F, g, h) for g in P for h in P]
+                M = p * p
+                assert oracle._witness_exists(1, M, (p, r), _ideal_lattice(F, square, M))
+                assert not oracle._witness_exists(1, M, (p, r), _ideal_lattice(F, P, M))
 
 
 def test_matches_closed_forms_small_grid():
