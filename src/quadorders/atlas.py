@@ -223,10 +223,11 @@ def scan(cfg: ScanConfig) -> ScanSummary:
         raise ValueError(f"jobs must be >= 1, got {cfg.jobs}")
     if cfg.n_min < 1:
         raise ValueError(f"n_min must be >= 1, got {cfg.n_min}")
-    ds = _squarefree_range(cfg.d_min, cfg.d_max)
-    if not ds or cfg.n_min > cfg.n_max:
-        return ScanSummary(0, 0, time.perf_counter() - t0)
-    window_plan(cfg.n_min, cfg.n_max)  # refuses a window it cannot plan before a file is touched
+    # an empty window (no squarefree d, or n_min > n_max) scans no d: its file is written
+    # with no rows, and a resume refuses a checkpoint that records any
+    ds = _squarefree_range(cfg.d_min, cfg.d_max) if cfg.n_min <= cfg.n_max else []
+    if ds:
+        window_plan(cfg.n_min, cfg.n_max)  # refuses a window it cannot plan before a file is touched
 
     rows_written = 0
     hfd_count = 0
@@ -238,16 +239,15 @@ def scan(cfg: ScanConfig) -> ScanSummary:
         rows_written, hfd_count = ck.rows, ck.hfd
         ds = [d for d in ds if d > ck.last_d]
         mode = "a"
-        if not ds:
-            return ScanSummary(rows_written, hfd_count, time.perf_counter() - t0)
     elif os.path.exists(ck_path):
         os.remove(ck_path)
 
     # tasks of consecutive d, each one block and one checkpoint: four per worker, as
     # Pool.map's default, of at most _TASK_CELLS rows unless one field's alone is more;
-    # with jobs <= len(ds) there are at least jobs tasks, so at most one worker per task
-    jobs = min(cfg.jobs, len(ds))
-    size = max(1, min(-(-len(ds) // (4 * jobs)), _TASK_CELLS // (cfg.n_max - cfg.n_min + 1)))
+    # with jobs <= len(ds) there are at least jobs tasks, so at most one worker per task;
+    # no d left (an empty or a finished window) is no task and no pool
+    jobs, width = min(cfg.jobs, len(ds)), cfg.n_max - cfg.n_min + 1
+    size = max(1, min(-(-len(ds) // (4 * jobs)), _TASK_CELLS // width)) if jobs else 1
     tasks = [(ds[i : i + size], cfg.n_min, cfg.n_max, cfg.fmt, cfg.verify)
              for i in range(0, len(ds), size)]
     with open(cfg.out, mode, newline="") as fh:

@@ -48,6 +48,16 @@ def qi_mul(F: FieldContext, x: QI, y: QI, M: int | None = None) -> QI:
     return a % M, b % M
 
 
+def qi_pow(F: FieldContext, x: QI, k: int, M: int) -> QI:
+    """x**k mod M for k >= 1, by left-to-right square-and-multiply over qi_mul."""
+    x = y = (x[0] % M, x[1] % M)
+    for bit in bin(k)[3:]:
+        y = qi_mul(F, y, y, M)
+        if bit == "1":
+            y = qi_mul(F, y, x, M)
+    return y
+
+
 def qi_norm(F: FieldContext, x: QI) -> int:
     a, b = x
     return a * a + F.half * a * b - F.t * b * b

@@ -5,58 +5,28 @@ L(p^a) = p^(a-1) * (p - (D/p)), (D/p) the field character (including p = 2);
 these match the unit counts of the split, inert and ramified local quotients.
 
 m(n), the least k >= 1 with u^k in the order of index n (u the fundamental unit,
-for d < 0 the torsion generator), is the lcm of the m(p^a), each dividing L(p^a).
-With u = alpha = (x + y*sqrt(D))/2, beta its conjugate and N = alpha*beta the norm,
-u^k = (V_k + y*U_k*sqrt(D))/2 for the Lucas sequences of P = x, Q = N, so u^k is in
-Z + p^a*O_K iff p^a | y*U_k.
-For a = 1 and p unramified, u^k is in Z + p*O_K iff z^k = 1 in the reduced ring O_K/(p),
-z = alpha/beta, as conjugation fixes exactly F_p there.  P' = z + 1/z = (x^2 - 2N) * N is
-in F_p and (z^k - 1)^2 = z^k * (V_k(P', 1) - 2), so z^k = 1 iff V_k(P', 1) = 2 (mod p),
-split or inert, p = 2 included; V_jk = V_j(V_k) (Lehmer, Ann. Math. 1930).  For r^e || L,
-V_(L/r^e) is raised to the r-th power until it is 2.  A u not of norm N mod p, or
-z^L != 1, raises InternalConsistencyError.
-Ramified p and a >= 2 take apparition_rank: order reduction of U_k mod p^a from k = L.
+for d < 0 the torsion generator), is the lcm of the m(p^a); m(q) is the order of u in
+G_q = (O_K/q)^* / (Z/q)^*, of order L(q), as u^k is in Z + q*O_K iff q | its omega-coordinate.
+At a ramified p, G_p has order p: m(p) is 1 if p | u's omega-coordinate, else p (nothing is
+checked, as every x^p is rational mod p).  At an unramified p, u^k is in Z + p*O_K iff z^k = 1
+in the reduced ring O_K/(p), z = alpha/beta for u = alpha = (x + y*sqrt(D))/2 of norm
+N = alpha*beta, as conjugation fixes exactly F_p there.  P' = z + 1/z = (x^2 - 2N) * N is in
+F_p and (z^k - 1)^2 = z^k * (V_k(P', 1) - 2), so z^k = 1 iff V_k(P', 1) = 2 (mod p), p = 2
+included; V_jk = V_j(V_k) (Lehmer, Ann. Math. 1930).  For r^e || L, V_(L/r^e) is raised to
+the r-th power until it is 2.  A u not of norm N mod p, or z^L != 1, raises
+InternalConsistencyError.  For a >= 2 the kernel of G_(p^a) -> G_p has order p^(a-1), so
+m(p^a) = m(p) * p^j for the fewest j < a of p-th powers (by qi_pow) that bring u^m(p) into
+Z + p^a*O_K; a u^m(p) that a - 1 of them do not bring there raises InternalConsistencyError.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from math import gcd, lcm
+from math import lcm
 
 from .arith import CACHE_MAXSIZE, InternalConsistencyError, factorize
 from .pell import FundamentalUnit
-from .quadfield import FieldContext, field_char, make_field, unit_xy
-
-
-def lucas_u(P: int, Q: int, k: int, M: int) -> int:
-    """U_k(P, Q) mod M for k >= 1, by a doubling ladder on (U_j, U_{j+1}); no division."""
-    P %= M
-    u0, u1 = 1 % M, P  # (U_1, U_2)
-    for bit in bin(k)[3:]:
-        # U_{2j} = U_j V_j, U_{2j+1} = U_{j+1}^2 - Q U_j^2, U_{2j+2} = U_{j+1} V_{j+1},
-        # where V_j = 2 U_{j+1} - P U_j and V_{j+1} = P U_{j+1} - 2 Q U_j
-        if bit == "1":
-            u0, u1 = (u1 * u1 - Q * u0 * u0) % M, u1 * (P * u1 - 2 * Q * u0) % M
-        else:
-            u0, u1 = u0 * (2 * u1 - P * u0) % M, (u1 * u1 - Q * u0 * u0) % M
-    return u0
-
-
-def apparition_rank(F: FieldContext, U: FundamentalUnit, q: int, L: int) -> int:
-    """Least k with u^k in Z + q*O_K, by order reduction from a multiple L of it.
-
-    An L that u^L does not satisfy is a bug in the caller, never an index.
-    """
-    x, y = unit_xy(F, U.u)
-    M = q // gcd(y, q)  # q | y*U_k exactly when M | U_k
-    N = U.norm_sign
-    if lucas_u(x, N, L, M):
-        raise InternalConsistencyError(f"u^L is not in the order for L({q}, {F.d}) = {L}")
-    k = L
-    for r, _ in factorize(L):
-        while k % r == 0 and lucas_u(x, N, k // r, M) == 0:
-            k //= r
-    return k
+from .quadfield import FieldContext, field_char, make_field, qi_pow, unit_xy
 
 
 def lucas_v(P: int, k: int, M: int) -> int:
@@ -73,16 +43,11 @@ def lucas_v(P: int, k: int, M: int) -> int:
     return v0
 
 
-def local_data(F: FieldContext, U: FundamentalUnit, p: int, a: int) -> tuple[int, int, bool]:
-    """(m(p^a), L(p^a), p inert), reading the field character once.
-
-    Uncached: a caller that keeps its own per-field table calls this, so the
-    process-lifetime cache of min_power_prime_power does not fill.
-    """
-    chi = field_char(F.d, p)
-    L = p ** (a - 1) * (p - chi)
-    if a > 1 or not chi:
-        return apparition_rank(F, U, p**a, L), L, chi == -1
+def prime_rank(F: FieldContext, U: FundamentalUnit, p: int, chi: int) -> int:
+    """m(p) for chi = (D/p): by one divisibility at a ramified p, else by the torus route."""
+    if not chi:
+        return 1 if U.u[1] % p == 0 else p
+    L = p - chi
     x, y = unit_xy(F, U.u)
     x, y, N = x % p, y % p, U.norm_sign
     if (x * x - F.D * y * y - 4 * N) % p:
@@ -96,7 +61,28 @@ def local_data(F: FieldContext, U: FundamentalUnit, p: int, a: int) -> tuple[int
                 raise InternalConsistencyError(f"u^L is not in the order for L({p}, {F.d}) = {L}")
             t, j = lucas_v(t, r, p), j + 1
         m *= r**j
-    return m, L, chi == -1
+    return m
+
+
+def local_data(F: FieldContext, U: FundamentalUnit, p: int, a: int) -> tuple[int, int, bool]:
+    """(m(p^a), L(p^a), p inert), reading the field character once and m(p) once.
+
+    Uncached: a caller that keeps its own per-field table calls this, so the
+    process-lifetime cache of min_power_prime_power does not fill.
+    """
+    chi = field_char(F.d, p)
+    m = prime_rank(F, U, p, chi)
+    if a > 1:  # u^m(p) is in the kernel of G_(p^a) -> G_p, of order p^(a-1)
+        q = p**a
+        w = qi_pow(F, U.u, m, q)
+        for j in range(a):
+            if w[1] % q == 0:
+                break
+            w = qi_pow(F, w, p, q)
+        else:
+            raise InternalConsistencyError(f"u^{m * p ** (a - 1)} is not in Z + {q}*O_K at d = {F.d}")
+        m *= p**j
+    return m, p ** (a - 1) * (p - chi), chi == -1
 
 
 @lru_cache(maxsize=CACHE_MAXSIZE)

@@ -301,13 +301,29 @@ def report_hfd_total_csv(tmp_path):
     return report_hfd(str(out)).total
 
 
-def test_empty_window_writes_nothing(tmp_path):
-    out = tmp_path / "none.csv"
-    summary = scan(ScanConfig(d_min=2, d_max=10, n_max=1, n_min=2, out=str(out)))
-    assert summary.records == 0
-    assert not out.exists()
-    summary = scan(ScanConfig(d_min=99, d_max=99, n_max=10, out=str(out)))
-    assert summary.records == 0 and not out.exists()
+def test_empty_window_writes_a_file_with_no_rows(tmp_path):
+    # each empty window (no squarefree d, or n_min > n_max) replaces a finished scan's file
+    # and checkpoint by a file with no rows, at any jobs; a resume over the finished scan's
+    # checkpoint is refused like any other window's, leaving both as they were
+    windows = [dict(d_min=4, d_max=4, n_max=10), dict(d_min=99, d_max=100, n_max=10),
+               dict(d_min=2, d_max=10, n_min=2, n_max=1), dict(d_min=2, d_max=10, n_min=9, n_max=1)]
+    for fmt, no_rows in (("csv", CSV_HEADER.encode() + b"\n"), ("jsonl", b"")):
+        out, ck = tmp_path / f"e.{fmt}", tmp_path / f"e.{fmt}.checkpoint"
+        for window in windows:
+            for jobs in (1, 2):
+                assert scan(ScanConfig(d_min=-5, d_max=5, n_max=10, out=str(out), fmt=fmt)).records == 63
+                before = out.read_bytes(), ck.read_bytes()
+                with pytest.raises(ValueError, match="this window has 0; resume with the original"):
+                    scan(ScanConfig(out=str(out), fmt=fmt, resume=True, jobs=jobs, **window))
+                assert (out.read_bytes(), ck.read_bytes()) == before
+                summary = scan(ScanConfig(out=str(out), fmt=fmt, jobs=jobs, **window))
+                assert (summary.records, summary.hfd) == (0, 0)
+                assert out.read_bytes() == no_rows and not ck.exists()
+                assert report_hfd(str(out)).total == 0
+                # with no checkpoint left, a resume scans the empty window afresh
+                summary = scan(ScanConfig(out=str(out), fmt=fmt, resume=True, jobs=jobs, **window))
+                assert summary.records == 0
+                assert out.read_bytes() == no_rows and not ck.exists()
 
 
 @pytest.mark.parametrize(

@@ -1,6 +1,10 @@
+import hashlib
 import json
+import os
+import signal
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -344,6 +348,31 @@ def test_exit_codes_through_main(capsys, monkeypatch, tmp_path, make_argv, rc):
     capsys.readouterr()
     got, out, err = run_cli(capsys, *argv)
     assert got == rc and out == "" and err.startswith("error: "), (got, out, err)
+
+
+def test_scan_killed_mid_window_resumes_to_the_uninterrupted_bytes(capsys, tmp_path):
+    # a --jobs 2 scan in its own session, SIGKILLed with its pool workers once its checkpoint
+    # records rows (polled, not timed), then resumed to the end: the bytes and the report of
+    # the same window scanned without a stop
+    window = ("scan", "--d-min", "-400", "--d-max", "400", "--n-max", "300", "--jobs", "2")
+    full, part = tmp_path / "full.csv", tmp_path / "part.csv"
+    assert run_cli(capsys, *window, "--out", str(full))[0] == 0
+    ck = atlas.checkpoint_path(str(part))
+    proc = subprocess.Popen([sys.executable, "-m", "quadorders.cli", *window, "--out", str(part)],
+                            stdout=subprocess.DEVNULL, start_new_session=True)
+    try:
+        while proc.poll() is None and not (os.path.exists(ck) and atlas.read_checkpoint(ck).rows):
+            time.sleep(0.001)
+    finally:
+        if proc.poll() is None:
+            os.killpg(proc.pid, signal.SIGKILL)
+        proc.wait()
+    assert proc.returncode == -signal.SIGKILL
+    rows = atlas.read_checkpoint(ck).rows
+    assert 0 < rows < len(full.read_bytes().splitlines()) - 1
+    assert run_cli(capsys, *window, "--resume", "--out", str(part))[0] == 0
+    assert hashlib.sha256(part.read_bytes()).digest() == hashlib.sha256(full.read_bytes()).digest()
+    assert run_cli(capsys, "report", str(part)) == run_cli(capsys, "report", str(full))
 
 
 def test_refused_n_window_leaves_a_finished_scan_as_it_was(capsys, tmp_path):

@@ -9,6 +9,7 @@ from quadorders.quadfield import (
     omega_roots,
     qi_mul,
     qi_norm,
+    qi_pow,
     unit_xy,
 )
 
@@ -94,6 +95,20 @@ def test_reduction_is_homomorphism():
         assert qi_mul(F, reduce_mod(x, M), reduce_mod(y, M), M) == reduce_mod(
             qi_mul(F, x, y), M
         )
+
+
+def test_qi_pow_is_repeated_qi_mul():
+    # k = 1 still reduces x; exact powers of (1, 1) in Q(sqrt(2)) are (a_k, b_k) of 1 + sqrt(2)
+    rng = random.Random(4)
+    for _ in range(200):
+        F = make_field(rng.choice(SQUAREFREE_SMALL))
+        M = rng.randrange(2, 200)
+        x = (rng.randrange(-999, 1000), rng.randrange(-999, 1000))
+        w = reduce_mod(x, M)
+        for k in range(1, 40):
+            assert qi_pow(F, x, k, M) == w, (F.d, x, k, M)
+            w = qi_mul(F, w, x, M)
+    assert qi_pow(make_field(2), (1, 1), 5, 10**6) == (41, 29)
 
 
 def test_splitting_fixtures():

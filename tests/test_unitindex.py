@@ -8,10 +8,8 @@ from quadorders.arith import InternalConsistencyError, factorize, is_prime, is_s
 from quadorders.pell import FundamentalUnit, fundamental_unit
 from quadorders.quadfield import field_char, make_field, qi_mul, unit_xy
 from quadorders.unitindex import (
-    apparition_rank,
     l_value,
     local_data,
-    lucas_u,
     lucas_v,
     min_power,
     min_power_prime_power,
@@ -50,6 +48,20 @@ def divisor_search_min_power(F, U, p, a):
         if L % k == 0 and power_mod(F, base, k, q)[1] == 0:
             return k
     raise AssertionError(f"no divisor of L({p}^{a}, {F.d}) = {L} brings u^k into the order")
+
+
+def order_reduction_min_power(F, U, p, a):
+    """m(p^a) by order reduction from L(p^a): each prime r of L divided out of k while
+    u^(k/r) stays in the order, powering u mod p^a by power_mod."""
+    q = p**a
+    L = l_value(q, F.d)
+    base = (U.u[0] % q, U.u[1] % q)
+    assert power_mod(F, base, L, q)[1] == 0, (F.d, p, a)
+    k = L
+    for r, _ in factorize(L):
+        while k % r == 0 and power_mod(F, base, k // r, q)[1] == 0:
+            k //= r
+    return k
 
 
 def reference_min_power(F, U, n, table):
@@ -148,16 +160,6 @@ def test_prime_power_tower():
                 a += 1
 
 
-def test_lucas_u_matches_recurrence():
-    for P in range(-3, 6):
-        for Q in (-1, 1):
-            seq = [0, 1]
-            while len(seq) < 200:
-                seq.append(P * seq[-1] - Q * seq[-2])
-            for M in (2, 4, 9, 10, 97):
-                assert [lucas_u(P, Q, k, M) for k in range(1, 200)] == [u % M for u in seq[1:]]
-
-
 def test_lucas_rank_matches_divisor_search():
     # the torsion generators of d = -1, -3 and -7 (y = 0); norm -1 units (2, 5, 13, 17, 41);
     # 2 split (-7, 17, 41), inert (5, 13, 21) and ramified (2, 3, 94); odd ramified
@@ -180,14 +182,19 @@ def test_lucas_rank_matches_divisor_search():
     assert all((chi, True, True, True) in seen for chi in (-1, 0, 1))  # p = 2, a >= 2
 
 
-def test_wrong_l_is_an_internal_error():
-    F = make_field(2)
-    U = fundamental_unit(F)
-    assert apparition_rank(F, U, 5, 6) == 3  # L(5, 2) = 6
-    # a multiple of m still reduces to m; a non-multiple is a bug, never an index
-    assert apparition_rank(F, U, 5, 12) == 3
-    with pytest.raises(InternalConsistencyError, match=r"L\(5, 2\) = 4"):
-        apparition_rank(F, U, 5, 4)
+def test_lift_refuses_a_wrong_prime_rank(monkeypatch):
+    # at an unramified p, G_p has order p - chi, prime to p, so a k that m(p) does not divide
+    # leaves u^k outside the kernel of G_(p^a) -> G_p, and no p-th power brings it into the order
+    for d, p, a in [(2, 5, 2), (2, 3, 4), (2, 7, 2), (3, 11, 3), (-1, 5, 3), (-3, 7, 2)]:
+        F = make_field(d)
+        U = fundamental_unit(F)
+        m = local_data(F, U, p, 1)[0]
+        assert field_char(d, p) and m > 1
+        wrong = m // factorize(m)[0][0]
+        with monkeypatch.context() as patch:
+            patch.setattr(unitindex, "prime_rank", lambda F, U, p, chi: wrong)
+            with pytest.raises(InternalConsistencyError, match=rf"Z \+ {p**a}\*O_K at d = {d}$"):
+                local_data(F, U, p, a)
 
 
 def test_lucas_v_matches_recurrence():
@@ -203,9 +210,9 @@ def test_lucas_v_matches_recurrence():
 
 
 def routes_taken(monkeypatch):
-    """Patch the two routes' entry points to note which one a local_data call reaches."""
+    """Patch the torus route's ladder and the lift's power to note which a local_data call reaches."""
     taken = []
-    for name, route in (("lucas_v", "torus"), ("apparition_rank", "ladder")):
+    for name, route in (("lucas_v", "torus"), ("qi_pow", "lift")):
         def spy(*args, _f=getattr(unitindex, name), _route=route):
             taken.append(_route)
             return _f(*args)
@@ -221,28 +228,33 @@ def test_fast_routes_match_the_ladder(monkeypatch):
     assert {fundamental_unit(make_field(d)).norm_sign for d in ds if d > 0} == {-1, 1}
     primes = [p for p in range(2, 10**4) if is_prime(p)]
     taken = routes_taken(monkeypatch)
-    route_of = {}
+    route_of, m_of = {}, {}
     for d in ds:
         F = make_field(d)
         U = fundamental_unit(F)
         y = unit_xy(F, U.u)[1]
         for p in primes:
             chi = field_char(d, p)
-            taken.clear()
-            m, L, inert = local_data(F, U, p, 1)
-            assert (L, inert) == (p - chi, chi == -1)
-            # the one rule: the ladder exactly at ramified p, else the torus; L = 1 needs neither
-            route = "ladder" if not chi else "torus" if L > 1 else None
-            assert set(taken) == ({route} - {None}), (d, p, taken)
-            assert m == apparition_rank(F, U, p, L), (d, p)  # the unpatched ladder
-            assert m == 1 or y % p, (d, p)  # p | y: u is in Z + p*O_K
-            route_of[d, p] = route
+            for a in range(1, 4 if p < 50 else 2):
+                taken.clear()
+                m, L, inert = local_data(F, U, p, a)
+                assert (L, inert) == (p ** (a - 1) * (p - chi), chi == -1)
+                # the torus exactly at unramified p with L(p) > 1, the lift exactly at a >= 2;
+                # a ramified p at a = 1 takes neither
+                routes = {"torus"} if chi and p - chi > 1 else set()
+                assert set(taken) == routes | ({"lift"} if a > 1 else set()), (d, p, a, taken)
+                assert m == order_reduction_min_power(F, U, p, a), (d, p, a)
+                if a == 1:
+                    assert m == 1 or y % p, (d, p)  # p | y: u is in Z + p*O_K
+                    route_of[d, p], m_of[d, p] = min(routes, default=None), m
     assert {field_char(d, p) for (d, p), route in route_of.items() if route == "torus"} == {-1, 1}
     assert route_of[7, 3] == "torus" and field_char(7, 3) == 1  # split, and 3 | y
     # p = 2 unramified: inert at d = 5 mod 8 (L = 3), split at d = 1 mod 8 (L = 1, m = 1)
     assert route_of[-3, 2] == route_of[5, 2] == "torus"
     assert route_of[17, 2] is route_of[41, 2] is None
-    assert route_of[7, 7] == route_of[2, 2] == "ladder"
+    assert route_of[7, 7] is route_of[2, 2] is None  # ramified
+    # a ramified m(p) of either value: 2 | y at d = 6 (u = 5 + 2*sqrt(6)), not at d = 2
+    assert (m_of[6, 2], m_of[2, 2], m_of[7, 7]) == (1, 2, 7)
 
 
 # A character of the wrong sign gives L = p - chi off by 2 from a multiple of the order of
