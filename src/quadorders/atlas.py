@@ -223,11 +223,13 @@ def scan(cfg: ScanConfig) -> ScanSummary:
         raise ValueError(f"jobs must be >= 1, got {cfg.jobs}")
     if cfg.n_min < 1:
         raise ValueError(f"n_min must be >= 1, got {cfg.n_min}")
+    # an n window it cannot plan is refused before a file is touched, whatever the d range;
     # an empty window (no squarefree d, or n_min > n_max) scans no d: its file is written
     # with no rows, and a resume refuses a checkpoint that records any
-    ds = _squarefree_range(cfg.d_min, cfg.d_max) if cfg.n_min <= cfg.n_max else []
-    if ds:
-        window_plan(cfg.n_min, cfg.n_max)  # refuses a window it cannot plan before a file is touched
+    ds = []
+    if cfg.n_min <= cfg.n_max:
+        window_plan(cfg.n_min, cfg.n_max)
+        ds = _squarefree_range(cfg.d_min, cfg.d_max)
 
     rows_written = 0
     hfd_count = 0

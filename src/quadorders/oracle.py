@@ -9,15 +9,18 @@ mask of the residues prime to M one row of b at a time, once for the unit count
 and for local associativity.  Local associativity and associativity are decided
 by generating (Z/M)^* * <u>, resp. (Z/M) * <u>, one power of u at a time; a
 rational multiplier z scales both coordinates.  Ideal preservation is one
-witness loop over (P, excluded ideal) pairs, P^2 then each other prime P': x in
-the image of R, in P, outside the excluded ideal.  That ideal's image in O_K/(M)
-is read through the Hermite form (d1, c, d2) of the lattice spanned by its
-generators, their omega-multiples and M*Z^2: (A, B) lies in it iff d2 | B and
-d1 | A - (B/d2)*c.  Moduli are capped (default 200) since the scans are
-quadratic.  oracle_verdicts holds their range: no value at n = 1 (O_K, no
-quotient) or past the cap.  Only ring arithmetic is shared with the fast path
-(qi_mul, qi_norm, the roots of omega's minimal polynomial), never m, L or the
-field character (D/p).
+witness loop over (P, excluded ideal) pairs: x in the image of R, in P, outside
+the excluded ideal.  Only the tests over one split or ramified p can fail, so
+only they are scanned, mod p^2: P^2 for each P = (p, omega - r), then the other
+prime P' over a split p.  The rest hold by x = p, in R and in P, outside
+P^2 = (p^2) when P = (p) is inert and outside every prime over another rational
+prime.  An excluded ideal's image in O_K/(M) is read through the Hermite form
+(d1, c, d2) of the lattice spanned by its generators, their omega-multiples and
+M*Z^2: (A, B) lies in it iff d2 | B and d1 | A - (B/d2)*c.  Moduli are capped
+(default 200) since the scans are quadratic.  oracle_verdicts holds their
+range: no value at n = 1 (O_K, no quotient) or past the cap.  Only ring
+arithmetic is shared with the fast path (qi_mul, qi_norm, the roots of omega's
+minimal polynomial), never m, L or the field character (D/p).
 """
 
 from __future__ import annotations
@@ -113,35 +116,27 @@ def _ideal_lattice(F: FieldContext, gens: list[QI], M: int) -> tuple[int, int, i
 
 
 def _ideal_pairs(F: FieldContext, n: int, bound: int) -> Iterator[tuple[tuple, tuple]]:
-    """(P, P) for each prime ideal P = (p, root) over n (root None: p inert), then (P, Q) for
-    each ordered pair of distinct ones.  Each p^2 meets the bound before omega_roots, which
-    scans all of range(p), runs on p: a large p fails at once, after the smaller p's tests."""
-    primes: list[tuple[int, int | None]] = []
+    """(P, P) for each prime ideal P = (p, omega - r) over a root r of omega mod p | n, then
+    (P, P') for the two primes over each split p.  Each p^2 meets the bound before
+    omega_roots, which scans all of range(p), runs on p: a large p fails at once, after the
+    smaller p's tests.  A split p passes its P^2 tests, so its pairs wait for every p^2."""
+    pairs = []
     for p, _ in factorize(n):
         _check_modulus(p * p, bound)
-        for P in [(p, r) for r in omega_roots(F, p) or (None,)]:
-            primes.append(P)
-            yield P, P
-    yield from ((P, Q) for P in primes for Q in primes if Q != P)
+        primes = [(p, r) for r in omega_roots(F, p)]
+        yield from ((P, P) for P in primes)
+        pairs += [(P, Q) for P in primes for Q in primes if Q != P]
+    yield from pairs
 
 
-def _prime_gens(p: int, r: int | None) -> list[QI]:
-    """Generators of P = (p) when inert (r None), else of P = (p, omega - r)."""
-    return [(p, 0)] if r is None else [(p, 0), (-r, 1)]
-
-
-def _witness_exists(
-    n: int, M: int, P: tuple[int, int | None], excluded: tuple[int, int, int]
-) -> bool:
-    """Scan the image of R = Z + n*O_K in O_K/(M) for x in P outside the excluded ideal,
-    given by the Hermite form of its preimage (the ideal contains M).  Only members of P
-    are walked: A = -B*r (mod p) when P = (p, omega - r), p | A, B when P = (p) is inert."""
+def _witness_exists(n: int, M: int, P: tuple[int, int], excluded: tuple[int, int, int]) -> bool:
+    """Scan the image of R = Z + n*O_K in O_K/(M) for x in P = (p, omega - r) outside the
+    excluded ideal, given by the Hermite form of its preimage (the ideal contains M).  Only
+    members of P are walked: A = -B*r (mod p)."""
     p, r = P
     d1, c, d2 = excluded
     for B in range(0, M, gcd(n, M)):
-        if r is None and B % p:
-            continue
-        for A in range(0 if r is None else -B * r % p, M, p):
+        for A in range(-B * r % p, M, p):
             if B % d2 or (A - B // d2 * c) % d1:
                 return True
     return False
@@ -152,15 +147,15 @@ def brute_ideal_preserving(F: FieldContext, n: int, bound: int = DEFAULT_ENUM_BO
 
     R is ideal-preserving iff for every prime ideal P over a divisor of n,
     R meets P outside P^2, and for every ordered pair of distinct primes
-    P != P', R meets P outside P'.  Scans run mod p^2 for the P/P^2 test and
-    mod p*p' for the pair test (p^2 when both lie over p).
+    P != P', R meets P outside P'.  Only the tests over one split or ramified
+    p are scanned, mod p^2: x = p lies in R and P and outside (p^2) = P^2 for
+    an inert P = (p), and outside every prime over another rational prime.
     """
     if n < 1:
         raise ValueError(f"order index must be >= 1, got {n}")
     for P, Q in _ideal_pairs(F, n, bound):
-        M = P[0] * Q[0]
-        _check_modulus(M, bound)
-        gens = _prime_gens(*Q)
+        M = P[0] * P[0]
+        gens = [(Q[0], 0), (-Q[1], 1)]
         if Q == P:  # P^2 is generated by the products of P's generators
             gens = [qi_mul(F, g, h) for g in gens for h in gens]
         if not _witness_exists(n, M, P, _ideal_lattice(F, gens, M)):

@@ -376,12 +376,20 @@ def test_scan_killed_mid_window_resumes_to_the_uninterrupted_bytes(capsys, tmp_p
 
 
 def test_refused_n_window_leaves_a_finished_scan_as_it_was(capsys, tmp_path):
-    # the window is refused before --out is opened for writing or its checkpoint removed
+    # the window is refused before --out is opened for writing or its checkpoint removed,
+    # whatever the d range: with a squarefree d in it or none, no --out is created either
     out = tmp_path / "keep.csv"
-    window = ("scan", "--d-min", "2", "--d-max", "5", "--out", str(out))
-    assert run_cli(capsys, *window, "--n-max", "5")[0] == 0
-    before = out.read_bytes(), (tmp_path / "keep.csv.checkpoint").read_bytes()
+    ck = atlas.checkpoint_path(str(out))
+    assert run_cli(capsys, "scan", "--d-min", "2", "--d-max", "5", "--out", str(out),
+                   "--n-max", "5")[0] == 0
+    before = out.read_bytes(), open(ck, "rb").read()
     assert len(before[0]) == 347
-    rc, _, err = run_cli(capsys, *window, "--n-min", str(2**60), "--n-max", str(2**60 + 1))
-    assert rc == 2 and "too large to sieve" in err
-    assert (out.read_bytes(), (tmp_path / "keep.csv.checkpoint").read_bytes()) == before
+    window = ("--n-min", str(2**60), "--n-max", str(2**60 + 1))
+    for d_min, d_max in (("2", "5"), ("4", "4"), ("8", "9")):
+        for path in (out, tmp_path / "new.csv"):
+            rc, _, err = run_cli(capsys, "scan", "--d-min", d_min, "--d-max", d_max, *window,
+                                 "--out", str(path))
+            assert rc == 2 and "too large to sieve" in err, (d_min, d_max)
+        assert (out.read_bytes(), open(ck, "rb").read()) == before
+        assert not (tmp_path / "new.csv").exists()
+        assert not os.path.exists(atlas.checkpoint_path(str(tmp_path / "new.csv")))

@@ -344,17 +344,54 @@ def test_prime_square_image_matches_exact_lattice():
 
 
 def test_witness_walk_stays_inside_the_prime():
-    # with R = O_K (n = 1), P holds an element outside P^2 but none outside P itself:
-    # the walk visits members of P only, inert P = (p) included
+    # with R = O_K (n = 1), P = (p, omega - r) holds an element outside P^2 but none
+    # outside P itself: the walk visits members of P only
     for d in (2, -5, 17, -3, 5, -1):
         F = make_field(d)
         for p in (2, 3, 5, 7):
-            for r in omega_roots(F, p) or (None,):
-                P = oracle._prime_gens(p, r)
+            for r in omega_roots(F, p):
+                P = [(p, 0), (-r, 1)]
                 square = [qi_mul(F, g, h) for g in P for h in P]
                 M = p * p
                 assert oracle._witness_exists(1, M, (p, r), _ideal_lattice(F, square, M))
                 assert not oracle._witness_exists(1, M, (p, r), _ideal_lattice(F, P, M))
+
+
+def test_unscanned_ideal_tests_always_hold():
+    # brute_ideal_preserving scans no inert P^2 test and no pair over two rational primes:
+    # by the reference oracle each holds (x = p is a witness) on every cell of squarefree
+    # |d| <= 30, 2 <= n <= 60, for every prime ideal over each p | n with p^2 in the bound
+    tests = 0
+    for d in range(-30, 31):
+        if d in (0, 1) or not is_squarefree(d):
+            continue
+        F = make_field(d)
+        for n in range(2, 61):
+            primes = [(p, r) for p, _ in factorize(n) if p * p <= DEFAULT_ENUM_BOUND
+                      for r in omega_roots(F, p) or (None,)]
+            for P in primes:
+                for Q in primes:
+                    if Q[0] != P[0] or (Q == P and P[1] is None):
+                        assert _reference_pair(F, n, P, Q), (d, n, P, Q)
+                        tests += 1
+    assert tests == 5039
+
+
+def test_ideal_pairs_stay_over_one_split_or_ramified_prime():
+    # every scanned test is P^2 for a P with a root, or the pair over one split p, and
+    # every pair comes after the last P^2 test
+    for d in (2, -5, 17, -7, -3, 5, -1):
+        F = make_field(d)
+        for n in range(2, 200):
+            try:
+                pairs = list(oracle._ideal_pairs(F, n, DEFAULT_ENUM_BOUND))
+            except OracleBoundError:
+                continue
+            squares = [P for P, Q in pairs if Q == P]
+            assert pairs[: len(squares)] == [(P, P) for P in squares], (d, n)
+            assert all(P[0] == Q[0] and P[1] is not None for P, Q in pairs), (d, n)
+            split = [p for p, _ in factorize(n) if field_char(d, p) == 1]
+            assert len(pairs) == len(squares) + sum(P[0] in split for P in squares), (d, n)
 
 
 def test_matches_closed_forms_small_grid():
