@@ -39,6 +39,13 @@ def factorize(n: int) -> tuple[tuple[int, int], ...]:
     return tuple(out)
 
 
+def check_window(lo: int, hi: int) -> None:
+    """Refuse with a ValueError, allocating nothing, an n window [lo, hi] that window_plan would
+    sieve (lo != hi) ending at TRIAL_BOUND^2 = 10^14 or past it, where factorize stops too."""
+    if lo != hi and hi >= TRIAL_BOUND**2:
+        raise ValueError(f"n window [{lo}, {hi}] is too large to sieve: its end must be below 10^14")
+
+
 @lru_cache(maxsize=1)  # the last window only: 2 * (hi - lo + 1) ints
 def window_plan(lo: int, hi: int) -> tuple[list[int], list[int]]:
     """For each n in [lo, hi], lo >= 1: q = p^a for the least prime p of n (1 at n = 1), and n // q.
@@ -46,15 +53,13 @@ def window_plan(lo: int, hi: int) -> tuple[list[int], list[int]]:
     A window of one n is read from factorize(n), with no sieve.  A wider one is a segmented
     sieve (Crandall & Pomerance, Prime Numbers, 2005, section 3.2): each power of each prime
     up to isqrt(hi) is set on its multiples by slice, larger primes and lower powers first,
-    so the least prime's full power remains.  A wider window ending at TRIAL_BOUND^2 = 10^14
-    or past it, where factorize stops too, is refused with a ValueError before anything is
-    allocated.  Callers share the lists as is.
+    so the least prime's full power remains.  A wider window that check_window refuses raises
+    its ValueError before anything is allocated.  Callers share the lists as is.
     """
     if lo == hi:
         p, a = factorize(lo)[0] if lo > 1 else (1, 1)
         return [p**a], [lo // p**a]
-    if hi >= TRIAL_BOUND**2:
-        raise ValueError(f"n window [{lo}, {hi}] is too large to sieve: its end must be below 10^14")
+    check_window(lo, hi)
     root = isqrt(hi)
     prime = bytearray([1]) * (root + 1)
     for p in range(2, isqrt(root) + 1):

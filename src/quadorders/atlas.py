@@ -27,7 +27,7 @@ from math import isqrt
 from multiprocessing import get_context
 from typing import BinaryIO, Callable, Iterator, NoReturn
 
-from .arith import InternalConsistencyError, window_plan
+from .arith import InternalConsistencyError, check_window, window_plan
 from .classgroup import class_number
 from .classify import ClassificationRecord, classify_field
 from .oracle import oracle_verdicts
@@ -223,13 +223,15 @@ def scan(cfg: ScanConfig) -> ScanSummary:
         raise ValueError(f"jobs must be >= 1, got {cfg.jobs}")
     if cfg.n_min < 1:
         raise ValueError(f"n_min must be >= 1, got {cfg.n_min}")
-    # an n window it cannot plan is refused before a file is touched, whatever the d range;
-    # an empty window (no squarefree d, or n_min > n_max) scans no d: its file is written
-    # with no rows, and a resume refuses a checkpoint that records any
+    # an n window too large to sieve is refused by its bounds before a file is touched,
+    # whatever the d range; an empty window (no squarefree d, or n_min > n_max) scans no d:
+    # its file is written with no rows, and a resume refuses a checkpoint that records any
     ds = []
     if cfg.n_min <= cfg.n_max:
-        window_plan(cfg.n_min, cfg.n_max)
+        check_window(cfg.n_min, cfg.n_max)
         ds = _squarefree_range(cfg.d_min, cfg.d_max)
+    if ds:  # planned here, before a file is touched, so that forked workers inherit the plan
+        window_plan(cfg.n_min, cfg.n_max)
 
     rows_written = 0
     hfd_count = 0

@@ -5,18 +5,18 @@ L(p^a) = p^(a-1) * (p - (D/p)), (D/p) the field character (including p = 2);
 these match the unit counts of the split, inert and ramified local quotients.
 
 m(n), the least k >= 1 with u^k in the order of index n (u the fundamental unit,
-for d < 0 the torsion generator), is the lcm of the m(p^a); m(q) is the order of u in
+for d < 0 the torsion generator), is the lcm of the m(q), q = p^a; m(q) is the order of u in
 G_q = (O_K/q)^* / (Z/q)^*, of order L(q), as u^k is in Z + q*O_K iff q | its omega-coordinate.
-At a ramified p, G_p has order p: m(p) is 1 if p | u's omega-coordinate, else p (nothing is
-checked, as every x^p is rational mod p).  At an unramified p, u^k is in Z + p*O_K iff z^k = 1
-in the reduced ring O_K/(p), z = alpha/beta for u = alpha = (x + y*sqrt(D))/2 of norm
-N = alpha*beta, as conjugation fixes exactly F_p there.  P' = z + 1/z = (x^2 - 2N) * N is in
-F_p and (z^k - 1)^2 = z^k * (V_k(P', 1) - 2), so z^k = 1 iff V_k(P', 1) = 2 (mod p), p = 2
-included; V_jk = V_j(V_k) (Lehmer, Ann. Math. 1930).  For r^e || L, V_(L/r^e) is raised to
-the r-th power until it is 2.  A u not of norm N mod p, or z^L != 1, raises
-InternalConsistencyError.  For a >= 2 the kernel of G_(p^a) -> G_p has order p^(a-1), so
-m(p^a) = m(p) * p^j for the fewest j < a of p-th powers (by qi_pow) that bring u^m(p) into
-Z + p^a*O_K; a u^m(p) that a - 1 of them do not bring there raises InternalConsistencyError.
+At a ramified p, G_q is a p-group: m(q) = p^j for the fewest j p-th powers (by qi_pow) that
+bring u into Z + q*O_K, at most a of them.  At an unramified p, conjugation fixes exactly Z/q
+in O_K/q, so u^k is in Z + q*O_K iff z^k = 1 mod q, z = alpha/beta for u = alpha =
+(x + y*sqrt(D))/2 of norm N = alpha*beta.  P' = z + 1/z = (x^2 - 2N) * N is rational and
+(z^k - 1)^2 = z^k * (V_k(P', 1) - 2).  As p is unramified, the valuation at p of V_k - 2 is
+twice that of z^k - 1, so even: z^k = 1 mod q iff V_k(P', 1) = 2 mod M = q^2/p = p^(2a-1),
+which is mod p at a = 1, p = 2 included.  V_jk = V_j(V_k) (Lehmer, Ann. Math. 1930): for
+r^e || L(q), V_(L/r^e) mod M is raised to the r-th power until it is 2 (order reduction from
+the group order, Cohen, A Course in Computational Algebraic Number Theory, 1993, Alg. 1.4.3).
+A u not of norm N mod M, or z^L != 1, raises InternalConsistencyError.
 """
 
 from __future__ import annotations
@@ -43,46 +43,36 @@ def lucas_v(P: int, k: int, M: int) -> int:
     return v0
 
 
-def prime_rank(F: FieldContext, U: FundamentalUnit, p: int, chi: int) -> int:
-    """m(p) for chi = (D/p): by one divisibility at a ramified p, else by the torus route."""
-    if not chi:
-        return 1 if U.u[1] % p == 0 else p
-    L = p - chi
-    x, y = unit_xy(F, U.u)
-    x, y, N = x % p, y % p, U.norm_sign
-    if (x * x - F.D * y * y - 4 * N) % p:
-        raise InternalConsistencyError(f"u is not a unit of norm {N} mod {p} for d = {F.d}")
-    P = (x * x - 2 * N) * N % p  # z + 1/z for z = alpha/beta
-    m = 1
-    for r, e in factorize(L):
-        t, j = lucas_v(P, L // r**e, p), 0
-        while (t - 2) % p:  # z^k = 1 iff V_k = 2, also at p = 2 where 2 = 0
-            if j == e:
-                raise InternalConsistencyError(f"u^L is not in the order for L({p}, {F.d}) = {L}")
-            t, j = lucas_v(t, r, p), j + 1
-        m *= r**j
-    return m
-
-
 def local_data(F: FieldContext, U: FundamentalUnit, p: int, a: int) -> tuple[int, int, bool]:
-    """(m(p^a), L(p^a), p inert), reading the field character once and m(p) once.
+    """(m(p^a), L(p^a), p inert), reading the field character once.
 
     Uncached: a caller that keeps its own per-field table calls this, so the
     process-lifetime cache of min_power_prime_power does not fill.
     """
-    chi = field_char(F.d, p)
-    m = prime_rank(F, U, p, chi)
-    if a > 1:  # u^m(p) is in the kernel of G_(p^a) -> G_p, of order p^(a-1)
-        q = p**a
-        w = qi_pow(F, U.u, m, q)
-        for j in range(a):
-            if w[1] % q == 0:
-                break
-            w = qi_pow(F, w, p, q)
-        else:
-            raise InternalConsistencyError(f"u^{m * p ** (a - 1)} is not in Z + {q}*O_K at d = {F.d}")
-        m *= p**j
-    return m, p ** (a - 1) * (p - chi), chi == -1
+    chi, q = field_char(F.d, p), p**a
+    L = q // p * (p - chi)
+    if not chi:
+        # G_q is a p-group, and every x^(p^a) is in Z + q*O_K (pi^2 is in p*O_K, so x^p is
+        # rational mod p, and each further p-th power gains a power of p): no raise is needed
+        w, j = U.u, 0
+        while w[1] % q:
+            w, j = qi_pow(F, w, p, q), j + 1
+        return p**j, L, False
+    M = q * q // p  # z^k = 1 mod q iff V_k = 2 mod p^(2a - 1)
+    x, y = unit_xy(F, U.u)
+    x, y, N = x % M, y % M, U.norm_sign
+    if (x * x - F.D * y * y - 4 * N) % M:
+        raise InternalConsistencyError(f"u is not a unit of norm {N} mod {M} for d = {F.d}")
+    P = (x * x - 2 * N) * N % M  # z + 1/z for z = alpha/beta
+    m = 1
+    for r, e in factorize(L):
+        t, j = lucas_v(P, L // r**e, M), 0
+        while (t - 2) % M:
+            if j == e:
+                raise InternalConsistencyError(f"u^L is not in the order for L({q}, {F.d}) = {L}")
+            t, j = lucas_v(t, r, M), j + 1
+        m *= r**j
+    return m, L, chi == -1
 
 
 @lru_cache(maxsize=CACHE_MAXSIZE)

@@ -20,7 +20,7 @@ from quadorders import (
     report_hfd,
     scan,
 )
-from quadorders.arith import InternalConsistencyError, is_squarefree
+from quadorders.arith import InternalConsistencyError, is_squarefree, window_plan
 from quadorders.atlas import CSV_HEADER, Checkpoint, checkpoint_path, read_checkpoint
 from quadorders.classify import ClassificationRecord, classify_field
 from quadorders.pell import fundamental_unit
@@ -324,6 +324,23 @@ def test_empty_window_writes_a_file_with_no_rows(tmp_path):
                 summary = scan(ScanConfig(out=str(out), fmt=fmt, resume=True, jobs=jobs, **window))
                 assert summary.records == 0
                 assert out.read_bytes() == no_rows and not ck.exists()
+
+
+def test_window_without_d_is_not_planned(tmp_path):
+    # the n window of a d range with no squarefree d is checked by its bounds, not planned:
+    # a plan of 200,000 n would hold two lists of 200,000 ints; a window with a d is planned
+    # in the scan's own process, so forked workers inherit the plan
+    window_plan.cache_clear()
+    tracemalloc.start()
+    try:
+        summary = scan(ScanConfig(d_min=4, d_max=4, n_max=200_000, out=str(tmp_path / "e.csv")))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert summary.records == 0 and peak < 256 * 1024, peak
+    assert window_plan.cache_info().misses == 0
+    scan(ScanConfig(d_min=2, d_max=3, n_max=50, out=str(tmp_path / "p.csv"), jobs=2))
+    assert window_plan.cache_info().misses == 1
 
 
 @pytest.mark.parametrize(

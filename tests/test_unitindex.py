@@ -182,21 +182,6 @@ def test_lucas_rank_matches_divisor_search():
     assert all((chi, True, True, True) in seen for chi in (-1, 0, 1))  # p = 2, a >= 2
 
 
-def test_lift_refuses_a_wrong_prime_rank(monkeypatch):
-    # at an unramified p, G_p has order p - chi, prime to p, so a k that m(p) does not divide
-    # leaves u^k outside the kernel of G_(p^a) -> G_p, and no p-th power brings it into the order
-    for d, p, a in [(2, 5, 2), (2, 3, 4), (2, 7, 2), (3, 11, 3), (-1, 5, 3), (-3, 7, 2)]:
-        F = make_field(d)
-        U = fundamental_unit(F)
-        m = local_data(F, U, p, 1)[0]
-        assert field_char(d, p) and m > 1
-        wrong = m // factorize(m)[0][0]
-        with monkeypatch.context() as patch:
-            patch.setattr(unitindex, "prime_rank", lambda F, U, p, chi: wrong)
-            with pytest.raises(InternalConsistencyError, match=rf"Z \+ {p**a}\*O_K at d = {d}$"):
-                local_data(F, U, p, a)
-
-
 def test_lucas_v_matches_recurrence():
     for P in range(-3, 6):
         seq = [2, P]
@@ -210,9 +195,10 @@ def test_lucas_v_matches_recurrence():
 
 
 def routes_taken(monkeypatch):
-    """Patch the torus route's ladder and the lift's power to note which a local_data call reaches."""
+    """Patch the torus route's ladder and the ramified route's power to note which a local_data
+    call reaches."""
     taken = []
-    for name, route in (("lucas_v", "torus"), ("qi_pow", "lift")):
+    for name, route in (("lucas_v", "torus"), ("qi_pow", "powers")):
         def spy(*args, _f=getattr(unitindex, name), _route=route):
             taken.append(_route)
             return _f(*args)
@@ -220,45 +206,49 @@ def routes_taken(monkeypatch):
     return taken
 
 
-def test_fast_routes_match_the_ladder(monkeypatch):
+def test_routes_match_order_reduction(monkeypatch):
     # d mod 8 in {1, 2, 3, 5, 6, 7} (17, 2, 3, 5, 6, 7); units of norm -1 (2, 5, 17, 41) and
-    # +1 (3, 6, 7, 94); 3 | y at d = 7 (u = 8 + 3*sqrt(7)); the torsion generators of -1, -3
+    # +1 (3, 6, 7, 94); 3 | y at d = 7 (u = 8 + 3*sqrt(7)); the torsion generators of -1, -3;
+    # every prime power up to 10^4, so a = 2 up to p = 97 and a up to 13 at p = 2
     ds = [-3, -1, 2, 3, 5, 6, 7, 17, 41, 94]
     assert {d % 8 for d in ds if d > 0} == {1, 2, 3, 5, 6, 7}
     assert {fundamental_unit(make_field(d)).norm_sign for d in ds if d > 0} == {-1, 1}
-    primes = [p for p in range(2, 10**4) if is_prime(p)]
+    prime_powers = [(p, a) for p in range(2, 10**4) if is_prime(p)
+                    for a in range(1, 14) if p**a <= 10**4]
     taken = routes_taken(monkeypatch)
-    route_of, m_of = {}, {}
+    route_of, m_of, seen = {}, {}, set()
     for d in ds:
         F = make_field(d)
         U = fundamental_unit(F)
         y = unit_xy(F, U.u)[1]
-        for p in primes:
-            chi = field_char(d, p)
-            for a in range(1, 4 if p < 50 else 2):
-                taken.clear()
-                m, L, inert = local_data(F, U, p, a)
-                assert (L, inert) == (p ** (a - 1) * (p - chi), chi == -1)
-                # the torus exactly at unramified p with L(p) > 1, the lift exactly at a >= 2;
-                # a ramified p at a = 1 takes neither
-                routes = {"torus"} if chi and p - chi > 1 else set()
-                assert set(taken) == routes | ({"lift"} if a > 1 else set()), (d, p, a, taken)
-                assert m == order_reduction_min_power(F, U, p, a), (d, p, a)
-                if a == 1:
-                    assert m == 1 or y % p, (d, p)  # p | y: u is in Z + p*O_K
-                    route_of[d, p], m_of[d, p] = min(routes, default=None), m
+        for p, a in prime_powers:
+            chi, q = field_char(d, p), p**a
+            taken.clear()
+            m, L, inert = local_data(F, U, p, a)
+            assert (L, inert) == (p ** (a - 1) * (p - chi), chi == -1)
+            # the torus exactly at unramified p with L(q) > 1, p-th powers exactly at ramified
+            # p where u is not in Z + q*O_K; a = 1 and a >= 2 alike
+            routes = {"torus"} if chi and L > 1 else {"powers"} if not chi and y % q else set()
+            assert set(taken) == routes, (d, p, a, taken)
+            assert m == order_reduction_min_power(F, U, p, a), (d, p, a)
+            seen.add((chi, a > 1, m > 1))
+            if a == 1:
+                assert m == 1 or y % p, (d, p)  # p | y: u is in Z + p*O_K
+                route_of[d, p], m_of[d, p] = min(routes, default=None), m
+    assert {(chi, True, True) for chi in (-1, 0, 1)} <= seen  # a >= 2 on each splitting type
     assert {field_char(d, p) for (d, p), route in route_of.items() if route == "torus"} == {-1, 1}
     assert route_of[7, 3] == "torus" and field_char(7, 3) == 1  # split, and 3 | y
     # p = 2 unramified: inert at d = 5 mod 8 (L = 3), split at d = 1 mod 8 (L = 1, m = 1)
     assert route_of[-3, 2] == route_of[5, 2] == "torus"
     assert route_of[17, 2] is route_of[41, 2] is None
-    assert route_of[7, 7] is route_of[2, 2] is None  # ramified
     # a ramified m(p) of either value: 2 | y at d = 6 (u = 5 + 2*sqrt(6)), not at d = 2
+    assert route_of[7, 7] == route_of[2, 2] == "powers" and route_of[6, 2] is None
     assert (m_of[6, 2], m_of[2, 2], m_of[7, 7]) == (1, 2, 7)
 
 
-# A character of the wrong sign gives L = p - chi off by 2 from a multiple of the order of
-# z = alpha/beta, so z^L = z^(+-2), which is 1 only at z = +-1, that is at p | x*y.
+# A character of the wrong sign gives L(p^a) = p^(a-1) * (p - chi) off by 2 * p^(a-1) from a
+# multiple of the order of z = alpha/beta mod p^a, so z^L = z^(+-2 * p^(a-1)), which is 1 mod
+# p^a only if z^2 = 1 mod p (the order of z mod p is prime to p), that is only at p | x*y.
 @pytest.mark.parametrize(
     "d, p, chi",
     [
@@ -275,8 +265,10 @@ def test_fast_routes_refuse_a_wrong_character(monkeypatch, d, p, chi):
     U = fundamental_unit(F)
     assert field_char(d, p) == -chi
     monkeypatch.setattr(unitindex, "field_char", lambda d, p: chi)
-    with pytest.raises(InternalConsistencyError, match=r"u\^L is not in the order"):
-        local_data(F, U, p, 1)
+    for a in (1, 2, 3):
+        refusal = rf"u\^L is not in the order for L\({p**a}, {d}\)"
+        with pytest.raises(InternalConsistencyError, match=refusal):
+            local_data(F, U, p, a)
 
 
 @pytest.mark.parametrize("p", [7, 17, 5, 13])  # split in Q(sqrt(2)), then inert
@@ -288,5 +280,7 @@ def test_fast_routes_refuse_a_wrong_unit(p):
         FundamentalUnit((3, 1), 1, 2),  # 3 + sqrt(2), of norm 7: no unit mod p
         FundamentalUnit((3, 1), -1, 2),
     ):
-        with pytest.raises(InternalConsistencyError, match=f"norm {fake.norm_sign} mod {p}"):
-            local_data(F, fake, p, 1)
+        for a in (1, 2, 3):  # the norm is checked mod p^(2a - 1), the torus route's modulus
+            refusal = f"norm {fake.norm_sign} mod {p ** (2 * a - 1)} for d = 2$"
+            with pytest.raises(InternalConsistencyError, match=refusal):
+                local_data(F, fake, p, a)
