@@ -3,11 +3,13 @@
 Rows stream to CSV or JSONL in (d, n) order, one checkpoint per task of consecutive d,
 so an interrupted scan can resume and produce a byte-identical file.  The scan splits
 its fields into tasks, four per worker and at most _TASK_CELLS rows unless one field's
-alone is more, and runs them in-process or on a pool of at most one worker per task.
+alone is more, and runs them in-process or on forked workers, at most one per task:
+worker k of `jobs` runs tasks k, k + jobs, ... and sends each block back on a pipe of its
+own, and every worker is killed and waited for when the scan ends, however it ends.
 A task sets each of its fields up once, takes its cells from classify_field (and under
 --verify checks them with oracle_verdicts, building no record), and renders them into one
 block through one row template per field, with d, D and h_maximal in place; the parent
-writes the blocks in submission order, so the output is independent of the worker count.
+writes the blocks in task order, so the output is independent of the worker count.
 report and scan --resume read a scan file through one reader, _scan_file: it checks
 64 KiB blocks of whole lines by one regex search from line end to line end, built from
 the writer's row template, for a line not in that one spelling, and decodes only a
@@ -18,13 +20,15 @@ from __future__ import annotations
 
 import json
 import os
+import pickle
 import re
+import select
+import signal
 import time
-from contextlib import nullcontext
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass
 from itertools import chain
 from math import isqrt
-from multiprocessing import get_context
 from typing import BinaryIO, Callable, Iterator, NoReturn
 
 from .arith import InternalConsistencyError, check_window, window_plan
@@ -143,6 +147,97 @@ def _scan_fields(task: tuple[list[int], int, int, str, bool]) -> tuple[int, str,
     return ds[-1], "".join(blocks), len(ds) * (n_max - n_min + 1), sum(hfds)
 
 
+def _work(tasks: list[tuple], fd: int, inherited: list[int]) -> NoReturn:
+    """A forked worker's life: it closes the pipe ends it inherited, then writes each task's
+    _scan_fields result, or the exception that ends the run, to fd as one length-prefixed
+    pickle.  It leaves by os._exit, so no buffer or exit hook of the parent's runs twice."""
+    code = 1
+    try:
+        for end in inherited:
+            os.close(end)
+        with open(fd, "wb") as pipe:
+            for task in tasks:
+                try:
+                    reply = _scan_fields(task)
+                except Exception as exc:
+                    reply = exc
+                data = pickle.dumps(reply, pickle.HIGHEST_PROTOCOL)
+                pipe.write(len(data).to_bytes(8, "little") + data)
+                pipe.flush()
+                if isinstance(reply, Exception):
+                    break
+        code = 0
+    finally:
+        os._exit(code)
+
+
+@contextmanager
+def _forked(tasks: list[tuple], jobs: int) -> Iterator[Iterator[tuple[int, str, int, int]]]:
+    """The _scan_fields results of tasks, in task order, from `jobs` forked workers.
+
+    Worker k runs tasks k, k + jobs, ... and writes to a pipe of its own.  The parent reads
+    whichever pipe has data as it comes, so no worker waits on a full pipe for a task ahead
+    of it, and keeps each result until its turn; a worker's exception is raised in its
+    task's turn.  A worker whose pipe ends before the task whose turn it is raises
+    RuntimeError naming it and its wait status.  On leaving, every worker is killed and
+    waited for.
+    """
+    pids: list[int | None] = []  # worker k's pid, until it is waited for
+    fds: dict[int, int] = {}  # read end -> its worker
+    poller = select.poll()
+
+    def in_order() -> Iterator[tuple[int, str, int, int]]:
+        bufs = [bytearray() for _ in range(jobs)]
+        got = [0] * jobs  # results read from worker k, None once its pipe has ended
+        ahead: dict[int, tuple | Exception] = {}  # results read before their turn
+        for i in range(len(tasks)):
+            while i not in ahead:
+                if got[k := i % jobs] is None:
+                    pid, status = os.waitpid(pids[k], 0)
+                    pids[k] = None
+                    code = os.waitstatus_to_exitcode(status)
+                    why = f"killed by {signal.Signals(-code).name}" if code < 0 else f"exit code {code}"
+                    raise RuntimeError(
+                        f"scan worker {k} (pid {pid}) ended before task {i}: wait status {status} ({why})"
+                    )
+                for fd, _ in poller.poll():
+                    k, chunk = fds[fd], os.read(fd, 1 << 16)
+                    if not chunk:
+                        poller.unregister(fd)
+                        got[k] = None
+                        continue
+                    buf = bufs[k]
+                    buf += chunk
+                    while len(buf) >= (end := 8 + int.from_bytes(buf[:8], "little")):
+                        ahead[k + jobs * got[k]] = pickle.loads(buf[8:end])
+                        del buf[:end]
+                        got[k] += 1
+            reply = ahead.pop(i)
+            if isinstance(reply, Exception):
+                raise reply
+            yield reply
+
+    try:
+        for k in range(jobs):
+            r, w = os.pipe()
+            fds[r] = k
+            try:
+                if (pid := os.fork()) == 0:
+                    _work(tasks[k::jobs], w, list(fds))
+            finally:
+                os.close(w)
+            pids.append(pid)
+            poller.register(r, select.POLLIN)
+        yield in_order()
+    finally:
+        for pid in pids:
+            if pid is not None:
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+        for fd in fds:
+            os.close(fd)
+
+
 def checkpoint_path(out: str) -> str:
     return out + ".checkpoint"
 
@@ -246,10 +341,10 @@ def scan(cfg: ScanConfig) -> ScanSummary:
     elif os.path.exists(ck_path):
         os.remove(ck_path)
 
-    # tasks of consecutive d, each one block and one checkpoint: four per worker, as
-    # Pool.map's default, of at most _TASK_CELLS rows unless one field's alone is more;
-    # with jobs <= len(ds) there are at least jobs tasks, so at most one worker per task;
-    # no d left (an empty or a finished window) is no task and no pool
+    # tasks of consecutive d, each one block and one checkpoint: four per worker, of at
+    # most _TASK_CELLS rows unless one field's alone is more; with jobs <= len(ds) there
+    # are at least jobs tasks, so at most one worker per task, each forked worker taking
+    # every jobs-th task; no d left (an empty or a finished window) is no task and no fork
     jobs, width = min(cfg.jobs, len(ds)), cfg.n_max - cfg.n_min + 1
     size = max(1, min(-(-len(ds) // (4 * jobs)), _TASK_CELLS // width)) if jobs else 1
     tasks = [(ds[i : i + size], cfg.n_min, cfg.n_max, cfg.fmt, cfg.verify)
@@ -258,8 +353,7 @@ def scan(cfg: ScanConfig) -> ScanSummary:
         if mode == "w" and cfg.fmt == "csv":
             fh.write(CSV_HEADER + "\n")
             fh.flush()
-        with get_context("fork").Pool(jobs) if jobs > 1 else nullcontext() as pool:
-            results = pool.imap(_scan_fields, tasks) if pool else map(_scan_fields, tasks)
+        with _forked(tasks, jobs) if jobs > 1 else nullcontext(map(_scan_fields, tasks)) as results:
             for last_d, block, n_rows, hfd_task in results:
                 fh.write(block)
                 fh.flush()

@@ -3,7 +3,6 @@ import os
 import random
 import re
 import tracemalloc
-from multiprocessing import get_context
 
 import pytest
 
@@ -104,29 +103,53 @@ def test_scan_worker_count_invariance(tmp_path):
 
 
 def test_scan_starts_no_more_workers_than_fields(tmp_path, monkeypatch):
-    # one field runs in-process at any --jobs: no pool is asked for
-    one, pooled = tmp_path / "one.csv", tmp_path / "pooled.csv"
+    forks, real_fork = [], os.fork
+
+    def fork():
+        forks.append(1)
+        return real_fork()
+
+    monkeypatch.setattr(os, "fork", fork)
+    # one field runs in-process at any --jobs: it forks no worker
+    one, forked = tmp_path / "one.csv", tmp_path / "forked.csv"
     scan(small_cfg(one, d_min=5, d_max=5, jobs=1))
-
-    def no_pool(method):
-        raise AssertionError("a one-field scan asked for a worker pool")
-
-    monkeypatch.setattr(atlas, "get_context", no_pool)
-    scan(small_cfg(pooled, d_min=5, d_max=5, jobs=4))
-    assert pooled.read_bytes() == one.read_bytes()
-    # two fields at --jobs 8 ask for a pool of two
-    sizes = []
-    real = get_context("fork")
-
-    class Spy:
-        def Pool(self, processes):
-            sizes.append(processes)
-            return real.Pool(processes)
-
-    monkeypatch.setattr(atlas, "get_context", lambda method: Spy())
-    scan(small_cfg(pooled, d_min=5, d_max=6, jobs=8))
+    scan(small_cfg(forked, d_min=5, d_max=5, jobs=4))
+    assert forks == [] and forked.read_bytes() == one.read_bytes()
+    # two fields at --jobs 8 fork two workers
+    scan(small_cfg(forked, d_min=5, d_max=6, jobs=8))
     scan(small_cfg(one, d_min=5, d_max=6, jobs=1))
-    assert sizes == [2] and pooled.read_bytes() == one.read_bytes()
+    assert len(forks) == 2 and forked.read_bytes() == one.read_bytes()
+
+
+def assert_no_child_left():
+    # every worker a scan forked has been waited for: the process has no child at all
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_no_worker_outlives_its_scan(tmp_path, monkeypatch):
+    window = dict(d_min=2, d_max=30, n_max=10, jobs=2)
+    full = tmp_path / "full.csv"
+    scan(ScanConfig(out=str(full), **window))
+    assert_no_child_left()
+    # a worker's error, raised in the parent
+    brute_associated = oracle.brute_associated
+    monkeypatch.setattr(oracle, "brute_associated", lambda F, U, n: not brute_associated(F, U, n))
+    with pytest.raises(ScanVerificationError):
+        scan(ScanConfig(out=str(tmp_path / "v.csv"), verify=True, **window))
+    assert_no_child_left()
+    # an interrupt in the parent's write loop, with workers still running
+    written = []
+
+    def interrupt(path, ck):
+        written.append(ck)
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(atlas, "_write_checkpoint", interrupt)
+    with pytest.raises(KeyboardInterrupt):
+        scan(ScanConfig(out=str(tmp_path / "k.csv"), **window))
+    assert len(written) == 1
+    assert_no_child_left()
 
 
 def spy_checkpoints(monkeypatch):
@@ -166,16 +189,22 @@ def test_census_window_keeps_one_field_per_task(tmp_path, monkeypatch):
     assert [ck.rows for ck in written] == [9_999 * k for k in range(1, 6)]
 
 
-def test_interrupted_task_leaves_the_tasks_before_it(tmp_path, monkeypatch):
-    # 18 fields in [2, 30] at --jobs 1: tasks of 5, the first 2 to 7, the second 10, 11,
-    # 13, 14, 15; the scan stops at d = 14, inside the second, after setting up 10 to 13
+class Interrupted(Exception):
+    """Raised by a test's stand-in; at module level, so a worker can send it back."""
+
+
+@pytest.mark.parametrize("jobs,fields_before", [
+    pytest.param(1, 5, id="jobs-1"), pytest.param(2, 6, id="jobs-2"),
+])
+def test_interrupted_task_leaves_the_tasks_before_it(tmp_path, monkeypatch, jobs, fields_before):
+    # 18 fields in [2, 30]. At --jobs 1, tasks of 5: the first 2 to 7, the second 10, 11,
+    # 13, 14, 15; the scan stops at d = 14, inside the second, after setting up 10 to 13.
+    # At --jobs 2, tasks of 3: d = 14 ends the third, 11, 13, 14, on worker 0, which the
+    # stand-in reaches as it was patched before the fork; worker 1 has run the second
     full, part = tmp_path / "full.csv", tmp_path / "part.csv"
     window = dict(d_min=2, d_max=30, n_max=10)
     scan(ScanConfig(out=str(full), **window))
     real, seen = atlas.make_field, []
-
-    class Interrupted(Exception):
-        pass
 
     def make_field(d):
         seen.append(d)
@@ -185,13 +214,16 @@ def test_interrupted_task_leaves_the_tasks_before_it(tmp_path, monkeypatch):
 
     monkeypatch.setattr(atlas, "make_field", make_field)
     with pytest.raises(Interrupted):
-        scan(ScanConfig(out=str(part), **window))
-    assert seen == [2, 3, 5, 6, 7, 10, 11, 13, 14]
-    # the file holds exactly the first task's rows, and the checkpoint ends there
+        scan(ScanConfig(out=str(part), jobs=jobs, **window))
+    if jobs == 1:
+        assert seen == [2, 3, 5, 6, 7, 10, 11, 13, 14]
+    # the file holds exactly the rows of the tasks before the failing one, and the
+    # checkpoint ends there
+    rows = 9 * fields_before
     lines = full.read_bytes().splitlines(keepends=True)
-    assert part.read_bytes() == b"".join(lines[: 1 + 5 * 9])
+    assert part.read_bytes() == b"".join(lines[: 1 + rows])
     assert read_checkpoint(checkpoint_path(str(part))) == Checkpoint(
-        7, 45, sum(line.endswith(b",1\n") for line in lines[1:46])
+        int(lines[rows].split(b",")[0]), rows, sum(line.endswith(b",1\n") for line in lines[1 : 1 + rows])
     )
     monkeypatch.setattr(atlas, "make_field", real)
     summary = scan(ScanConfig(out=str(part), resume=True, jobs=2, **window))
@@ -399,6 +431,9 @@ def test_oracle_verdicts_skip_and_mismatch(tmp_path, monkeypatch):
     monkeypatch.setattr(oracle, "brute_associated", lambda F, U, n: not brute_associated(F, U, n))
     with pytest.raises(ScanVerificationError, match="associated mismatch at d=2, n=2"):
         scan(ScanConfig(d_min=2, d_max=2, n_max=2, out=str(tmp_path / "v.csv"), verify=True))
+    # the same mismatch found in a forked worker keeps its type and its message
+    with pytest.raises(ScanVerificationError, match="^associated mismatch at d=2, n=2: closed-form"):
+        scan(ScanConfig(d_min=2, d_max=3, n_max=2, out=str(tmp_path / "v.csv"), verify=True, jobs=2))
 
 
 def test_report_counts_and_histogram(tmp_path):

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import re
 import signal
 import subprocess
 import sys
@@ -313,6 +314,9 @@ def _scan_out_of_memory(monkeypatch, tmp_path):
 @pytest.mark.parametrize("make_argv,rc", [
     # a RuntimeError exits 1: an oracle mismatch, corrupt data, an internal contradiction
     pytest.param(_scan_oracle_disagrees, 1, id="scan-verify-mismatch"),
+    # the same mismatch in a forked worker, sent back to the parent as the same error
+    pytest.param(lambda mp, tp: (*_scan_oracle_disagrees(mp, tp), "--d-max", "3", "--jobs", "2"), 1,
+                 id="scan-verify-mismatch-jobs-2"),
     pytest.param(_resume_with_bad_checkpoint, 1, id="resume-malformed-checkpoint"),
     # the checkpoint is sound, the last row it makes durable is not
     pytest.param(lambda mp, tp: _resume_with_bad_checkpoint(
@@ -373,6 +377,44 @@ def test_scan_killed_mid_window_resumes_to_the_uninterrupted_bytes(capsys, tmp_p
     assert run_cli(capsys, *window, "--resume", "--out", str(part))[0] == 0
     assert hashlib.sha256(part.read_bytes()).digest() == hashlib.sha256(full.read_bytes()).digest()
     assert run_cli(capsys, "report", str(part)) == run_cli(capsys, "report", str(full))
+
+
+# a scan whose worker SIGKILLs itself at d = 14, as the OOM killer would; the script
+# replaces _scan_one_d before the scan forks, so the workers inherit the stand-in
+_DYING_WORKER = """
+import os, signal, sys
+from quadorders import atlas, cli
+real = atlas._scan_one_d
+
+def dying(d, *args):
+    if d == 14:
+        os.kill(os.getpid(), signal.SIGKILL)
+    return real(d, *args)
+
+atlas._scan_one_d = dying
+sys.exit(cli.main(sys.argv[1:]))
+"""
+
+
+def test_scan_with_a_killed_worker_fails_and_resumes(capsys, tmp_path):
+    # the parent names the dead worker and its wait status and exits 1, where it once waited
+    # without end (the timeout stops a hang here, not the suite); the checkpoint stays on
+    # the last whole task, and a resume gives the bytes of a scan without a stop
+    window = ("scan", "--d-min", "2", "--d-max", "60", "--n-max", "40", "--jobs", "2")
+    full, part = tmp_path / "full.csv", tmp_path / "part.csv"
+    assert run_cli(capsys, *window, "--out", str(full))[0] == 0
+    proc = subprocess.run([sys.executable, "-c", _DYING_WORKER, *window, "--out", str(part)],
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert re.fullmatch(r"error: scan worker 1 \(pid \d+\) ended before task 1: "
+                        r"wait status 9 \(killed by SIGKILL\)\n", proc.stderr), proc.stderr
+    # tasks of five d: the first, 2 to 7, is written; the second holds d = 14
+    lines = full.read_bytes().splitlines(keepends=True)
+    assert atlas.read_checkpoint(atlas.checkpoint_path(str(part))) == atlas.Checkpoint(
+        7, 5 * 39, sum(line.endswith(b",1\n") for line in lines[1 : 1 + 5 * 39]))
+    assert part.read_bytes() == b"".join(lines[: 1 + 5 * 39])
+    assert run_cli(capsys, *window, "--resume", "--out", str(part))[0] == 0
+    assert part.read_bytes() == full.read_bytes()
 
 
 def test_refused_n_window_leaves_a_finished_scan_as_it_was(capsys, tmp_path):
