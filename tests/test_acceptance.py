@@ -2,7 +2,8 @@
 
 Run with `pytest tests/test_acceptance.py -v -s` to see the lines.  The census
 criterion walks about six million cells and only runs when QUADORDERS_CENSUS=1
-is set; everything else finishes in about two minutes combined.
+is set; everything else finishes in about three seconds combined (2.3-2.8 s on
+a shared 2-core machine with Python 3.11.7).
 """
 
 import os

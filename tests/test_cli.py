@@ -355,7 +355,7 @@ def test_exit_codes_through_main(capsys, monkeypatch, tmp_path, make_argv, rc):
 
 
 def test_scan_killed_mid_window_resumes_to_the_uninterrupted_bytes(capsys, tmp_path):
-    # a --jobs 2 scan in its own session, SIGKILLed with its pool workers once its checkpoint
+    # a --jobs 2 scan in its own session, SIGKILLed with its forked workers once its checkpoint
     # records rows (polled, not timed), then resumed to the end: the bytes and the report of
     # the same window scanned without a stop
     window = ("scan", "--d-min", "-400", "--d-max", "400", "--n-max", "300", "--jobs", "2")
