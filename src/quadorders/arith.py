@@ -2,11 +2,17 @@
 
 from __future__ import annotations
 
+from array import array
 from functools import lru_cache
 from math import isqrt
+from operator import floordiv
 
 CACHE_MAXSIZE = 1 << 16  # bound of every lru_cache; holds dozens of fields' m(p^a) tables
 TRIAL_BOUND = 10**7  # factorize's last trial divisor: every n < 10^14 factors, in about 1 s
+# widest n window a scan plans: 16 bytes per n of plan, about 9 of a field's cofactor cells
+# and its prime-power table make about 45 bytes per n (RSS measured at d = 7 between
+# n_max = 10^6 and 2 * 10^6), so this window takes about 0.9 GB, and wider ones gigabytes
+WINDOW_WIDTH_MAX = 2 * 10**7
 
 
 class InternalConsistencyError(RuntimeError):
@@ -41,20 +47,27 @@ def factorize(n: int) -> tuple[tuple[int, int], ...]:
 
 def check_window(lo: int, hi: int) -> None:
     """Refuse with a ValueError, allocating nothing, an n window [lo, hi] that window_plan would
-    sieve (lo != hi) ending at TRIAL_BOUND^2 = 10^14 or past it, where factorize stops too."""
+    sieve (lo != hi) ending at TRIAL_BOUND^2 = 10^14 or past it, where factorize stops too, or
+    wider than WINDOW_WIDTH_MAX."""
     if lo != hi and hi >= TRIAL_BOUND**2:
         raise ValueError(f"n window [{lo}, {hi}] is too large to sieve: its end must be below 10^14")
+    if hi - lo >= WINDOW_WIDTH_MAX:
+        raise ValueError(
+            f"n window [{lo}, {hi}] is too large to scan at once: it holds {hi - lo + 1:,} n, "
+            f"at most {WINDOW_WIDTH_MAX:,} are allowed; split it into narrower windows"
+        )
 
 
-@lru_cache(maxsize=1)  # the last window only: 2 * (hi - lo + 1) ints
-def window_plan(lo: int, hi: int) -> tuple[list[int], list[int]]:
+@lru_cache(maxsize=1)  # the last window only: 16 bytes per n
+def window_plan(lo: int, hi: int) -> tuple[list[int], list[int]] | tuple[array, array]:
     """For each n in [lo, hi], lo >= 1: q = p^a for the least prime p of n (1 at n = 1), and n // q.
 
-    A window of one n is read from factorize(n), with no sieve.  A wider one is a segmented
-    sieve (Crandall & Pomerance, Prime Numbers, 2005, section 3.2): each power of each prime
+    A window of one n is read from factorize(n), with no sieve, as two one-int lists: n may
+    be any size factorize accepts.  A wider one is a segmented sieve (Crandall & Pomerance,
+    Prime Numbers, 2005, section 3.2) into two array('q') columns: each power of each prime
     up to isqrt(hi) is set on its multiples by slice, larger primes and lower powers first,
     so the least prime's full power remains.  A wider window that check_window refuses raises
-    its ValueError before anything is allocated.  Callers share the lists as is.
+    its ValueError before anything is allocated.  Callers share the columns as is.
     """
     if lo == hi:
         p, a = factorize(lo)[0] if lo > 1 else (1, 1)
@@ -64,13 +77,13 @@ def window_plan(lo: int, hi: int) -> tuple[list[int], list[int]]:
     prime = bytearray([1]) * (root + 1)
     for p in range(2, isqrt(root) + 1):
         prime[p * p :: p] = bytes(len(range(p * p, root + 1, p)))
-    powers = list(range(lo, hi + 1))
+    powers = array("q", range(lo, hi + 1))
     for p in reversed([p for p in range(2, root + 1) if prime[p]]):
         q = p
         while q <= hi:
-            powers[-lo % q :: q] = [q] * len(range(-lo % q, len(powers), q))
+            powers[-lo % q :: q] = array("q", [q]) * len(range(-lo % q, len(powers), q))
             q *= p
-    return powers, [n // q for n, q in zip(range(lo, hi + 1), powers)]
+    return powers, array("q", map(floordiv, range(lo, hi + 1), powers))
 
 
 @lru_cache(maxsize=CACHE_MAXSIZE)

@@ -4,12 +4,16 @@ Rows stream to CSV or JSONL in (d, n) order, one checkpoint per task of consecut
 so an interrupted scan can resume and produce a byte-identical file.  The scan splits
 its fields into tasks, four per worker and at most _TASK_CELLS rows unless one field's
 alone is more, and runs them in-process or on forked workers, at most one per task:
-worker k of `jobs` runs tasks k, k + jobs, ... and sends each block back on a pipe of its
+worker k of `jobs` runs tasks k, k + jobs, ... and sends each task back on a pipe of its
 own, and every worker is killed and waited for when the scan ends, however it ends.
 A task sets each of its fields up once, takes its cells from classify_field (and under
---verify checks them with oracle_verdicts, building no record), and renders them into one
-block through one row template per field, with d, D and h_maximal in place; the parent
-writes the blocks in task order, so the output is independent of the worker count.
+--verify checks them with oracle_verdicts, building no record), and renders them through
+one row template per field, with d, D and h_maximal in place, in segments of at most
+_SEGMENT_ROWS rows; a task's segments, joined while they fit, are its frames.  The parent
+writes the frames in task order, so the output is independent of the worker count, and
+holds at most _READ_AHEAD frames of a worker ahead of their turn, so the rows a scan holds
+are bounded by the segment and the read-ahead, whatever the width of its n window.  On
+an exception the file is cut back to its last checkpoint.
 report and scan --resume read a scan file through one reader, _scan_file: it checks
 64 KiB blocks of whole lines by one regex search from line end to line end, built from
 the writer's row template, for a line not in that one spelling, and decodes only a
@@ -25,9 +29,10 @@ import re
 import select
 import signal
 import time
+from collections import deque
 from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, islice
 from math import isqrt
 from typing import BinaryIO, Callable, Iterator, NoReturn
 
@@ -44,6 +49,8 @@ _BOOL_FIELDS = ("ideal_preserving", "locally_associated", "associated", "hfd")
 _to_json = json.JSONEncoder(separators=(",", ":")).encode
 _BLOCK_SIZE = 1 << 16  # bytes read at a time; a block runs on to its next line end
 _TASK_CELLS = 1 << 14  # rows of a scan task at most, unless one field's alone is more
+_SEGMENT_ROWS = 1 << 12  # rows a field is rendered in at a time, and of a frame at most
+_READ_AHEAD = 32  # frames the parent holds of a worker ahead of their turn, at most
 _FLAG_WORDS = {"csv": ("0", "1"), "jsonl": ("false", "true")}  # a flag's spelling, by value
 
 
@@ -124,106 +131,135 @@ def _verified(F: FieldContext, U: FundamentalUnit, cells: Iterator[tuple]) -> It
         yield cell
 
 
-def _scan_one_d(d: int, n_min: int, n_max: int, fmt: str, verify: bool) -> tuple[str, int]:
-    """One d's rows as a single newline-terminated block, with its hfd count."""
+def _scan_one_d(
+    d: int, n_min: int, n_max: int, fmt: str, verify: bool
+) -> Iterator[tuple[str, int, int]]:
+    """One d's rows in segments of at most _SEGMENT_ROWS newline-ended rows, each with its
+    row and hfd counts."""
     F = make_field(d)
     U = fundamental_unit(F)
     h = class_number(F, U).h
     cells = classify_field(F, U, h, n_min, n_max)
     cells = _verified(F, U, cells) if verify else cells
-    template, word = _row_template(fmt, d=d, D=F.D, h_maximal=h), _FLAG_WORDS[fmt]
-    block = "\n".join(
-        template % (n, m, L, word[ip], word[la], word[assoc], h_order, word[hfd])
-        for n, m, L, ip, la, assoc, h_order, hfd in cells
-    ) + "\n"
-    # the hfd rows past the n = 1 row, which is not counted
-    return block, block.count(_HFD_ROW_END[fmt], block.index("\n") + 1 if n_min == 1 else 0)
+    template, word = _row_template(fmt, d=d, D=F.D, h_maximal=h) + "\n", _FLAG_WORDS[fmt]
+    for lo in range(n_min, n_max + 1, _SEGMENT_ROWS):
+        k = min(_SEGMENT_ROWS, n_max + 1 - lo)
+        segment = "".join([template % (n, m, L, word[ip], word[la], word[assoc], h_order, word[hfd])
+                           for n, m, L, ip, la, assoc, h_order, hfd in islice(cells, k)])
+        # the hfd rows past the n = 1 row, which is not counted
+        yield segment, k, segment.count(_HFD_ROW_END[fmt], segment.index("\n") + 1 if lo == 1 else 0)
 
 
-def _scan_fields(task: tuple[list[int], int, int, str, bool]) -> tuple[int, str, int, int]:
-    """A task's fields, consecutive d, as one block, with its last d and its row and hfd counts."""
+def _scan_fields(task: tuple[list[int], int, int, str, bool]) -> Iterator[tuple[str, tuple | None]]:
+    """A task's fields, consecutive d, as frames of at most _SEGMENT_ROWS rows: its fields'
+    segments in order, joined while they fit.  The last frame carries the task's last d and
+    its row and hfd counts, (last_d, rows, hfd); every other frame carries None."""
     ds, n_min, n_max, fmt, verify = task
-    blocks, hfds = zip(*(_scan_one_d(d, n_min, n_max, fmt, verify) for d in ds))
-    return ds[-1], "".join(blocks), len(ds) * (n_max - n_min + 1), sum(hfds)
+    parts: list[str] = []
+    held = hfd = 0  # rows in parts; the task's hfd so far
+    for d in ds:
+        for segment, k, hfd_k in _scan_one_d(d, n_min, n_max, fmt, verify):
+            if held + k > _SEGMENT_ROWS:
+                yield "".join(parts), None
+                parts, held = [], 0
+            parts.append(segment)
+            held, hfd = held + k, hfd + hfd_k
+    yield "".join(parts), (ds[-1], len(ds) * (n_max - n_min + 1), hfd)
 
 
 def _work(tasks: list[tuple], fd: int, inherited: list[int]) -> NoReturn:
-    """A forked worker's life: it closes the pipe ends it inherited, then writes each task's
-    _scan_fields result, or the exception that ends the run, to fd as one length-prefixed
-    pickle.  It leaves by os._exit, so no buffer or exit hook of the parent's runs twice."""
+    """A forked worker's life: it closes the pipe ends it inherited, then writes each of its
+    tasks' _scan_fields frames, or the exception that ends the run, to fd as one
+    length-prefixed pickle each.  It leaves by os._exit, so no buffer or exit hook of the
+    parent's runs twice."""
     code = 1
     try:
         for end in inherited:
             os.close(end)
         with open(fd, "wb") as pipe:
-            for task in tasks:
-                try:
-                    reply = _scan_fields(task)
-                except Exception as exc:
-                    reply = exc
+
+            def send(reply: tuple | Exception) -> None:
                 data = pickle.dumps(reply, pickle.HIGHEST_PROTOCOL)
                 pipe.write(len(data).to_bytes(8, "little") + data)
                 pipe.flush()
-                if isinstance(reply, Exception):
-                    break
+
+            try:
+                for task in tasks:
+                    for frame in _scan_fields(task):
+                        send(frame)
+            except Exception as exc:
+                send(exc)
         code = 0
     finally:
         os._exit(code)
 
 
 @contextmanager
-def _forked(tasks: list[tuple], jobs: int) -> Iterator[Iterator[tuple[int, str, int, int]]]:
-    """The _scan_fields results of tasks, in task order, from `jobs` forked workers.
+def _forked(tasks: list[tuple], jobs: int) -> Iterator[Iterator[tuple[str, tuple | None]]]:
+    """The _scan_fields frames of tasks, in task order, from `jobs` forked workers.
 
     Worker k runs tasks k, k + jobs, ... and writes to a pipe of its own.  The parent reads
     whichever pipe has data as it comes, so no worker waits on a full pipe for a task ahead
-    of it, and keeps each result until its turn; a worker's exception is raised in its
-    task's turn.  A worker whose pipe ends before the task whose turn it is raises
-    RuntimeError naming it and its wait status.  On leaving, every worker is killed and
-    waited for.
+    of it, and keeps each frame until its turn, but at most _READ_AHEAD of one worker's:
+    while it holds that many, it leaves the rest in its pipe (and a read's worth of bytes)
+    and stops polling it, so the full pipe holds the worker.  A worker's exception is raised
+    in its turn.  A worker whose pipe ends before its task's last frame raises RuntimeError
+    naming it and its wait status.  On leaving, every worker is killed and waited for.
     """
     pids: list[int | None] = []  # worker k's pid, until it is waited for
-    fds: dict[int, int] = {}  # read end -> its worker
+    fds: list[int] = []  # worker k's read end
     poller = select.poll()
 
-    def in_order() -> Iterator[tuple[int, str, int, int]]:
+    def in_order() -> Iterator[tuple[str, tuple | None]]:
         bufs = [bytearray() for _ in range(jobs)]
-        got = [0] * jobs  # results read from worker k, None once its pipe has ended
-        ahead: dict[int, tuple | Exception] = {}  # results read before their turn
+        ahead = [deque() for _ in range(jobs)]  # worker k's frames read before their turn
+        polled = [True] * jobs  # worker k's pipe is polled: not ended, and ahead[k] not full
+        ended = [False] * jobs
+
+        def unpack(k: int) -> None:  # worker k's whole frames into ahead[k], while it has room
+            buf, frames = bufs[k], ahead[k]
+            while len(frames) < _READ_AHEAD:
+                if len(buf) < (end := 8 + int.from_bytes(buf[:8], "little")):
+                    break
+                frames.append(pickle.loads(buf[8:end]))
+                del buf[:end]
+            poll = not ended[k] and len(frames) < _READ_AHEAD
+            if poll != polled[k]:
+                poller.register(fds[k], select.POLLIN) if poll else poller.unregister(fds[k])
+                polled[k] = poll
+
         for i in range(len(tasks)):
-            while i not in ahead:
-                if got[k := i % jobs] is None:
-                    pid, status = os.waitpid(pids[k], 0)
-                    pids[k] = None
-                    code = os.waitstatus_to_exitcode(status)
-                    why = f"killed by {signal.Signals(-code).name}" if code < 0 else f"exit code {code}"
-                    raise RuntimeError(
-                        f"scan worker {k} (pid {pid}) ended before task {i}: wait status {status} ({why})"
-                    )
-                for fd, _ in poller.poll():
-                    k, chunk = fds[fd], os.read(fd, 1 << 16)
-                    if not chunk:
-                        poller.unregister(fd)
-                        got[k] = None
-                        continue
-                    buf = bufs[k]
-                    buf += chunk
-                    while len(buf) >= (end := 8 + int.from_bytes(buf[:8], "little")):
-                        ahead[k + jobs * got[k]] = pickle.loads(buf[8:end])
-                        del buf[:end]
-                        got[k] += 1
-            reply = ahead.pop(i)
-            if isinstance(reply, Exception):
-                raise reply
-            yield reply
+            k, end = i % jobs, None
+            while end is None:
+                while not ahead[k]:
+                    if ended[k]:
+                        pid, status = os.waitpid(pids[k], 0)
+                        pids[k] = None
+                        code = os.waitstatus_to_exitcode(status)
+                        why = f"killed by {signal.Signals(-code).name}" if code < 0 else f"exit code {code}"
+                        raise RuntimeError(
+                            f"scan worker {k} (pid {pid}) ended before task {i}: wait status {status} ({why})"
+                        )
+                    for fd, _ in poller.poll():
+                        j = fds.index(fd)
+                        chunk = os.read(fd, 1 << 16)
+                        ended[j] = not chunk
+                        bufs[j] += chunk
+                        unpack(j)
+                reply = ahead[k].popleft()
+                unpack(k)
+                if isinstance(reply, Exception):
+                    raise reply
+                end = reply[1]
+                yield reply
 
     try:
         for k in range(jobs):
             r, w = os.pipe()
-            fds[r] = k
+            fds.append(r)
             try:
                 if (pid := os.fork()) == 0:
-                    _work(tasks[k::jobs], w, list(fds))
+                    _work(tasks[k::jobs], w, fds)
             finally:
                 os.close(w)
             pids.append(pid)
@@ -349,17 +385,30 @@ def scan(cfg: ScanConfig) -> ScanSummary:
     size = max(1, min(-(-len(ds) // (4 * jobs)), _TASK_CELLS // width)) if jobs else 1
     tasks = [(ds[i : i + size], cfg.n_min, cfg.n_max, cfg.fmt, cfg.verify)
              for i in range(0, len(ds), size)]
-    with open(cfg.out, mode, newline="") as fh:
-        if mode == "w" and cfg.fmt == "csv":
-            fh.write(CSV_HEADER + "\n")
+    # a task's frames are written as they come, and the checkpoint follows its last one; on
+    # an exception the file is cut back to the last checkpoint, so it never holds a part task
+    kept = None  # the file's length at its last checkpoint
+    try:
+        with open(cfg.out, mode, newline="") as fh:
+            if mode == "w" and cfg.fmt == "csv":
+                fh.write(CSV_HEADER + "\n")
             fh.flush()
-        with _forked(tasks, jobs) if jobs > 1 else nullcontext(map(_scan_fields, tasks)) as results:
-            for last_d, block, n_rows, hfd_task in results:
-                fh.write(block)
-                fh.flush()
-                rows_written += n_rows
-                hfd_count += hfd_task
-                _write_checkpoint(ck_path, Checkpoint(last_d, rows_written, hfd_count))
+            kept = fh.tell()
+            in_process = nullcontext(chain.from_iterable(map(_scan_fields, tasks)))
+            with _forked(tasks, jobs) if jobs > 1 else in_process as frames:
+                for frame, end in frames:
+                    fh.write(frame)
+                    if end:
+                        last_d, n_rows, hfd_task = end
+                        fh.flush()
+                        rows_written += n_rows
+                        hfd_count += hfd_task
+                        _write_checkpoint(ck_path, Checkpoint(last_d, rows_written, hfd_count))
+                        kept = fh.tell()
+    except BaseException:
+        if kept is not None:
+            os.truncate(cfg.out, kept)
+        raise
     return ScanSummary(rows_written, hfd_count, time.perf_counter() - t0)
 
 

@@ -14,6 +14,7 @@ classify_field, the one kernel, composes a set-up field's cells over arith.windo
 
 from __future__ import annotations
 
+from array import array
 from collections.abc import Iterator
 from dataclasses import dataclass
 from math import lcm
@@ -75,7 +76,9 @@ def classify_field(
     With n = q * r from arith.window_plan, q = p^a for the least prime p of n (q = r = 1 at
     n = 1), a cell is m = lcm(m[r], m(q)), L = L[r] * L(q), ip = ip[r] and p inert: r's from
     its cell, or from factorize(r) below the window, q's from a table kept for this call;
-    both start at n = 1's cell (1, 1, True).
+    both start at n = 1's cell (1, 1, True).  A cofactor is at most n // 2, or n = 1 itself,
+    so only the cells up to max(n_max // 2, 1) are kept, in array('q') columns for m and L
+    and a bytearray for ip: about 9 bytes per n of the window.
     """
     if n_min < 1:
         raise ValueError(f"n_min must be >= 1, got {n_min}")
@@ -85,18 +88,22 @@ def classify_field(
         return table.setdefault(q, local_data(F, U, *factorize(q)[0]))
 
     powers, cofactors = window_plan(n_min, n_max) if n_min <= n_max else ((), ())
-    ms, Ls, ips = [1] * len(powers), [1] * len(powers), [True] * len(powers)  # by n - n_min
-    for i, (n, q, r) in enumerate(zip(range(n_min, n_max + 1), powers, cofactors)):
+    half = max(n_max // 2, 1)  # the last n read back as a cofactor
+    kept = max(0, half - n_min + 1)  # cells kept, by n - n_min
+    ms, Ls, ips = array("q", [1]) * kept, array("q", [1]) * kept, bytearray([1]) * kept
+    for n, q, r in zip(range(n_min, n_max + 1), powers, cofactors):
         m, L, ip = table.get(q) or local(q)
         if r >= n_min:
-            m, L, ip = lcm(ms[r - n_min], m), Ls[r - n_min] * L, ip and ips[r - n_min]
+            m, L, ip = lcm(ms[r - n_min], m), Ls[r - n_min] * L, ip and ips[r - n_min] == 1
         elif r > 1:
             for p, a in factorize(r):
                 mr, Lr, ipr = table.get(p**a) or local(p**a)
                 m, L, ip = lcm(m, mr), L * Lr, ip and ipr
         if L % m:
             raise InternalConsistencyError(f"m={m} does not divide L={L} for d={F.d}, n={n}")
-        ms[i], Ls[i], ips[i] = m, L, ip
+        if n <= half:
+            j = n - n_min
+            ms[j], Ls[j], ips[j] = m, L, ip
         assoc = ip and m == L
         # half-factorial: n is 1, p, or 2p with p odd (r is then odd)
         hfd = assoc and h <= 2 and (n == 1 or is_prime(n) or (q == 2 and is_prime(r)))

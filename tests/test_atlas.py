@@ -2,7 +2,9 @@ import json
 import os
 import random
 import re
+import time
 import tracemalloc
+from collections import deque
 
 import pytest
 
@@ -193,17 +195,22 @@ class Interrupted(Exception):
     """Raised by a test's stand-in; at module level, so a worker can send it back."""
 
 
-@pytest.mark.parametrize("jobs,fields_before", [
-    pytest.param(1, 5, id="jobs-1"), pytest.param(2, 6, id="jobs-2"),
+@pytest.mark.parametrize("jobs,fields_before,segment", [
+    pytest.param(1, 5, None, id="jobs-1"), pytest.param(2, 6, None, id="jobs-2"),
+    pytest.param(1, 5, 7, id="jobs-1-segments-of-7"), pytest.param(2, 6, 7, id="jobs-2-segments-of-7"),
 ])
-def test_interrupted_task_leaves_the_tasks_before_it(tmp_path, monkeypatch, jobs, fields_before):
+def test_interrupted_task_leaves_the_tasks_before_it(tmp_path, monkeypatch, jobs, fields_before, segment):
     # 18 fields in [2, 30]. At --jobs 1, tasks of 5: the first 2 to 7, the second 10, 11,
     # 13, 14, 15; the scan stops at d = 14, inside the second, after setting up 10 to 13.
     # At --jobs 2, tasks of 3: d = 14 ends the third, 11, 13, 14, on worker 0, which the
-    # stand-in reaches as it was patched before the fork; worker 1 has run the second
+    # stand-in reaches as it was patched before the fork; worker 1 has run the second.
+    # In segments of 7 rows, the failing task's first frames are written before it fails,
+    # and cut off again; the resume runs in segments of 7 too
     full, part = tmp_path / "full.csv", tmp_path / "part.csv"
     window = dict(d_min=2, d_max=30, n_max=10)
     scan(ScanConfig(out=str(full), **window))
+    if segment:
+        monkeypatch.setattr(atlas, "_SEGMENT_ROWS", segment)
     real, seen = atlas.make_field, []
 
     def make_field(d):
@@ -229,6 +236,59 @@ def test_interrupted_task_leaves_the_tasks_before_it(tmp_path, monkeypatch, jobs
     summary = scan(ScanConfig(out=str(part), resume=True, jobs=2, **window))
     assert part.read_bytes() == full.read_bytes()
     assert summary.records == len(lines) - 1
+
+
+@pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+@pytest.mark.parametrize("n_min", [1, 2])
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_segments_do_not_change_the_scan(tmp_path, monkeypatch, fmt, n_min, jobs):
+    # fields of 60 or 59 rows rendered in segments of 7, so that segments end inside each
+    # field and frames inside each task, and the uncounted n = 1 row opens each field's
+    # first segment; segments open on hfd rows too (n = 2, 23, 29, 37, 43): the bytes,
+    # rows and hfd of one default-segment scan, and the hfd count report reads back
+    window = dict(d_min=-30, d_max=30, n_min=n_min, n_max=60, fmt=fmt)
+    whole, segmented = tmp_path / "whole", tmp_path / "segmented"
+    expected = scan(ScanConfig(out=str(whole), **window))
+    monkeypatch.setattr(atlas, "_SEGMENT_ROWS", 7)
+    got = scan(ScanConfig(out=str(segmented), jobs=jobs, **window))
+    assert segmented.read_bytes() == whole.read_bytes()
+    assert (got.records, got.hfd) == (expected.records, expected.hfd)
+    assert got.hfd == report_hfd(str(segmented)).total > 0
+
+
+def test_parent_holds_a_bounded_read_ahead(tmp_path, monkeypatch):
+    # stripe 0's first field waits until stripe 1 has sent all its frames, more than
+    # _READ_AHEAD of them in segments of 7 rows, and fewer bytes than a pipe holds; the
+    # stand-in is patched before the fork, so both workers run it. While task 0 waits, the
+    # parent holds _READ_AHEAD of worker 1's frames and leaves the rest in its pipe
+    window = dict(d_min=2, d_max=60, n_max=40)
+    one, forked = tmp_path / "one.csv", tmp_path / "forked.csv"
+    scan(ScanConfig(out=str(one), **window))
+    ds = atlas._squarefree_range(2, 60)
+    done, real = tmp_path / "stripe-1-done", atlas._scan_one_d
+
+    def stand_in(d, *args):
+        if d == ds[0]:
+            deadline = time.monotonic() + 30
+            while not done.exists() and time.monotonic() < deadline:
+                time.sleep(0.01)
+        yield from real(d, *args)
+        if d == ds[-1]:  # the last task, the eighth of 36 fields in tasks of 5: worker 1's
+            done.touch()
+
+    held = []
+
+    class Ahead(deque):  # a worker's frames in the parent, ahead of their turn
+        def append(self, frame):
+            super().append(frame)
+            held.append(len(self))
+
+    monkeypatch.setattr(atlas, "_scan_one_d", stand_in)
+    monkeypatch.setattr(atlas, "_SEGMENT_ROWS", 7)
+    monkeypatch.setattr(atlas, "deque", Ahead)
+    summary = scan(ScanConfig(out=str(forked), jobs=2, **window))
+    assert done.exists() and max(held) == atlas._READ_AHEAD
+    assert forked.read_bytes() == one.read_bytes() and summary.records == 36 * 39
 
 
 def test_resume_is_byte_identical(tmp_path):
@@ -360,7 +420,7 @@ def test_empty_window_writes_a_file_with_no_rows(tmp_path):
 
 def test_window_without_d_is_not_planned(tmp_path):
     # the n window of a d range with no squarefree d is checked by its bounds, not planned:
-    # a plan of 200,000 n would hold two lists of 200,000 ints; a window with a d is planned
+    # a plan of 200,000 n would hold two columns of 200,000 ints; a window with a d is planned
     # in the scan's own process, so forked workers inherit the plan
     window_plan.cache_clear()
     tracemalloc.start()

@@ -343,6 +343,9 @@ def _scan_out_of_memory(monkeypatch, tmp_path):
     pytest.param(lambda mp, tp: ("scan", "--d-min", "2", "--d-max", "3", "--n-min", str(2**60),
                                  "--n-max", str(2**60 + 1), "--out", str(tp / "x.csv")), 2,
                  id="scan-n-window-too-large-to-sieve"),
+    # a window wider than arith.WINDOW_WIDTH_MAX: refused before its plan is allocated
+    pytest.param(lambda mp, tp: ("scan", "--d-min", "2", "--d-max", "3", "--n-max", str(10**9),
+                                 "--out", str(tp / "x.csv")), 2, id="scan-n-window-too-wide"),
     pytest.param(_resume_csv_as_jsonl, 2, id="resume-csv-scan-as-jsonl"),
     # out of memory exits 2 with a message, not a traceback
     pytest.param(_scan_out_of_memory, 2, id="scan-out-of-memory"),

@@ -119,6 +119,16 @@ WINDOWS = {
     "sweep": Window(SWEEP, 142_233, SWEEP_DIGEST, 1129, heavy=True),
     "sweep-resumed": Window(SWEEP, 142_233, SWEEP_DIGEST, 1129,
                             first="--d-min -3000 --d-max 0 --n-max 40 --format jsonl", heavy=True),
+    # a field a million n wide, rendered and written in segments; recorded while a field's
+    # rows were one block (a scan peaking at 328 MB)
+    "field-7-wide": Window("--d-min 7 --d-max 7 --n-max 1000000", 1_000_000,
+                           "b39a45166efc2490e2f3e1858cd49b45632ff993fac80db20418709e1adc7f8b", 0,
+                           heavy=True),
+    # fields of 200,000 n on forked workers, sent as frames of segments; recorded while a
+    # task came back as one block and the parent held every block read before its turn
+    "wide-jobs-2": Window("--d-min 2 --d-max 7 --n-max 200000 --jobs 2", 999_996,
+                          "500320551d6b7b8ebc4dfccb0eea55574605e3db115d428bd8496235dc4dfdc6",
+                          8_080, heavy=True),
     # the paper's census window, squarefree 1 < d < 1000 at 1 < n <= 10^4; recorded
     # before m(p^a) was lifted from m(p)
     "paper-window": Window("--d-min 2 --d-max 999 --n-min 2 --n-max 10000 --jobs 2", 6_069_394,
@@ -163,6 +173,35 @@ def test_pinned_window(tmp_path, capsys, name):
         assert _lines_and_digest(out) == (w.rows, w.digest)
         assert main(["report", out]) == 0
         assert f"hfd_total={w.hfd}" in capsys.readouterr().out.splitlines()
+    finally:
+        _clear(tmp_path)
+
+
+# a scan through the CLI in a child interpreter that, as it exits, writes to stderr its own
+# peak RSS and the largest of its forked workers' (0 with none), in KiB
+_PEAK_RSS = """
+import resource, sys
+from quadorders.cli import main
+rc = main(sys.argv[1:])
+peaks = (resource.getrusage(who).ru_maxrss for who in (resource.RUSAGE_SELF, resource.RUSAGE_CHILDREN))
+print(*peaks, file=sys.stderr)
+sys.exit(rc)
+"""
+
+
+@OPT_IN
+@pytest.mark.parametrize("name,bound_mb", [("field-7-wide", 100), ("wide-jobs-2", 50)])
+def test_scan_memory_is_bounded(tmp_path, name, bound_mb):
+    # a field is rendered in segments over half-width cofactor columns, and the parent holds
+    # a bounded number of each worker's frames: the scan and each of its workers stay
+    # under the bound (328 MB at d = 7, and 59 and 107 MB on two workers, before)
+    out = str(tmp_path / "window")
+    try:
+        proc = subprocess.run([sys.executable, "-c", _PEAK_RSS, "scan", *WINDOWS[name].scan.split(),
+                               "--out", out], capture_output=True, text=True, timeout=TIMEOUT)
+        assert proc.returncode == 0, proc.stderr
+        scan_kib, worker_kib = map(int, proc.stderr.split())
+        assert max(scan_kib, worker_kib) <= bound_mb * 1024, (scan_kib, worker_kib)
     finally:
         _clear(tmp_path)
 

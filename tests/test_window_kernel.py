@@ -9,6 +9,7 @@ encoding of record_to_json_obj, byte for byte.
 
 import random
 import tracemalloc
+from array import array
 
 import pytest
 
@@ -21,7 +22,7 @@ from quadorders import (
     record_to_json_obj,
     scan,
 )
-from quadorders.arith import factorize, window_plan
+from quadorders.arith import WINDOW_WIDTH_MAX, check_window, factorize, window_plan
 from quadorders.atlas import _BOOL_FIELDS, _scan_fields, _to_json
 from quadorders.classify import classify_field
 from test_classify import reference_record
@@ -41,16 +42,17 @@ def reference_row(d, n):
 
 def test_plan_is_least_prime_power_and_cofactor():
     # n = 1 has no prime: its cell is the identity the kernel composes from, q = r = 1
-    # a window of one n is read from factorize(n), past any sieve's reach too
+    # a window of one n is read from factorize(n), past any sieve's reach too, and past
+    # the int64 columns of a sieved window: q = 2^70 is an int of its own
     for lo, hi in [(1, 3000), (2, 3000), (997, 1400), (10**6, 10**6 + 50), (65_500, 65_600),
-                   (2, 2), (10**6, 10**6), (2**40, 2**40), (10**9 + 7, 10**9 + 7)]:
+                   (2, 2), (10**6, 10**6), (2**40, 2**40), (10**9 + 7, 10**9 + 7), (2**70, 2**70)]:
         powers, cofactors = window_plan(lo, hi)
         assert len(powers) == len(cofactors) == hi - lo + 1
         for n, q, r in zip(range(lo, hi + 1), powers, cofactors):
             p, a = factorize(n)[0] if n > 1 else (1, 1)
             assert (q, r) == (p**a, n // p**a), n
     assert window_plan(1, 1) == ([1], [1])
-    assert window_plan(2, 1) == ([], [])
+    assert window_plan(2, 1) == (array("q"), array("q"))
 
 
 def test_one_n_plan_does_not_sieve():
@@ -78,6 +80,25 @@ def test_wide_plan_past_factorize_is_refused_before_allocating():
         tracemalloc.stop()
     assert peak < 64 * 1024, peak
     assert window_plan(10**14, 10**14) == ([2**14], [5**14])
+
+
+def test_too_wide_window_is_refused_before_allocating():
+    # a window one n wider than WINDOW_WIDTH_MAX would take about 0.9 GB: it is refused by
+    # its bounds alone, anywhere below 10^14, and the widest allowed is only checked here
+    window_plan.cache_clear()
+    tracemalloc.start()
+    try:
+        for lo in (1, 2, 10**13):
+            hi = lo + WINDOW_WIDTH_MAX
+            with pytest.raises(ValueError, match=rf"n window \[{lo}, {hi}\] is too large to scan "
+                                                 rf"at once: it holds {WINDOW_WIDTH_MAX + 1:,} n"):
+                window_plan(lo, hi)
+            check_window(lo, hi - 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024, peak
+    assert window_plan.cache_info().currsize == 0
 
 
 def test_past_the_factorize_cache(tmp_path):
@@ -126,7 +147,8 @@ def test_row_templates_render_as_the_record_helpers(fmt):
     render = record_to_csv_row if fmt == "csv" else lambda rec: _to_json(record_to_json_obj(rec))
     seen = {name: set() for name in _BOOL_FIELDS}
     for d in (-1, -3, -23, -5, 2, 5, 79, 94):
-        last_d, block, rows, hfd = _scan_fields(([d], 1, 80, fmt, False))
+        # 80 rows, under _SEGMENT_ROWS: one frame, carrying the task's counts
+        [(block, (last_d, rows, hfd))] = _scan_fields(([d], 1, 80, fmt, False))
         assert last_d == d
         lines = block.split("\n")
         assert lines[-1] == "" and rows == len(lines) - 1 == 80
