@@ -5,10 +5,12 @@ independent of the closed-form criteria.  An element a + b*omega of O_K/(M),
 0 <= a, b < M, is coded as the int a*M + b.  It is a unit iff its norm
 N(a, b) = a^2 + B*ab + C*b^2 is prime to M; the coefficients come from qi_norm
 itself, C = N(0, 1) and B = N(1, 1) - 1 - C, and _units tests N mod M against a
-mask of the residues prime to M one row of b at a time, once for the unit count
-and for local associativity.  Local associativity and associativity are decided
-by generating (Z/M)^* * <u>, resp. (Z/M) * <u>, one power of u at a time; a
-rational multiplier z scales both coordinates.  Ideal preservation is one
+mask of the residues prime to M one row of b at a time.  The unit count of
+O_K/(M) is the product over p^a || M of the counts so enumerated mod p^a (the
+Chinese remainder theorem).  One walk over the powers of u mod n, where a
+rational multiplier z scales both coordinates, builds the unit multiples
+(Z/n)^* * <u> and the others; local associativity compares the first size with
+the unit count, associativity the sum of both with n^2.  Ideal preservation is one
 witness loop over (P, excluded ideal) pairs: x in the image of R, in P, outside
 the excluded ideal.  Only the tests over one split or ramified p can fail, so
 only they are scanned, mod p^2: P^2 for each P = (p, omega - r), then the other
@@ -19,14 +21,16 @@ prime.  An excluded ideal's image in O_K/(M) is read through the Hermite form
 M*Z^2: (A, B) lies in it iff d2 | B and d1 | A - (B/d2)*c.  Moduli are capped
 (default 200) since the scans are quadratic.  oracle_verdicts holds their
 range: no value at n = 1 (O_K, no quotient) or past the cap.  Only ring
-arithmetic is shared with the fast path (qi_mul, qi_norm, the roots of omega's
-minimal polynomial), never m, L or the field character (D/p).
+arithmetic and factorization are shared with the fast path (qi_mul, qi_norm,
+factorize, the roots of omega's minimal polynomial), never m, L or the field
+character (D/p).
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator
-from math import gcd
+from collections.abc import Iterator
+from contextlib import suppress
+from math import gcd, prod
 
 from .arith import InternalConsistencyError, factorize
 from .pell import FundamentalUnit
@@ -46,57 +50,59 @@ def _check_modulus(M: int, bound: int) -> None:
         raise OracleBoundError(f"modulus {M} exceeds enumeration bound {bound}")
 
 
-def _units(F: FieldContext, M: int, bound: int) -> set[int]:
+def _units(F: FieldContext, M: int, bound: int) -> list[int]:
     """The units of O_K/(M), each a + b*omega with 0 <= a, b < M coded as the int a*M + b,
     found one row of b at a time by the norm form N(a, b) = a^2 + B*ab + C*b^2."""
     _check_modulus(M, bound)
     C = qi_norm(F, (0, 1))
     B = qi_norm(F, (1, 1)) - 1 - C
     unit = bytes(gcd(k, M) == 1 for k in range(M))
-    units: set[int] = set()
-    for b in range(M):
-        Bb, Cb = B * b, C * b * b
-        units.update([a * M + b for a in range(M) if unit[(a * (a + Bb) + Cb) % M]])
-    return units
+    rows = [(b, B * b, C * b * b) for b in range(M)]
+    return [a * M + b for b, Bb, Cb in rows for a in range(M) if unit[(a * (a + Bb) + Cb) % M]]
 
 
 def quotient_unit_count(F: FieldContext, M: int, bound: int = DEFAULT_ENUM_BOUND) -> int:
-    """|U(O_K/(M))| by enumeration."""
-    return len(_units(F, M, bound))
+    """|U(O_K/(M))| as the product over p^a || M of |U(O_K/(p^a))|, each by enumeration:
+    O_K/(M) is the product of the O_K/(p^a) by the Chinese remainder theorem."""
+    _check_modulus(M, bound)
+    return prod(len(_units(F, p**a, bound)) for p, a in factorize(M))
 
 
-def _unit_cosets(
-    F: FieldContext, U: FundamentalUnit, n: int, multipliers: Iterable[int]
-) -> set[int]:
-    """Union of the sets multipliers * u^k mod n, coded as _units codes them, for k >= 0 up to
-    the first rational u^k = c: c^2 = N(u)^k = +-1 makes c a unit, so multipliers * c, for
-    multipliers all of Z/(n) or its units, is the k = 0 set already covered.  A rational z
-    scales both coordinates: z*(a, b) = (z*a, z*b)."""
+def _unit_cosets(F: FieldContext, U: FundamentalUnit, n: int, bound: int) -> tuple[int, int]:
+    """(|(Z/n)^* <u>|, |(Z/n) <u>|) by one walk over u^k mod n, k >= 0 up to the first rational
+    u^k = c: c^2 = N(u)^k = +-1 makes c a unit, so z*c runs over the z of the k = 0 step.
+    Each z*u^k, coded as _units codes it, goes to the unit multiples for z prime to n and to
+    the others for the rest; a unit z keeps a unit and a non-unit z a non-unit, so the two
+    sets are disjoint.  A rational z scales both coordinates: z*(a, b) = (z*a, z*b)."""
+    _check_modulus(n, bound)
     u = (U.u[0] % n, U.u[1] % n)
-    covered: set[int] = set()
+    rational_units = [z for z in range(n) if gcd(z, n) == 1]
+    rational_others = [z for z in range(n) if gcd(z, n) != 1]
+    unit_multiples: set[int] = set()
+    other_multiples: set[int] = set()
     a, b = 1 % n, 0
     for _ in range(n * n + 1):
-        covered.update([z * a % n * n + z * b % n for z in multipliers])
+        unit_multiples.update([z * a % n * n + z * b % n for z in rational_units])
+        other_multiples.update([z * a % n * n + z * b % n for z in rational_others])
         a, b = qi_mul(F, (a, b), u, n)
         if b == 0:
-            return covered
+            return len(unit_multiples), len(unit_multiples) + len(other_multiples)
     raise InternalConsistencyError(f"powers of the unit mod {n} never re-entered Z")
 
 
 def brute_locally_associated(
     F: FieldContext, U: FundamentalUnit, n: int, bound: int = DEFAULT_ENUM_BOUND
 ) -> bool:
-    """True iff every unit of O_K/(n) is a rational unit times a power of u."""
-    units = _units(F, n, bound)
-    return _unit_cosets(F, U, n, [z for z in range(n) if gcd(z, n) == 1]) == units
+    """True iff every unit of O_K/(n) is a rational unit times a power of u: (Z/n)^* <u> lies
+    in U(O_K/(n)), so equal sizes mean equal sets."""
+    return _unit_cosets(F, U, n, bound)[0] == quotient_unit_count(F, n, bound)
 
 
 def brute_associated(
     F: FieldContext, U: FundamentalUnit, n: int, bound: int = DEFAULT_ENUM_BOUND
 ) -> bool:
     """True iff every element of O_K/(n) is a rational integer times a power of u."""
-    _check_modulus(n, bound)
-    return len(_unit_cosets(F, U, n, range(n))) == n * n
+    return _unit_cosets(F, U, n, bound)[1] == n * n
 
 
 def _ideal_lattice(F: FieldContext, gens: list[QI], M: int) -> tuple[int, int, int]:
@@ -164,15 +170,15 @@ def brute_ideal_preserving(F: FieldContext, n: int, bound: int = DEFAULT_ENUM_BO
 
 
 def oracle_verdicts(F: FieldContext, U: FundamentalUnit, n: int) -> dict[str, bool | None]:
-    """Each oracle's flag at index n, by name in a fixed order; None at n = 1 or past its bound."""
-    verdicts: dict[str, bool | None] = {}
-    for name, oracle, args in (
-        ("locally_associated", brute_locally_associated, (F, U, n)),
-        ("ideal_preserving", brute_ideal_preserving, (F, n)),
-        ("associated", brute_associated, (F, U, n)),
-    ):
-        try:
-            verdicts[name] = oracle(*args) if n > 1 else None
-        except OracleBoundError:
-            verdicts[name] = None
-    return verdicts
+    """Each oracle's flag at index n, by name in a fixed order; None at n = 1 or past its bound.
+    One walk over the powers of u gives both unit verdicts."""
+    la: bool | None = None
+    ip: bool | None = None
+    assoc: bool | None = None
+    if 1 < n <= DEFAULT_ENUM_BOUND:
+        unit_multiples, multiples = _unit_cosets(F, U, n, DEFAULT_ENUM_BOUND)
+        la, assoc = unit_multiples == quotient_unit_count(F, n), multiples == n * n
+    if n > 1:
+        with suppress(OracleBoundError):
+            ip = brute_ideal_preserving(F, n)
+    return {"locally_associated": la, "ideal_preserving": ip, "associated": assoc}

@@ -15,6 +15,7 @@ from quadorders import (
     atlas,
     class_number,
     classify_order,
+    cli,
     oracle,
     record_to_csv_row,
     record_to_json_obj,
@@ -123,6 +124,19 @@ def test_scan_starts_no_more_workers_than_fields(tmp_path, monkeypatch):
     assert len(forks) == 2 and forked.read_bytes() == one.read_bytes()
 
 
+def flip_associated(monkeypatch):
+    """Make the oracle_verdicts that atlas and cli read disagree with every associated flag
+    they check: each verdict other than None is negated."""
+    def flipped(F, U, n):
+        verdicts = oracle.oracle_verdicts(F, U, n)
+        if verdicts["associated"] is not None:
+            verdicts["associated"] = not verdicts["associated"]
+        return verdicts
+
+    monkeypatch.setattr(atlas, "oracle_verdicts", flipped)
+    monkeypatch.setattr(cli, "oracle_verdicts", flipped)
+
+
 def assert_no_child_left():
     # every worker a scan forked has been waited for: the process has no child at all
     with pytest.raises(ChildProcessError):
@@ -135,8 +149,7 @@ def test_no_worker_outlives_its_scan(tmp_path, monkeypatch):
     scan(ScanConfig(out=str(full), **window))
     assert_no_child_left()
     # a worker's error, raised in the parent
-    brute_associated = oracle.brute_associated
-    monkeypatch.setattr(oracle, "brute_associated", lambda F, U, n: not brute_associated(F, U, n))
+    flip_associated(monkeypatch)
     with pytest.raises(ScanVerificationError):
         scan(ScanConfig(out=str(tmp_path / "v.csv"), verify=True, **window))
     assert_no_child_left()
@@ -487,8 +500,7 @@ def test_oracle_verdicts_skip_and_mismatch(tmp_path, monkeypatch):
         ("locally_associated", False), ("ideal_preserving", None), ("associated", False)
     ]
     # an oracle that disagrees with the closed form stops the scan; a skipped oracle cannot
-    brute_associated = oracle.brute_associated
-    monkeypatch.setattr(oracle, "brute_associated", lambda F, U, n: not brute_associated(F, U, n))
+    flip_associated(monkeypatch)
     with pytest.raises(ScanVerificationError, match="associated mismatch at d=2, n=2"):
         scan(ScanConfig(d_min=2, d_max=2, n_max=2, out=str(tmp_path / "v.csv"), verify=True))
     # the same mismatch found in a forked worker keeps its type and its message

@@ -9,9 +9,10 @@ import time
 
 import pytest
 
-from quadorders import OrderSpec, atlas, classify_order, make_field, oracle, record_to_json_obj
+from quadorders import OrderSpec, atlas, classify_order, make_field, record_to_json_obj
 from quadorders.cli import format_unit, main
 from quadorders.pell import FundamentalUnit
+from test_atlas import flip_associated
 
 
 def run_cli(capsys, *argv):
@@ -269,8 +270,7 @@ def test_resume_refuses_a_respelled_jsonl_scan(capsys, tmp_path):
 
 
 def _scan_oracle_disagrees(monkeypatch, tmp_path):
-    brute_associated = oracle.brute_associated
-    monkeypatch.setattr(oracle, "brute_associated", lambda F, U, n: not brute_associated(F, U, n))
+    flip_associated(monkeypatch)
     return ("scan", "--d-min", "2", "--d-max", "2", "--n-max", "2", "--verify",
             "--out", str(tmp_path / "v.csv"))
 

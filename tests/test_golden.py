@@ -23,8 +23,8 @@ from quadorders.cli import main
 
 OPT_IN = pytest.mark.skipif(os.environ.get("QUADORDERS_CENSUS") != "1",
                             reason="heavy: set QUADORDERS_CENSUS=1")
-# seconds for one CLI run, so that a hang fails one entry with its argv; the slowest,
-# verified-200 and the paper window, take about 20 s on two cores
+# seconds for one CLI run, so that a hang fails one entry with its argv; the slowest, the
+# paper window, takes about 15 s on two cores, and verified-200 about 5 s
 TIMEOUT = 120
 
 GOLDEN = "--d-min -199 --d-max 199 --n-min 1 --n-max 2000"

@@ -3,7 +3,7 @@ from math import gcd
 
 import pytest
 
-from quadorders import oracle
+from quadorders import ScanConfig, ScanVerificationError, oracle, scan
 from quadorders.arith import InternalConsistencyError, factorize, is_squarefree
 from quadorders.classify import OrderSpec, classify_order
 from quadorders.oracle import (
@@ -31,8 +31,8 @@ def _reference_check(M, bound=DEFAULT_ENUM_BOUND):
         raise OracleBoundError(f"modulus {M} exceeds enumeration bound {bound}")
 
 
-def reference_units(F, M):
-    _reference_check(M)
+def reference_units(F, M, bound=DEFAULT_ENUM_BOUND):
+    _reference_check(M, bound)
     return {(a, b) for a in range(M) for b in range(M) if gcd(qi_norm(F, (a, b)), M) == 1}
 
 
@@ -162,15 +162,68 @@ def test_quotient_unit_counts_match_local_formulas():
             assert quotient_unit_count(F, p**a) == expected, (d, p, a)
 
 
-def test_bound_is_enforced():
+def test_bound_is_enforced(monkeypatch):
+    # each refusal comes before the modulus is factorized
+    def no_factorize(M):
+        raise AssertionError(f"factorize ran on {M}")
+
     F = make_field(2)
-    with pytest.raises(OracleBoundError):
-        quotient_unit_count(F, 201)
-    with pytest.raises(OracleBoundError):
-        brute_locally_associated(F, fundamental_unit(F), 300)
-    quotient_unit_count(F, 300, bound=300)
-    with pytest.raises(ValueError):
-        quotient_unit_count(F, 1)
+    U = fundamental_unit(F)
+    with monkeypatch.context() as m:
+        m.setattr(oracle, "factorize", no_factorize)
+        with pytest.raises(OracleBoundError):
+            quotient_unit_count(F, 201)
+        with pytest.raises(OracleBoundError):
+            brute_locally_associated(F, U, 300)
+        with pytest.raises(ValueError):
+            quotient_unit_count(F, 1)
+    assert quotient_unit_count(F, 300, bound=300) == len(reference_units(F, 300, bound=300))
+
+
+@pytest.mark.parametrize("d", [2, 3, 5, 94, -1, -3, -5])
+def test_unit_count_over_prime_powers_matches_enumeration(d):
+    # the product over p^a || M of the unit counts mod p^a is the count of the whole of
+    # O_K/(M), enumerated directly by the reference oracle
+    F = make_field(d)
+    for M in range(2, DEFAULT_ENUM_BOUND + 1):
+        assert quotient_unit_count(F, M) == len(reference_units(F, M)), (d, M)
+
+
+def verified_60(tmp_path):
+    # the verified-60 window of test_golden.py, in-process
+    return ScanConfig(d_min=-60, d_max=60, n_min=1, n_max=60, verify=True,
+                      out=str(tmp_path / "v.csv"))
+
+
+@pytest.mark.parametrize("prime_power", [2, 9, 49])
+def test_unit_count_one_too_low_fails_the_verified_scan(tmp_path, monkeypatch, prime_power):
+    # one unit missing mod a single p^a: at some n with p^a || n the two sizes differ where
+    # the closed form says locally associated, or agree where it says not
+    units = oracle._units
+
+    def one_short(F, M, bound):
+        found = units(F, M, bound)
+        if M == prime_power:
+            found.pop()
+        return found
+
+    monkeypatch.setattr(oracle, "_units", one_short)
+    with pytest.raises(ScanVerificationError, match="^locally_associated mismatch"):
+        scan(verified_60(tmp_path))
+
+
+def test_walk_without_non_unit_multipliers_fails_the_verified_scan(tmp_path, monkeypatch):
+    # the walk as if it skipped every z sharing a factor with n: (Z/n)<u> shrinks to
+    # (Z/n)^*<u>, which misses 0, so no n is associated
+    walk = oracle._unit_cosets
+
+    def units_only(F, U, n, bound):
+        unit_multiples, _ = walk(F, U, n, bound)
+        return unit_multiples, unit_multiples
+
+    monkeypatch.setattr(oracle, "_unit_cosets", units_only)
+    with pytest.raises(ScanVerificationError, match="^associated mismatch"):
+        scan(verified_60(tmp_path))
 
 
 def test_quotient_ring_unit_criterion():
