@@ -7,13 +7,13 @@ alone is more, and runs them in-process or on forked workers, at most one per ta
 worker k of `jobs` runs tasks k, k + jobs, ... and sends each task back on a pipe of its
 own, and every worker is killed and waited for when the scan ends, however it ends.
 A task sets each of its fields up once, takes its cells from classify_field (and under
---verify checks them with oracle_verdicts, building no record), and renders them through
-one row template per field, with d, D and h_maximal in place, in segments of at most
-_SEGMENT_ROWS rows; a task's segments, joined while they fit, are its frames.  The parent
-writes the frames in task order, so the output is independent of the worker count, and
-holds at most _READ_AHEAD frames of a worker ahead of their turn, so the rows a scan holds
-are bounded by the segment and the read-ahead, whatever the width of its n window.  On
-an exception the file is cut back to its last checkpoint.
+--verify checks them with one field_oracle per field, building no record), and renders
+them through one row template per field, with d, D and h_maximal in place, in segments of
+at most _SEGMENT_ROWS rows; a task's segments, joined while they fit, are its frames.
+The parent writes the frames in task order, so the output is independent of the worker
+count, and holds at most _READ_AHEAD frames of a worker ahead of their turn, so the rows a
+scan holds are bounded by the segment and the read-ahead, whatever the width of its n
+window.  On an exception the file is cut back to its last checkpoint.
 report and scan --resume read a scan file through one reader, _scan_file: it checks
 64 KiB blocks of whole lines by one regex search from line end to line end, built from
 the writer's row template, for a line not in that one spelling, and decodes only a
@@ -39,7 +39,7 @@ from typing import BinaryIO, Callable, Iterator, NoReturn
 from .arith import InternalConsistencyError, check_window, window_plan
 from .classgroup import class_number
 from .classify import ClassificationRecord, classify_field
-from .oracle import oracle_verdicts
+from .oracle import field_oracle
 from .pell import FundamentalUnit, fundamental_unit
 from .quadfield import FieldContext, make_field
 
@@ -120,13 +120,16 @@ def record_to_json_obj(rec: tuple) -> dict:
 
 
 def _verified(F: FieldContext, U: FundamentalUnit, cells: Iterator[tuple]) -> Iterator[tuple]:
-    """cells, each checked by the brute oracles where they have a value (--verify)."""
+    """cells, each checked by the brute oracles where they have a value (--verify), through
+    one field_oracle for the field; each verdict is matched to the cell's flag by name."""
+    verdicts = field_oracle(F, U)
     for cell in cells:
         n, _, _, ip, la, assoc = cell[:6]
-        for (name, got), claimed in zip(oracle_verdicts(F, U, n).items(), (la, ip, assoc)):
-            if got is not None and got != claimed:
+        flags = {"locally_associated": la, "ideal_preserving": ip, "associated": assoc}
+        for name, got in verdicts(n).items():
+            if got is not None and got != flags[name]:
                 raise ScanVerificationError(
-                    f"{name} mismatch at d={F.d}, n={n}: closed-form {claimed}, oracle {got}"
+                    f"{name} mismatch at d={F.d}, n={n}: closed-form {flags[name]}, oracle {got}"
                 )
         yield cell
 

@@ -101,7 +101,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
             f"n={rec.n} is outside the range of the oracle(s) {', '.join(skipped)}, which "
             f"enumerate O_K/(M) for 2 <= M <= their enumeration bound"
         )
-    bla, bip, bassoc = verdicts.values()
+    names = ("locally_associated", "ideal_preserving", "associated")
+    bla, bip, bassoc = (verdicts[name] for name in names)
     la, ip, assoc = rec.locally_associated, rec.ideal_preserving, rec.associated
     ok = (la, ip, assoc) == (bla, bip, bassoc)
     word = _FLAG_WORDS["jsonl"]

@@ -19,18 +19,23 @@ P^2 = (p^2) when P = (p) is inert and outside every prime over another rational
 prime.  An excluded ideal's image in O_K/(M) is read through the Hermite form
 (d1, c, d2) of the lattice spanned by its generators, their omega-multiples and
 M*Z^2: (A, B) lies in it iff d2 | B and d1 | A - (B/d2)*c.  Moduli are capped
-(default 200) since the scans are quadratic.  oracle_verdicts holds their
-range: no value at n = 1 (O_K, no quotient) or past the cap.  Only ring
-arithmetic and factorization are shared with the fast path (qi_mul, qi_norm,
-factorize, the roots of omega's minimal polynomial), never m, L or the field
-character (D/p).
+(default 200) since the scans are quadratic.  field_oracle(F, U) gives one
+field's verdicts(n) and holds their range: no value at n = 1 (O_K, no quotient)
+or past the cap.  For the life of the field it keeps what does not depend on n,
+each enumerated on its first touch: the unit count of each O_K/(p^a), the roots
+of omega mod each p, and each ideal test's outcome under (P, Q, gcd(n, p^2)),
+all that the test reads of n; so the cap bounds it.  The walk over u stays per
+n.  oracle_verdicts is its window of one n; the brute_* functions keep nothing
+between calls.  Only ring arithmetic and factorization are shared with the fast
+path (qi_mul, qi_norm, factorize, the roots of omega's minimal polynomial),
+never m, L or the field character (D/p).
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterator
+from collections.abc import Callable, Iterator
 from contextlib import suppress
-from math import gcd, prod
+from math import gcd
 
 from .arith import InternalConsistencyError, factorize
 from .pell import FundamentalUnit
@@ -61,11 +66,22 @@ def _units(F: FieldContext, M: int, bound: int) -> list[int]:
     return [a * M + b for b, Bb, Cb in rows for a in range(M) if unit[(a * (a + Bb) + Cb) % M]]
 
 
-def quotient_unit_count(F: FieldContext, M: int, bound: int = DEFAULT_ENUM_BOUND) -> int:
-    """|U(O_K/(M))| as the product over p^a || M of |U(O_K/(p^a))|, each by enumeration:
-    O_K/(M) is the product of the O_K/(p^a) by the Chinese remainder theorem."""
+def _unit_count(F: FieldContext, M: int, bound: int, counts: dict[int, int]) -> int:
+    """|U(O_K/(M))| as the product over p^a || M of |U(O_K/(p^a))|, each enumerated on its
+    first touch and kept in counts under p^a: O_K/(M) is the product of the O_K/(p^a) by the
+    Chinese remainder theorem."""
     _check_modulus(M, bound)
-    return prod(len(_units(F, p**a, bound)) for p, a in factorize(M))
+    total = 1
+    for p, a in factorize(M):
+        if p**a not in counts:
+            counts[p**a] = len(_units(F, p**a, bound))
+        total *= counts[p**a]
+    return total
+
+
+def quotient_unit_count(F: FieldContext, M: int, bound: int = DEFAULT_ENUM_BOUND) -> int:
+    """|U(O_K/(M))|, each O_K/(p^a) with p^a || M enumerated afresh."""
+    return _unit_count(F, M, bound, {})
 
 
 def _unit_cosets(F: FieldContext, U: FundamentalUnit, n: int, bound: int) -> tuple[int, int]:
@@ -121,15 +137,20 @@ def _ideal_lattice(F: FieldContext, gens: list[QI], M: int) -> tuple[int, int, i
     return d1, c % d1, d2
 
 
-def _ideal_pairs(F: FieldContext, n: int, bound: int) -> Iterator[tuple[tuple, tuple]]:
+def _ideal_pairs(
+    F: FieldContext, n: int, bound: int, roots: dict[int, list[int]]
+) -> Iterator[tuple[tuple, tuple]]:
     """(P, P) for each prime ideal P = (p, omega - r) over a root r of omega mod p | n, then
     (P, P') for the two primes over each split p.  Each p^2 meets the bound before
-    omega_roots, which scans all of range(p), runs on p: a large p fails at once, after the
-    smaller p's tests.  A split p passes its P^2 tests, so its pairs wait for every p^2."""
+    omega_roots, which scans all of range(p), runs on p (once, kept in roots under p): a
+    large p fails at once, after the smaller p's tests.  A split p passes its P^2 tests, so
+    its pairs wait for every p^2."""
     pairs = []
     for p, _ in factorize(n):
         _check_modulus(p * p, bound)
-        primes = [(p, r) for r in omega_roots(F, p)]
+        if p not in roots:
+            roots[p] = omega_roots(F, p)
+        primes = [(p, r) for r in roots[p]]
         yield from ((P, P) for P in primes)
         pairs += [(P, Q) for P in primes for Q in primes if Q != P]
     yield from pairs
@@ -148,6 +169,25 @@ def _witness_exists(n: int, M: int, P: tuple[int, int], excluded: tuple[int, int
     return False
 
 
+def _ideal_preserving(
+    F: FieldContext, n: int, bound: int, roots: dict[int, list[int]], outcomes: dict[tuple, bool]
+) -> bool:
+    """The tests of _ideal_pairs in order, False at the first that finds no witness.  Each
+    test's outcome is scanned on its first touch and kept in outcomes under (P, Q, gcd(n, p^2)):
+    the Hermite form reads P, Q and p^2, and the witness scan reads n only through its step."""
+    for P, Q in _ideal_pairs(F, n, bound, roots):
+        M = P[0] * P[0]
+        key = (P, Q, gcd(n, M))
+        if key not in outcomes:
+            gens = [(Q[0], 0), (-Q[1], 1)]
+            if Q == P:  # P^2 is generated by the products of P's generators
+                gens = [qi_mul(F, g, h) for g in gens for h in gens]
+            outcomes[key] = _witness_exists(n, M, P, _ideal_lattice(F, gens, M))
+        if not outcomes[key]:
+            return False
+    return True
+
+
 def brute_ideal_preserving(F: FieldContext, n: int, bound: int = DEFAULT_ENUM_BOUND) -> bool:
     """Witness search for the ideal-theoretic criterion.
 
@@ -159,26 +199,34 @@ def brute_ideal_preserving(F: FieldContext, n: int, bound: int = DEFAULT_ENUM_BO
     """
     if n < 1:
         raise ValueError(f"order index must be >= 1, got {n}")
-    for P, Q in _ideal_pairs(F, n, bound):
-        M = P[0] * P[0]
-        gens = [(Q[0], 0), (-Q[1], 1)]
-        if Q == P:  # P^2 is generated by the products of P's generators
-            gens = [qi_mul(F, g, h) for g in gens for h in gens]
-        if not _witness_exists(n, M, P, _ideal_lattice(F, gens, M)):
-            return False
-    return True
+    return _ideal_preserving(F, n, bound, {}, {})
+
+
+def field_oracle(F: FieldContext, U: FundamentalUnit) -> Callable[[int], dict[str, bool | None]]:
+    """verdicts(n): each oracle's flag at index n of the field, by name in a fixed order; None
+    at n = 1 or past its bound.  For the life of the field it keeps the unit count of each
+    O_K/(p^a), the roots of omega mod each p and each ideal test's outcome; one walk over the
+    powers of u mod n gives both unit verdicts of each n."""
+    counts: dict[int, int] = {}
+    roots: dict[int, list[int]] = {}
+    outcomes: dict[tuple, bool] = {}
+
+    def verdicts(n: int) -> dict[str, bool | None]:
+        la: bool | None = None
+        ip: bool | None = None
+        assoc: bool | None = None
+        if 1 < n <= DEFAULT_ENUM_BOUND:
+            unit_multiples, multiples = _unit_cosets(F, U, n, DEFAULT_ENUM_BOUND)
+            la = unit_multiples == _unit_count(F, n, DEFAULT_ENUM_BOUND, counts)
+            assoc = multiples == n * n
+        if n > 1:
+            with suppress(OracleBoundError):
+                ip = _ideal_preserving(F, n, DEFAULT_ENUM_BOUND, roots, outcomes)
+        return {"locally_associated": la, "ideal_preserving": ip, "associated": assoc}
+
+    return verdicts
 
 
 def oracle_verdicts(F: FieldContext, U: FundamentalUnit, n: int) -> dict[str, bool | None]:
-    """Each oracle's flag at index n, by name in a fixed order; None at n = 1 or past its bound.
-    One walk over the powers of u gives both unit verdicts."""
-    la: bool | None = None
-    ip: bool | None = None
-    assoc: bool | None = None
-    if 1 < n <= DEFAULT_ENUM_BOUND:
-        unit_multiples, multiples = _unit_cosets(F, U, n, DEFAULT_ENUM_BOUND)
-        la, assoc = unit_multiples == quotient_unit_count(F, n), multiples == n * n
-    if n > 1:
-        with suppress(OracleBoundError):
-            ip = brute_ideal_preserving(F, n)
-    return {"locally_associated": la, "ideal_preserving": ip, "associated": assoc}
+    """field_oracle's window of one n."""
+    return field_oracle(F, U)(n)

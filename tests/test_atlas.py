@@ -1,3 +1,4 @@
+import inspect
 import json
 import os
 import random
@@ -124,17 +125,31 @@ def test_scan_starts_no_more_workers_than_fields(tmp_path, monkeypatch):
     assert len(forks) == 2 and forked.read_bytes() == one.read_bytes()
 
 
+def wrap_verdicts(monkeypatch, change):
+    """Pass each verdict dict that atlas reads (from its field_oracle) and cli reads (from
+    oracle_verdicts) through change."""
+    def field(F, U):
+        verdicts = oracle.field_oracle(F, U)
+        return lambda n: change(verdicts(n))
+
+    monkeypatch.setattr(atlas, "field_oracle", field)
+    monkeypatch.setattr(cli, "oracle_verdicts", lambda F, U, n: change(oracle.oracle_verdicts(F, U, n)))
+
+
 def flip_associated(monkeypatch):
-    """Make the oracle_verdicts that atlas and cli read disagree with every associated flag
-    they check: each verdict other than None is negated."""
-    def flipped(F, U, n):
-        verdicts = oracle.oracle_verdicts(F, U, n)
+    """Make the verdicts that atlas and cli read disagree with every associated flag they
+    check: each verdict other than None is negated."""
+    def flipped(verdicts):
         if verdicts["associated"] is not None:
             verdicts["associated"] = not verdicts["associated"]
         return verdicts
 
-    monkeypatch.setattr(atlas, "oracle_verdicts", flipped)
-    monkeypatch.setattr(cli, "oracle_verdicts", flipped)
+    wrap_verdicts(monkeypatch, flipped)
+
+
+def reverse_verdicts(monkeypatch):
+    """The same verdicts that atlas and cli read, named as before, in reverse order."""
+    wrap_verdicts(monkeypatch, lambda verdicts: dict(reversed(verdicts.items())))
 
 
 def assert_no_child_left():
@@ -490,6 +505,39 @@ def test_scan_sets_each_field_up_once(tmp_path):
         scan(ScanConfig(out=str(tmp_path / f"{verify}.csv"), verify=verify, **window))
         after = [f.cache_info() for f in setups]
         assert [a.hits + a.misses - b.hits - b.misses for a, b in zip(after, before)] == [k] * 3
+
+
+def test_verify_builds_one_oracle_context_per_field(tmp_path, monkeypatch):
+    # tasks of several fields each, and one field_oracle per d, in d order, for the whole of
+    # the field's n; a scan without --verify builds none
+    built = []
+
+    def spy(F, U):
+        built.append(F.d)
+        return oracle.field_oracle(F, U)
+
+    monkeypatch.setattr(atlas, "field_oracle", spy)
+    window = dict(d_min=-7, d_max=7, n_min=1, n_max=12, jobs=1)
+    scan(ScanConfig(out=str(tmp_path / "plain.csv"), **window))
+    assert built == []
+    written = spy_checkpoints(monkeypatch)
+    scan(ScanConfig(out=str(tmp_path / "checked.csv"), verify=True, **window))
+    ds = atlas._squarefree_range(-7, 7)
+    assert built == ds and len(written) < len(ds)
+    # the oracles keep no process cache: their state lives in each field's context
+    assert "lru_cache" not in inspect.getsource(oracle)
+
+
+def test_verdicts_are_matched_to_flags_by_name(tmp_path, monkeypatch):
+    # the verdicts in reverse order check the same flags: paired by position, the closed
+    # form's locally_associated would meet the associated oracle (true against false at
+    # d = 2, n = 2)
+    window = dict(d_min=-6, d_max=6, n_min=1, n_max=12)
+    plain, checked = tmp_path / "plain.csv", tmp_path / "checked.csv"
+    scan(ScanConfig(out=str(plain), **window))
+    reverse_verdicts(monkeypatch)
+    scan(ScanConfig(out=str(checked), verify=True, **window))
+    assert checked.read_bytes() == plain.read_bytes()
 
 
 def test_oracle_verdicts_skip_and_mismatch(tmp_path, monkeypatch):

@@ -12,7 +12,7 @@ import pytest
 from quadorders import OrderSpec, atlas, classify_order, make_field, record_to_json_obj
 from quadorders.cli import format_unit, main
 from quadorders.pell import FundamentalUnit
-from test_atlas import flip_associated
+from test_atlas import flip_associated, reverse_verdicts
 
 
 def run_cli(capsys, *argv):
@@ -100,6 +100,14 @@ def test_verify_ok(capsys):
     assert "la: closed-form=true oracle=true" in out
     assert "ip: false/false" in out
     assert "assoc: false/false" in out
+
+
+def test_verify_matches_verdicts_to_flags_by_name(capsys, monkeypatch):
+    # the verdicts in reverse order: paired by position, la's true would meet assoc's false
+    reverse_verdicts(monkeypatch)
+    rc, out, _ = run_cli(capsys, "verify", "-d", "2", "-n", "2")
+    assert rc == 0
+    assert out.startswith("OK") and "la: closed-form=true oracle=true" in out
 
 
 def test_verify_mismatch_exits_1(capsys, monkeypatch):

@@ -14,6 +14,7 @@ from quadorders.oracle import (
     brute_associated,
     brute_ideal_preserving,
     brute_locally_associated,
+    field_oracle,
     oracle_verdicts,
     quotient_unit_count,
 )
@@ -134,6 +135,60 @@ def test_oracle_verdicts_match_the_reference_oracles():
     assert cells == 7139
 
 
+def test_field_oracle_matches_oracle_verdicts_per_cell():
+    # one context per field, walked over n = 2..60, against a fresh context per cell, on
+    # every cell of squarefree |d| <= 100, each None included
+    cells = 0
+    for d in range(-100, 101):
+        if d in (0, 1) or not is_squarefree(d):
+            continue
+        F = make_field(d)
+        U = fundamental_unit(F)
+        verdicts = field_oracle(F, U)
+        for n in range(2, 61):
+            assert verdicts(n) == oracle_verdicts(F, U, n), (d, n)
+            cells += 1
+    assert cells == 7139
+
+
+def test_field_oracle_runs_each_enumeration_once(monkeypatch):
+    # over one field's n = 2..200, each O_K/(p^a) is enumerated, each p scanned for roots
+    # and each ideal test (P, Q, gcd(n, p^2)) scanned once; brute_* keep nothing between calls
+    calls = []
+    units, roots, witness = oracle._units, oracle.omega_roots, oracle._witness_exists
+
+    def spy_units(F, M, bound):
+        calls.append(("units", M))
+        return units(F, M, bound)
+
+    def spy_roots(F, p):
+        calls.append(("roots", p))
+        return roots(F, p)
+
+    def spy_witness(n, M, P, excluded):
+        calls.append(("witness", gcd(n, M), M, P, excluded))
+        return witness(n, M, P, excluded)
+
+    monkeypatch.setattr(oracle, "_units", spy_units)
+    monkeypatch.setattr(oracle, "omega_roots", spy_roots)
+    monkeypatch.setattr(oracle, "_witness_exists", spy_witness)
+    for d in (2, -5, 17, -3):
+        F = make_field(d)
+        verdicts = field_oracle(F, fundamental_unit(F))
+        calls.clear()
+        for n in range(2, DEFAULT_ENUM_BOUND + 1):
+            verdicts(n)
+        assert len(calls) == len(set(calls)), d
+        assert {c[1] for c in calls if c[0] == "units"} == {
+            p**a for n in range(2, DEFAULT_ENUM_BOUND + 1) for p, a in factorize(n)}, d
+        calls.clear()
+        brute_ideal_preserving(F, 6)
+        brute_ideal_preserving(F, 6)
+        quotient_unit_count(F, 6)
+        quotient_unit_count(F, 6)
+        assert len(calls) == 2 * len(set(calls)), d
+
+
 def test_quotient_unit_count_fixtures():
     F = make_field(2)
     assert quotient_unit_count(F, 5) == 24
@@ -223,6 +278,25 @@ def test_walk_without_non_unit_multipliers_fails_the_verified_scan(tmp_path, mon
 
     monkeypatch.setattr(oracle, "_unit_cosets", units_only)
     with pytest.raises(ScanVerificationError, match="^associated mismatch"):
+        scan(verified_60(tmp_path))
+
+
+def test_wrong_stored_ideal_test_fails_the_verified_scan(tmp_path, monkeypatch):
+    # each ideal test's outcome is stored on its first touch and read by every later n of
+    # the field with the same (P, Q, gcd(n, p^2)); a wrong outcome stored then stops the scan
+    witness = oracle._witness_exists
+    touched = set()
+
+    def wrong_on_first_touch(n, M, P, excluded):
+        found = witness(n, M, P, excluded)
+        key = (gcd(n, M), M, P, excluded)
+        if key in touched:
+            return found
+        touched.add(key)
+        return not found
+
+    monkeypatch.setattr(oracle, "_witness_exists", wrong_on_first_touch)
+    with pytest.raises(ScanVerificationError, match="^ideal_preserving mismatch"):
         scan(verified_60(tmp_path))
 
 
@@ -437,7 +511,7 @@ def test_ideal_pairs_stay_over_one_split_or_ramified_prime():
         F = make_field(d)
         for n in range(2, 200):
             try:
-                pairs = list(oracle._ideal_pairs(F, n, DEFAULT_ENUM_BOUND))
+                pairs = list(oracle._ideal_pairs(F, n, DEFAULT_ENUM_BOUND, {}))
             except OracleBoundError:
                 continue
             squares = [P for P, Q in pairs if Q == P]
