@@ -11,7 +11,8 @@ CACHE_MAXSIZE = 1 << 16  # bound of every lru_cache; holds dozens of fields' m(p
 TRIAL_BOUND = 10**7  # factorize's last trial divisor: every n < 10^14 factors, in about 1 s
 # widest n window a scan plans: 16 bytes per n of plan, about 9 of a field's cofactor cells
 # and its prime-power table make about 45 bytes per n (RSS measured at d = 7 between
-# n_max = 10^6 and 2 * 10^6), so this window takes about 0.9 GB, and wider ones gigabytes
+# n_max = 10^6 and 2 * 10^6), so this window takes about 0.9 GB, and wider ones gigabytes;
+# a d window's squarefree d take about 43 bytes per d, so it has the same bound
 WINDOW_WIDTH_MAX = 2 * 10**7
 
 
@@ -45,16 +46,16 @@ def factorize(n: int) -> tuple[tuple[int, int], ...]:
     return tuple(out)
 
 
-def check_window(lo: int, hi: int) -> None:
-    """Refuse with a ValueError, allocating nothing, an n window [lo, hi] that window_plan would
-    sieve (lo != hi) ending at TRIAL_BOUND^2 = 10^14 or past it, where factorize stops too, or
-    wider than WINDOW_WIDTH_MAX."""
-    if lo != hi and hi >= TRIAL_BOUND**2:
+def check_window(lo: int, hi: int, name: str = "n") -> None:
+    """Refuse with a ValueError, allocating nothing, a window [lo, hi] of n (or of d) wider
+    than WINDOW_WIDTH_MAX, or an n window that window_plan would sieve (lo != hi) ending at
+    TRIAL_BOUND^2 = 10^14 or past it, where factorize stops too."""
+    if name == "n" and lo != hi and hi >= TRIAL_BOUND**2:
         raise ValueError(f"n window [{lo}, {hi}] is too large to sieve: its end must be below 10^14")
     if hi - lo >= WINDOW_WIDTH_MAX:
         raise ValueError(
-            f"n window [{lo}, {hi}] is too large to scan at once: it holds {hi - lo + 1:,} n, "
-            f"at most {WINDOW_WIDTH_MAX:,} are allowed; split it into narrower windows"
+            f"{name} window [{lo}, {hi}] is too large to scan at once: it holds {hi - lo + 1:,} "
+            f"{name}, at most {WINDOW_WIDTH_MAX:,} are allowed; split it into narrower windows"
         )
 
 

@@ -3,17 +3,17 @@
 Rows stream to CSV or JSONL in (d, n) order, one checkpoint per task of consecutive d,
 so an interrupted scan can resume and produce a byte-identical file.  The scan splits
 its fields into tasks, four per worker and at most _TASK_CELLS rows unless one field's
-alone is more, and runs them in-process or on forked workers, at most one per task:
-worker k of `jobs` runs tasks k, k + jobs, ... and sends each task back on a pipe of its
-own, and every worker is killed and waited for when the scan ends, however it ends.
+alone is more, and runs them in-process, straight into the file, or on forked workers, at
+most one per task: worker k of `jobs` runs tasks k, k + jobs, ... into a spool of its own,
+an unlinked file in the output's directory, and the parent copies each task out of its
+spool in task order, so the output is independent of the worker count.  Every worker
+is killed and waited for when the scan ends, however it ends, and no spool outlives it.
 A task sets each of its fields up once, takes its cells from classify_field (and under
 --verify checks them with one field_oracle per field, building no record), and renders
 them through one row template per field, with d, D and h_maximal in place, in segments of
-at most _SEGMENT_ROWS rows; a task's segments, joined while they fit, are its frames.
-The parent writes the frames in task order, so the output is independent of the worker
-count, and holds at most _READ_AHEAD frames of a worker ahead of their turn, so the rows a
-scan holds are bounded by the segment and the read-ahead, whatever the width of its n
-window.  On an exception the file is cut back to its last checkpoint.
+at most _SEGMENT_ROWS rows, so the rows a process holds are bounded by the segment,
+whatever the width of its n window; a spool keeps its rows on disk until the scan ends.
+On an exception the file is cut back to its last checkpoint.
 report and scan --resume read a scan file through one reader, _scan_file: it checks
 64 KiB blocks of whole lines by one regex search from line end to line end, built from
 the writer's row template, for a line not in that one spelling, and decodes only a
@@ -26,14 +26,13 @@ import json
 import os
 import pickle
 import re
-import select
 import signal
 import time
-from collections import deque
-from contextlib import contextmanager, nullcontext
+from contextlib import ExitStack, contextmanager, nullcontext
 from dataclasses import dataclass
 from itertools import chain, islice
 from math import isqrt
+from tempfile import TemporaryFile
 from typing import BinaryIO, Callable, Iterator, NoReturn
 
 from .arith import InternalConsistencyError, check_window, window_plan
@@ -47,10 +46,9 @@ FIELD_NAMES = ClassificationRecord._fields
 CSV_HEADER = ",".join(FIELD_NAMES)
 _BOOL_FIELDS = ("ideal_preserving", "locally_associated", "associated", "hfd")
 _to_json = json.JSONEncoder(separators=(",", ":")).encode
-_BLOCK_SIZE = 1 << 16  # bytes read at a time; a block runs on to its next line end
+_BLOCK_SIZE = 1 << 16  # bytes read, spooled or copied at once; a read block runs on to a line end
 _TASK_CELLS = 1 << 14  # rows of a scan task at most, unless one field's alone is more
-_SEGMENT_ROWS = 1 << 12  # rows a field is rendered in at a time, and of a frame at most
-_READ_AHEAD = 32  # frames the parent holds of a worker ahead of their turn, at most
+_SEGMENT_ROWS = 1 << 12  # rows a field is rendered in at a time
 _FLAG_WORDS = {"csv": ("0", "1"), "jsonl": ("false", "true")}  # a flag's spelling, by value
 
 
@@ -136,9 +134,9 @@ def _verified(F: FieldContext, U: FundamentalUnit, cells: Iterator[tuple]) -> It
 
 def _scan_one_d(
     d: int, n_min: int, n_max: int, fmt: str, verify: bool
-) -> Iterator[tuple[str, int, int]]:
+) -> Iterator[tuple[str, int]]:
     """One d's rows in segments of at most _SEGMENT_ROWS newline-ended rows, each with its
-    row and hfd counts."""
+    hfd count."""
     F = make_field(d)
     U = fundamental_unit(F)
     h = class_number(F, U).h
@@ -146,35 +144,28 @@ def _scan_one_d(
     cells = _verified(F, U, cells) if verify else cells
     template, word = _row_template(fmt, d=d, D=F.D, h_maximal=h) + "\n", _FLAG_WORDS[fmt]
     for lo in range(n_min, n_max + 1, _SEGMENT_ROWS):
-        k = min(_SEGMENT_ROWS, n_max + 1 - lo)
         segment = "".join([template % (n, m, L, word[ip], word[la], word[assoc], h_order, word[hfd])
-                           for n, m, L, ip, la, assoc, h_order, hfd in islice(cells, k)])
+                           for n, m, L, ip, la, assoc, h_order, hfd in islice(cells, _SEGMENT_ROWS)])
         # the hfd rows past the n = 1 row, which is not counted
-        yield segment, k, segment.count(_HFD_ROW_END[fmt], segment.index("\n") + 1 if lo == 1 else 0)
+        yield segment, segment.count(_HFD_ROW_END[fmt], segment.index("\n") + 1 if lo == 1 else 0)
 
 
-def _scan_fields(task: tuple[list[int], int, int, str, bool]) -> Iterator[tuple[str, tuple | None]]:
-    """A task's fields, consecutive d, as frames of at most _SEGMENT_ROWS rows: its fields'
-    segments in order, joined while they fit.  The last frame carries the task's last d and
-    its row and hfd counts, (last_d, rows, hfd); every other frame carries None."""
+def _write_task(task: tuple[list[int], int, int, str, bool], fh: BinaryIO) -> int:
+    """Write a task's rows, its fields' segments in d order, to fh; return its hfd count."""
     ds, n_min, n_max, fmt, verify = task
-    parts: list[str] = []
-    held = hfd = 0  # rows in parts; the task's hfd so far
+    hfd = 0
     for d in ds:
-        for segment, k, hfd_k in _scan_one_d(d, n_min, n_max, fmt, verify):
-            if held + k > _SEGMENT_ROWS:
-                yield "".join(parts), None
-                parts, held = [], 0
-            parts.append(segment)
-            held, hfd = held + k, hfd + hfd_k
-    yield "".join(parts), (ds[-1], len(ds) * (n_max - n_min + 1), hfd)
+        for segment, hfd_d in _scan_one_d(d, n_min, n_max, fmt, verify):
+            fh.write(segment.encode())
+            hfd += hfd_d
+    return hfd
 
 
-def _work(tasks: list[tuple], fd: int, inherited: list[int]) -> NoReturn:
+def _work(tasks: list[tuple], spool: BinaryIO, fd: int, inherited: list[int]) -> NoReturn:
     """A forked worker's life: it closes the pipe ends it inherited, then writes each of its
-    tasks' _scan_fields frames, or the exception that ends the run, to fd as one
-    length-prefixed pickle each.  It leaves by os._exit, so no buffer or exit hook of the
-    parent's runs twice."""
+    tasks' rows to the end of spool and, once they are flushed, sends the spool's length and
+    the task's hfd count, or the exception that ends the run, to fd as one pickle.  It
+    leaves by os._exit, so no buffer or exit hook of the parent's runs twice."""
     code = 1
     try:
         for end in inherited:
@@ -182,14 +173,14 @@ def _work(tasks: list[tuple], fd: int, inherited: list[int]) -> NoReturn:
         with open(fd, "wb") as pipe:
 
             def send(reply: tuple | Exception) -> None:
-                data = pickle.dumps(reply, pickle.HIGHEST_PROTOCOL)
-                pipe.write(len(data).to_bytes(8, "little") + data)
+                pickle.dump(reply, pipe, pickle.HIGHEST_PROTOCOL)
                 pipe.flush()
 
             try:
                 for task in tasks:
-                    for frame in _scan_fields(task):
-                        send(frame)
+                    hfd = _write_task(task, spool)
+                    spool.flush()
+                    send((spool.tell(), hfd))
             except Exception as exc:
                 send(exc)
         code = 0
@@ -198,83 +189,62 @@ def _work(tasks: list[tuple], fd: int, inherited: list[int]) -> NoReturn:
 
 
 @contextmanager
-def _forked(tasks: list[tuple], jobs: int) -> Iterator[Iterator[tuple[str, tuple | None]]]:
-    """The _scan_fields frames of tasks, in task order, from `jobs` forked workers.
+def _forked(tasks: list[tuple], jobs: int, out: BinaryIO) -> Iterator[Callable[[int], int]]:
+    """A function that writes task i's rows to out and returns its hfd count, called for
+    each task in turn, with the tasks run by `jobs` forked workers.
 
-    Worker k runs tasks k, k + jobs, ... and writes to a pipe of its own.  The parent reads
-    whichever pipe has data as it comes, so no worker waits on a full pipe for a task ahead
-    of it, and keeps each frame until its turn, but at most _READ_AHEAD of one worker's:
-    while it holds that many, it leaves the rest in its pipe (and a read's worth of bytes)
-    and stops polling it, so the full pipe holds the worker.  A worker's exception is raised
-    in its turn.  A worker whose pipe ends before its task's last frame raises RuntimeError
-    naming it and its wait status.  On leaving, every worker is killed and waited for.
+    Before worker k is forked, the parent opens its spool, an unlinked file in out's
+    directory, and its pipe.  Worker k runs tasks k, k + jobs, ... into its spool and sends
+    a message after each, so no worker waits for the parent to take its rows.  In task i's
+    turn the parent reads its worker's next message, raises the exception it may carry, or
+    copies the task's bytes, from where that worker's task before ended, out of the spool.
+    A worker whose pipe ends first raises RuntimeError naming it and its wait status.  On
+    leaving, every worker is killed and waited for, and every spool and pipe is closed.
     """
+    directory = os.path.dirname(os.path.abspath(out.name))
     pids: list[int | None] = []  # worker k's pid, until it is waited for
-    fds: list[int] = []  # worker k's read end
-    poller = select.poll()
+    spools: list[BinaryIO] = []
+    pipes: list[BinaryIO] = []  # worker k's read end
+    copied = [0] * jobs  # the bytes of worker k's spool copied so far
 
-    def in_order() -> Iterator[tuple[str, tuple | None]]:
-        bufs = [bytearray() for _ in range(jobs)]
-        ahead = [deque() for _ in range(jobs)]  # worker k's frames read before their turn
-        polled = [True] * jobs  # worker k's pipe is polled: not ended, and ahead[k] not full
-        ended = [False] * jobs
+    def copy(i: int) -> int:
+        k = i % jobs
+        try:
+            reply = pickle.load(pipes[k])
+        except (EOFError, pickle.UnpicklingError):
+            pid, status = os.waitpid(pids[k], 0)
+            pids[k] = None
+            code = os.waitstatus_to_exitcode(status)
+            why = f"killed by {signal.Signals(-code).name}" if code < 0 else f"exit code {code}"
+            raise RuntimeError(
+                f"scan worker {k} (pid {pid}) ended before task {i}: wait status {status} ({why})"
+            ) from None
+        if isinstance(reply, Exception):
+            raise reply
+        end, hfd = reply
+        for at in range(copied[k], end, _BLOCK_SIZE):
+            out.write(os.pread(spools[k].fileno(), min(_BLOCK_SIZE, end - at), at))
+        copied[k] = end
+        return hfd
 
-        def unpack(k: int) -> None:  # worker k's whole frames into ahead[k], while it has room
-            buf, frames = bufs[k], ahead[k]
-            while len(frames) < _READ_AHEAD:
-                if len(buf) < (end := 8 + int.from_bytes(buf[:8], "little")):
-                    break
-                frames.append(pickle.loads(buf[8:end]))
-                del buf[:end]
-            poll = not ended[k] and len(frames) < _READ_AHEAD
-            if poll != polled[k]:
-                poller.register(fds[k], select.POLLIN) if poll else poller.unregister(fds[k])
-                polled[k] = poll
-
-        for i in range(len(tasks)):
-            k, end = i % jobs, None
-            while end is None:
-                while not ahead[k]:
-                    if ended[k]:
-                        pid, status = os.waitpid(pids[k], 0)
-                        pids[k] = None
-                        code = os.waitstatus_to_exitcode(status)
-                        why = f"killed by {signal.Signals(-code).name}" if code < 0 else f"exit code {code}"
-                        raise RuntimeError(
-                            f"scan worker {k} (pid {pid}) ended before task {i}: wait status {status} ({why})"
-                        )
-                    for fd, _ in poller.poll():
-                        j = fds.index(fd)
-                        chunk = os.read(fd, 1 << 16)
-                        ended[j] = not chunk
-                        bufs[j] += chunk
-                        unpack(j)
-                reply = ahead[k].popleft()
-                unpack(k)
-                if isinstance(reply, Exception):
-                    raise reply
-                end = reply[1]
-                yield reply
-
-    try:
-        for k in range(jobs):
-            r, w = os.pipe()
-            fds.append(r)
-            try:
-                if (pid := os.fork()) == 0:
-                    _work(tasks[k::jobs], w, fds)
-            finally:
-                os.close(w)
-            pids.append(pid)
-            poller.register(r, select.POLLIN)
-        yield in_order()
-    finally:
-        for pid in pids:
-            if pid is not None:
-                os.kill(pid, signal.SIGKILL)
-                os.waitpid(pid, 0)
-        for fd in fds:
-            os.close(fd)
+    with ExitStack() as stack:
+        try:
+            for k in range(jobs):
+                spools.append(stack.enter_context(TemporaryFile(dir=directory, buffering=_BLOCK_SIZE)))
+                r, w = os.pipe()
+                pipes.append(stack.enter_context(open(r, "rb")))
+                try:
+                    if (pid := os.fork()) == 0:
+                        _work(tasks[k::jobs], spools[k], w, [pipe.fileno() for pipe in pipes])
+                finally:
+                    os.close(w)
+                pids.append(pid)
+            yield copy
+        finally:
+            for pid in pids:
+                if pid is not None:
+                    os.kill(pid, signal.SIGKILL)
+                    os.waitpid(pid, 0)
 
 
 def checkpoint_path(out: str) -> str:
@@ -357,9 +327,10 @@ def scan(cfg: ScanConfig) -> ScanSummary:
         raise ValueError(f"jobs must be >= 1, got {cfg.jobs}")
     if cfg.n_min < 1:
         raise ValueError(f"n_min must be >= 1, got {cfg.n_min}")
-    # an n window too large to sieve is refused by its bounds before a file is touched,
-    # whatever the d range; an empty window (no squarefree d, or n_min > n_max) scans no d:
-    # its file is written with no rows, and a resume refuses a checkpoint that records any
+    # a d window too wide to list, or an n window too large to sieve, is refused by its
+    # bounds before a file is touched; an empty window (no squarefree d, or n_min > n_max)
+    # scans no d: its file is written with no rows, and a resume refuses a checkpoint of any
+    check_window(cfg.d_min, cfg.d_max, "d")
     ds = []
     if cfg.n_min <= cfg.n_max:
         check_window(cfg.n_min, cfg.n_max)
@@ -388,26 +359,23 @@ def scan(cfg: ScanConfig) -> ScanSummary:
     size = max(1, min(-(-len(ds) // (4 * jobs)), _TASK_CELLS // width)) if jobs else 1
     tasks = [(ds[i : i + size], cfg.n_min, cfg.n_max, cfg.fmt, cfg.verify)
              for i in range(0, len(ds), size)]
-    # a task's frames are written as they come, and the checkpoint follows its last one; on
-    # an exception the file is cut back to the last checkpoint, so it never holds a part task
+    # a task's rows are written in its turn, and the checkpoint follows them; on an
+    # exception the file is cut back to the last checkpoint, so it never holds a part task
     kept = None  # the file's length at its last checkpoint
     try:
-        with open(cfg.out, mode, newline="") as fh:
+        with open(cfg.out, mode + "b") as fh:
             if mode == "w" and cfg.fmt == "csv":
-                fh.write(CSV_HEADER + "\n")
+                fh.write(CSV_HEADER.encode() + b"\n")
             fh.flush()
             kept = fh.tell()
-            in_process = nullcontext(chain.from_iterable(map(_scan_fields, tasks)))
-            with _forked(tasks, jobs) if jobs > 1 else in_process as frames:
-                for frame, end in frames:
-                    fh.write(frame)
-                    if end:
-                        last_d, n_rows, hfd_task = end
-                        fh.flush()
-                        rows_written += n_rows
-                        hfd_count += hfd_task
-                        _write_checkpoint(ck_path, Checkpoint(last_d, rows_written, hfd_count))
-                        kept = fh.tell()
+            in_process = nullcontext(lambda i: _write_task(tasks[i], fh))
+            with _forked(tasks, jobs, fh) if jobs > 1 else in_process as write:
+                for i, (task_ds, *_) in enumerate(tasks):
+                    hfd_count += write(i)
+                    fh.flush()
+                    rows_written += len(task_ds) * width
+                    _write_checkpoint(ck_path, Checkpoint(task_ds[-1], rows_written, hfd_count))
+                    kept = fh.tell()
     except BaseException:
         if kept is not None:
             os.truncate(cfg.out, kept)

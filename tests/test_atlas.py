@@ -5,7 +5,6 @@ import random
 import re
 import time
 import tracemalloc
-from collections import deque
 
 import pytest
 
@@ -232,8 +231,9 @@ def test_interrupted_task_leaves_the_tasks_before_it(tmp_path, monkeypatch, jobs
     # 13, 14, 15; the scan stops at d = 14, inside the second, after setting up 10 to 13.
     # At --jobs 2, tasks of 3: d = 14 ends the third, 11, 13, 14, on worker 0, which the
     # stand-in reaches as it was patched before the fork; worker 1 has run the second.
-    # In segments of 7 rows, the failing task's first frames are written before it fails,
-    # and cut off again; the resume runs in segments of 7 too
+    # In segments of 7 rows, the failing task's first segments are written (to the file,
+    # or to worker 0's spool) before it fails, and never kept; the resume runs in segments
+    # of 7 too
     full, part = tmp_path / "full.csv", tmp_path / "part.csv"
     window = dict(d_min=2, d_max=30, n_max=10)
     scan(ScanConfig(out=str(full), **window))
@@ -271,7 +271,7 @@ def test_interrupted_task_leaves_the_tasks_before_it(tmp_path, monkeypatch, jobs
 @pytest.mark.parametrize("jobs", [1, 2])
 def test_segments_do_not_change_the_scan(tmp_path, monkeypatch, fmt, n_min, jobs):
     # fields of 60 or 59 rows rendered in segments of 7, so that segments end inside each
-    # field and frames inside each task, and the uncounted n = 1 row opens each field's
+    # field and each task, and the uncounted n = 1 row opens each field's
     # first segment; segments open on hfd rows too (n = 2, 23, 29, 37, 43): the bytes,
     # rows and hfd of one default-segment scan, and the hfd count report reads back
     window = dict(d_min=-30, d_max=30, n_min=n_min, n_max=60, fmt=fmt)
@@ -284,39 +284,31 @@ def test_segments_do_not_change_the_scan(tmp_path, monkeypatch, fmt, n_min, jobs
     assert got.hfd == report_hfd(str(segmented)).total > 0
 
 
-def test_parent_holds_a_bounded_read_ahead(tmp_path, monkeypatch):
-    # stripe 0's first field waits until stripe 1 has sent all its frames, more than
-    # _READ_AHEAD of them in segments of 7 rows, and fewer bytes than a pipe holds; the
-    # stand-in is patched before the fork, so both workers run it. While task 0 waits, the
-    # parent holds _READ_AHEAD of worker 1's frames and leaves the rest in its pipe
-    window = dict(d_min=2, d_max=60, n_max=40)
+def test_a_worker_runs_its_stripe_while_the_parent_waits(tmp_path, monkeypatch):
+    # task 0's first field waits until worker 1 has run its whole stripe, 16 fields of 599
+    # rows in segments of 7, about 290 KB: more than a pipe and 32 segments hold, so a
+    # worker whose rows pass through the parent would stall there, and the wait would time
+    # out. The stand-in is patched before the fork, so both workers run it
+    window = dict(d_min=2, d_max=60, n_max=600)
     one, forked = tmp_path / "one.csv", tmp_path / "forked.csv"
     scan(ScanConfig(out=str(one), **window))
     ds = atlas._squarefree_range(2, 60)
     done, real = tmp_path / "stripe-1-done", atlas._scan_one_d
 
     def stand_in(d, *args):
-        if d == ds[0]:
-            deadline = time.monotonic() + 30
-            while not done.exists() and time.monotonic() < deadline:
-                time.sleep(0.01)
+        deadline = time.monotonic() + 20
+        while d == ds[0] and not done.exists():
+            if time.monotonic() > deadline:
+                raise TimeoutError("worker 1 has not run its stripe in 20 s")
+            time.sleep(0.01)
         yield from real(d, *args)
         if d == ds[-1]:  # the last task, the eighth of 36 fields in tasks of 5: worker 1's
             done.touch()
 
-    held = []
-
-    class Ahead(deque):  # a worker's frames in the parent, ahead of their turn
-        def append(self, frame):
-            super().append(frame)
-            held.append(len(self))
-
     monkeypatch.setattr(atlas, "_scan_one_d", stand_in)
     monkeypatch.setattr(atlas, "_SEGMENT_ROWS", 7)
-    monkeypatch.setattr(atlas, "deque", Ahead)
     summary = scan(ScanConfig(out=str(forked), jobs=2, **window))
-    assert done.exists() and max(held) == atlas._READ_AHEAD
-    assert forked.read_bytes() == one.read_bytes() and summary.records == 36 * 39
+    assert forked.read_bytes() == one.read_bytes() and summary.records == 36 * 599
 
 
 def test_resume_is_byte_identical(tmp_path):

@@ -10,6 +10,7 @@ import time
 import pytest
 
 from quadorders import OrderSpec, atlas, classify_order, make_field, record_to_json_obj
+from quadorders.arith import WINDOW_WIDTH_MAX
 from quadorders.cli import format_unit, main
 from quadorders.pell import FundamentalUnit
 from test_atlas import flip_associated, reverse_verdicts
@@ -224,12 +225,12 @@ def test_report_into_a_closed_pipe_exits_0(tmp_path):
     path = tmp_path / "grid.csv"
     rows = "".join(f"{d},2,{d},1,1,1,1,1,1,1,1\n" for d in range(2, 8002))
     path.write_text(atlas.CSV_HEADER + "\n" + rows)
-    proc = subprocess.Popen([sys.executable, "-m", "quadorders.cli", "report", str(path)],
-                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
-    assert proc.stdout.readline() == b"hfd_total=8000\n"
-    proc.stdout.close()
-    err = proc.stderr.read()
-    assert (proc.wait(timeout=60), err) == (0, b"")
+    with subprocess.Popen([sys.executable, "-m", "quadorders.cli", "report", str(path)],
+                          stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+        assert proc.stdout.readline() == b"hfd_total=8000\n"
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert (proc.wait(timeout=60), err) == (0, b"")
 
 
 def test_report_reads_a_jsonl_scan_from_a_pipe(tmp_path):
@@ -251,14 +252,15 @@ def test_report_reads_a_csv_scan_from_a_pipe_in_short_writes(tmp_path):
     rep = atlas.report_hfd(str(out))
     expected = f"hfd_total={rep.total}\n" + "".join(
         f"d={d} hfd={k}\n" for d, k in sorted(rep.per_d.items()))
-    proc = subprocess.Popen([sys.executable, "-m", "quadorders.cli", "report", "/dev/stdin"],
-                            stdin=subprocess.PIPE, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
-    for start in range(0, len(data), 4099):
-        proc.stdin.write(data[start : start + 4099])
-        proc.stdin.flush()
-    proc.stdin.close()
-    stdout, stderr = proc.stdout.read(), proc.stderr.read()
-    assert (proc.wait(timeout=60), stdout.decode(), stderr) == (0, expected, b"")
+    argv = [sys.executable, "-m", "quadorders.cli", "report", "/dev/stdin"]
+    pipes = dict(stdin=subprocess.PIPE, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    with subprocess.Popen(argv, **pipes) as proc:
+        for start in range(0, len(data), 4099):
+            proc.stdin.write(data[start : start + 4099])
+            proc.stdin.flush()
+        proc.stdin.close()
+        stdout, stderr = proc.stdout.read(), proc.stderr.read()
+        assert (proc.wait(timeout=60), stdout.decode(), stderr) == (0, expected, b"")
 
 
 def test_resume_refuses_a_respelled_jsonl_scan(capsys, tmp_path):
@@ -428,21 +430,73 @@ def test_scan_with_a_killed_worker_fails_and_resumes(capsys, tmp_path):
     assert part.read_bytes() == full.read_bytes()
 
 
+# a --jobs 2 scan in a session of its own: worker 0, at d = 17, the first d of task 2,
+# waits until the checkpoint records tasks 0 and 1, and then SIGKILLs the whole session,
+# the parent waiting for task 2 and worker 1, whose spool holds rows
+_KILLED_SCAN = """
+import os, signal, sys, time
+from quadorders import atlas, cli
+real, ck = atlas._scan_one_d, atlas.checkpoint_path(sys.argv[-1])
+
+def killing(d, *args):
+    deadline = time.monotonic() + 30
+    while d == 17 and time.monotonic() < deadline:
+        if os.path.exists(ck) and atlas.read_checkpoint(ck).rows == 10 * 39:
+            os.killpg(0, signal.SIGKILL)
+        time.sleep(0.01)
+    return real(d, *args)
+
+atlas._scan_one_d = killing
+sys.exit(cli.main(sys.argv[1:]))
+"""
+
+
+def test_a_scan_leaves_only_its_output_and_checkpoint(capsys, monkeypatch, tmp_path):
+    # a worker's spool is unlinked from the start: after a finished, a failed (by a worker's
+    # exception) and a SIGKILLed --jobs 2 scan, each in a directory of its own, the directory
+    # holds the output and its checkpoint alone, the checkpoint after the last whole task
+    window = ("scan", "--d-min", "2", "--d-max", "60", "--n-max", "40", "--jobs", "2")
+    outs = {name: tmp_path / name / "grid.csv" for name in ("finished", "failed", "killed")}
+    for out in outs.values():
+        out.parent.mkdir()
+    assert run_cli(capsys, *window, "--out", str(outs["finished"]))[0] == 0
+    killed = [sys.executable, "-c", _KILLED_SCAN, *window, "--out", str(outs["killed"])]
+    proc = subprocess.run(killed, capture_output=True, start_new_session=True, timeout=60)
+    assert proc.returncode == -signal.SIGKILL
+    real = atlas.make_field
+
+    def make_field(d):  # d = 14 is in task 1, worker 1's first
+        if d == 14:
+            raise RuntimeError("stopped at d = 14")
+        return real(d)
+
+    monkeypatch.setattr(atlas, "make_field", make_field)
+    rc, _, err = run_cli(capsys, *window, "--out", str(outs["failed"]))
+    assert rc == 1 and err == "error: stopped at d = 14\n"
+    for name, rows in (("finished", 36 * 39), ("failed", 5 * 39), ("killed", 10 * 39)):
+        assert sorted(os.listdir(outs[name].parent)) == ["grid.csv", "grid.csv.checkpoint"], name
+        assert atlas.read_checkpoint(atlas.checkpoint_path(str(outs[name]))).rows == rows, name
+
+
 def test_refused_n_window_leaves_a_finished_scan_as_it_was(capsys, tmp_path):
     # the window is refused before --out is opened for writing or its checkpoint removed,
-    # whatever the d range: with a squarefree d in it or none, no --out is created either
+    # whatever the d range: with a squarefree d in it or none, no --out is created either;
+    # so is a d window wider than arith.WINDOW_WIDTH_MAX, before its d are listed
     out = tmp_path / "keep.csv"
-    ck = atlas.checkpoint_path(str(out))
+    ck = tmp_path / "keep.csv.checkpoint"
     assert run_cli(capsys, "scan", "--d-min", "2", "--d-max", "5", "--out", str(out),
                    "--n-max", "5")[0] == 0
-    before = out.read_bytes(), open(ck, "rb").read()
+    before = out.read_bytes(), ck.read_bytes()
     assert len(before[0]) == 347
-    window = ("--n-min", str(2**60), "--n-max", str(2**60 + 1))
-    for d_min, d_max in (("2", "5"), ("4", "4"), ("8", "9")):
+    n_window = ("--n-min", str(2**60), "--n-max", str(2**60 + 1))
+    wide_d = ("--d-min", "2", "--d-max", str(2 + WINDOW_WIDTH_MAX), "--n-max", "5")
+    for window, refusal in [(("--d-min", "2", "--d-max", "5", *n_window), "too large to sieve"),
+                            (("--d-min", "4", "--d-max", "4", *n_window), "too large to sieve"),
+                            (("--d-min", "8", "--d-max", "9", *n_window), "too large to sieve"),
+                            (wide_d, f"d window [2, {2 + WINDOW_WIDTH_MAX}] is too large to scan")]:
         for path in (out, tmp_path / "new.csv"):
-            rc, _, err = run_cli(capsys, "scan", "--d-min", d_min, "--d-max", d_max, *window,
-                                 "--out", str(path))
-            assert rc == 2 and "too large to sieve" in err, (d_min, d_max)
-        assert (out.read_bytes(), open(ck, "rb").read()) == before
+            rc, _, err = run_cli(capsys, "scan", *window, "--out", str(path))
+            assert rc == 2 and refusal in err, window
+        assert (out.read_bytes(), ck.read_bytes()) == before
         assert not (tmp_path / "new.csv").exists()
         assert not os.path.exists(atlas.checkpoint_path(str(tmp_path / "new.csv")))

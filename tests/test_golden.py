@@ -124,7 +124,7 @@ WINDOWS = {
     "field-7-wide": Window("--d-min 7 --d-max 7 --n-max 1000000", 1_000_000,
                            "b39a45166efc2490e2f3e1858cd49b45632ff993fac80db20418709e1adc7f8b", 0,
                            heavy=True),
-    # fields of 200,000 n on forked workers, sent as frames of segments; recorded while a
+    # fields of 200,000 n on forked workers, spooled in segments; recorded while a
     # task came back as one block and the parent held every block read before its turn
     "wide-jobs-2": Window("--d-min 2 --d-max 7 --n-max 200000 --jobs 2", 999_996,
                           "500320551d6b7b8ebc4dfccb0eea55574605e3db115d428bd8496235dc4dfdc6",
@@ -192,9 +192,9 @@ sys.exit(rc)
 @OPT_IN
 @pytest.mark.parametrize("name,bound_mb", [("field-7-wide", 100), ("wide-jobs-2", 50)])
 def test_scan_memory_is_bounded(tmp_path, name, bound_mb):
-    # a field is rendered in segments over half-width cofactor columns, and the parent holds
-    # a bounded number of each worker's frames: the scan and each of its workers stay
-    # under the bound (328 MB at d = 7, and 59 and 107 MB on two workers, before)
+    # a field is rendered in segments over half-width cofactor columns, and the parent copies
+    # each task out of its worker's spool a block at a time: the scan and each of its workers
+    # stay under the bound (328 MB at d = 7, and 59 and 107 MB on two workers, before)
     out = str(tmp_path / "window")
     try:
         proc = subprocess.run([sys.executable, "-c", _PEAK_RSS, "scan", *WINDOWS[name].scan.split(),

@@ -7,6 +7,7 @@ The row templates of atlas are compared with record_to_csv_row and the JSON
 encoding of record_to_json_obj, byte for byte.
 """
 
+import io
 import random
 import tracemalloc
 from array import array
@@ -23,7 +24,7 @@ from quadorders import (
     scan,
 )
 from quadorders.arith import WINDOW_WIDTH_MAX, check_window, factorize, window_plan
-from quadorders.atlas import _BOOL_FIELDS, _scan_fields, _to_json
+from quadorders.atlas import _BOOL_FIELDS, _to_json, _write_task
 from quadorders.classify import classify_field
 from test_classify import reference_record
 
@@ -147,11 +148,11 @@ def test_row_templates_render_as_the_record_helpers(fmt):
     render = record_to_csv_row if fmt == "csv" else lambda rec: _to_json(record_to_json_obj(rec))
     seen = {name: set() for name in _BOOL_FIELDS}
     for d in (-1, -3, -23, -5, 2, 5, 79, 94):
-        # 80 rows, under _SEGMENT_ROWS: one frame, carrying the task's counts
-        [(block, (last_d, rows, hfd))] = _scan_fields(([d], 1, 80, fmt, False))
-        assert last_d == d
-        lines = block.split("\n")
-        assert lines[-1] == "" and rows == len(lines) - 1 == 80
+        # a task of one field, 80 rows, with its hfd count
+        buf = io.BytesIO()
+        hfd = _write_task(([d], 1, 80, fmt, False), buf)
+        lines = buf.getvalue().decode().split("\n")
+        assert lines[-1] == "" and len(lines) - 1 == 80
         recs = [reference_record(d, n) for n in range(1, 81)]
         assert lines[:-1] == [render(rec) for rec in recs]
         assert hfd == sum(rec.hfd for rec in recs[1:])
