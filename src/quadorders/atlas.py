@@ -9,10 +9,11 @@ an unlinked file in the output's directory, and the parent copies each task out 
 spool in task order, so the output is independent of the worker count.  Every worker
 is killed and waited for when the scan ends, however it ends, and no spool outlives it.
 A task sets each of its fields up once, takes its cells from classify_field (and under
---verify checks them with one field_oracle per field, building no record), and renders
-them through one row template per field, with d, D and h_maximal in place, in segments of
-at most _SEGMENT_ROWS rows, so the rows a process holds are bounded by the segment,
-whatever the width of its n window; a spool keeps its rows on disk until the scan ends.
+--verify checks each by oracle_verdicts, which keeps its enumerations by ring for the life
+of the process, building no record), and renders them through one row template per field,
+with d, D and h_maximal in place, in segments of at most _SEGMENT_ROWS rows, so the rows a
+process holds are bounded by the segment, whatever the width of its n window; a spool
+keeps its rows on disk until the scan ends.
 On an exception the file is cut back to its last checkpoint.
 report and scan --resume read a scan file through one reader, _scan_file: it checks
 64 KiB blocks of whole lines by one regex search from line end to line end, built from
@@ -38,7 +39,7 @@ from typing import BinaryIO, Callable, Iterator, NoReturn
 from .arith import InternalConsistencyError, check_window, window_plan
 from .classgroup import class_number
 from .classify import ClassificationRecord, classify_field
-from .oracle import field_oracle
+from .oracle import oracle_verdicts
 from .pell import FundamentalUnit, fundamental_unit
 from .quadfield import FieldContext, make_field
 
@@ -118,13 +119,12 @@ def record_to_json_obj(rec: tuple) -> dict:
 
 
 def _verified(F: FieldContext, U: FundamentalUnit, cells: Iterator[tuple]) -> Iterator[tuple]:
-    """cells, each checked by the brute oracles where they have a value (--verify), through
-    one field_oracle for the field; each verdict is matched to the cell's flag by name."""
-    verdicts = field_oracle(F, U)
+    """cells, each checked by the brute oracles where they have a value (--verify), through one
+    oracle_verdicts a cell; each verdict is matched to the cell's flag by name."""
     for cell in cells:
         n, _, _, ip, la, assoc = cell[:6]
         flags = {"locally_associated": la, "ideal_preserving": ip, "associated": assoc}
-        for name, got in verdicts(n).items():
+        for name, got in oracle_verdicts(F, U, n).items():
             if got is not None and got != flags[name]:
                 raise ScanVerificationError(
                     f"{name} mismatch at d={F.d}, n={n}: closed-form {flags[name]}, oracle {got}"

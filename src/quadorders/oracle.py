@@ -19,21 +19,25 @@ P^2 = (p^2) when P = (p) is inert and outside every prime over another rational
 prime.  An excluded ideal's image in O_K/(M) is read through the Hermite form
 (d1, c, d2) of the lattice spanned by its generators, their omega-multiples and
 M*Z^2: (A, B) lies in it iff d2 | B and d1 | A - (B/d2)*c.  Moduli are capped
-(default 200) since the scans are quadratic.  field_oracle(F, U) gives one
-field's verdicts(n) and holds their range: no value at n = 1 (O_K, no quotient)
-or past the cap.  For the life of the field it keeps what does not depend on n,
-each enumerated on its first touch: the unit count of each O_K/(p^a), the roots
-of omega mod each p, and each ideal test's outcome under (P, Q, gcd(n, p^2)),
-all that the test reads of n; so the cap bounds it.  The walk over u stays per
-n.  oracle_verdicts is its window of one n; the brute_* functions keep nothing
-between calls.  Only ring arithmetic and factorization are shared with the fast
-path (qi_mul, qi_norm, factorize, the roots of omega's minimal polynomial),
-never m, L or the field character (D/p).
+(default 200) since the scans are quadratic.  oracle_verdicts(F, U, n) gives each
+oracle's verdict at one cell, none at n = 1 (O_K, no quotient) or past the cap.  What
+it enumerates depends on a ring, not on the field, so four tables keep it for the
+life of the process, each entry made on its first touch; (q, half, t mod q) fixes
+O_K/(q) = Z[x]/(q, x^2 - half*x - t).  _UNIT_COUNTS: |U(O_K/(q))| under that key, at
+most 2q for each of the 60 prime powers q <= 200, 10,170 in all.  _ROOTS: the roots of
+omega mod p under (p, half, t mod p), for p <= 13 (p^2 within the cap), 82 in all.
+_IDEAL_OUTCOMES: each ideal test's outcome under (P, Q, gcd(n, p^2), half, t mod p^2),
+all that its Hermite form and witness scan read, at most 8 for each p <= 13, half and
+residue t mod p^2, 6,032 in all.  _SPLITS: the residues mod n prime to n and the
+others, for each n <= 200, 199 in all.  The walk over u stays per cell; brute_* and
+quotient_unit_count give each call fresh tables.  Only ring arithmetic and
+factorization are shared with the fast path (qi_mul, qi_norm, factorize, the roots of
+omega's minimal polynomial), never m, L or the field character (D/p).
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterator
+from collections.abc import Iterator
 from contextlib import suppress
 from math import gcd
 
@@ -42,6 +46,11 @@ from .pell import FundamentalUnit
 from .quadfield import QI, FieldContext, omega_roots, qi_mul, qi_norm
 
 DEFAULT_ENUM_BOUND = 200
+
+_UNIT_COUNTS: dict[tuple, int] = {}
+_ROOTS: dict[tuple, tuple[int, ...]] = {}
+_IDEAL_OUTCOMES: dict[tuple, bool] = {}
+_SPLITS: dict[int, tuple[list[int], list[int]]] = {}
 
 
 class OracleBoundError(ValueError):
@@ -66,16 +75,17 @@ def _units(F: FieldContext, M: int, bound: int) -> list[int]:
     return [a * M + b for b, Bb, Cb in rows for a in range(M) if unit[(a * (a + Bb) + Cb) % M]]
 
 
-def _unit_count(F: FieldContext, M: int, bound: int, counts: dict[int, int]) -> int:
-    """|U(O_K/(M))| as the product over p^a || M of |U(O_K/(p^a))|, each enumerated on its
-    first touch and kept in counts under p^a: O_K/(M) is the product of the O_K/(p^a) by the
-    Chinese remainder theorem."""
+def _unit_count(F: FieldContext, M: int, bound: int, counts: dict[tuple, int]) -> int:
+    """|U(O_K/(M))| as the product over q = p^a || M of |U(O_K/(q))|, each enumerated on its
+    first touch and kept in counts under (q, half, t mod q), which fix O_K/(q): O_K/(M) is the
+    product of the O_K/(q) by the Chinese remainder theorem."""
     _check_modulus(M, bound)
     total = 1
     for p, a in factorize(M):
-        if p**a not in counts:
-            counts[p**a] = len(_units(F, p**a, bound))
-        total *= counts[p**a]
+        key = (p**a, F.half, F.t % p**a)
+        if key not in counts:
+            counts[key] = len(_units(F, p**a, bound))
+        total *= counts[key]
     return total
 
 
@@ -84,16 +94,19 @@ def quotient_unit_count(F: FieldContext, M: int, bound: int = DEFAULT_ENUM_BOUND
     return _unit_count(F, M, bound, {})
 
 
-def _unit_cosets(F: FieldContext, U: FundamentalUnit, n: int, bound: int) -> tuple[int, int]:
+def _unit_cosets(
+    F: FieldContext, U: FundamentalUnit, n: int, bound: int, splits: dict[int, tuple]
+) -> tuple[int, int]:
     """(|(Z/n)^* <u>|, |(Z/n) <u>|) by one walk over u^k mod n, k >= 0 up to the first rational
     u^k = c: c^2 = N(u)^k = +-1 makes c a unit, so z*c runs over the z of the k = 0 step.
     Each z*u^k, coded as _units codes it, goes to the unit multiples for z prime to n and to
-    the others for the rest; a unit z keeps a unit and a non-unit z a non-unit, so the two
-    sets are disjoint.  A rational z scales both coordinates: z*(a, b) = (z*a, z*b)."""
+    the others for the rest, split once and kept in splits under n; z*u^k is a unit iff z is,
+    so the two sets are disjoint.  A rational z scales both coordinates: z*(a, b) = (z*a, z*b)."""
     _check_modulus(n, bound)
+    if n not in splits:
+        splits[n] = [z for z in range(n) if gcd(z, n) == 1], [z for z in range(n) if gcd(z, n) > 1]
+    rational_units, rational_others = splits[n]
     u = (U.u[0] % n, U.u[1] % n)
-    rational_units = [z for z in range(n) if gcd(z, n) == 1]
-    rational_others = [z for z in range(n) if gcd(z, n) != 1]
     unit_multiples: set[int] = set()
     other_multiples: set[int] = set()
     a, b = 1 % n, 0
@@ -111,14 +124,14 @@ def brute_locally_associated(
 ) -> bool:
     """True iff every unit of O_K/(n) is a rational unit times a power of u: (Z/n)^* <u> lies
     in U(O_K/(n)), so equal sizes mean equal sets."""
-    return _unit_cosets(F, U, n, bound)[0] == quotient_unit_count(F, n, bound)
+    return _unit_cosets(F, U, n, bound, {})[0] == quotient_unit_count(F, n, bound)
 
 
 def brute_associated(
     F: FieldContext, U: FundamentalUnit, n: int, bound: int = DEFAULT_ENUM_BOUND
 ) -> bool:
     """True iff every element of O_K/(n) is a rational integer times a power of u."""
-    return _unit_cosets(F, U, n, bound)[1] == n * n
+    return _unit_cosets(F, U, n, bound, {})[1] == n * n
 
 
 def _ideal_lattice(F: FieldContext, gens: list[QI], M: int) -> tuple[int, int, int]:
@@ -138,19 +151,19 @@ def _ideal_lattice(F: FieldContext, gens: list[QI], M: int) -> tuple[int, int, i
 
 
 def _ideal_pairs(
-    F: FieldContext, n: int, bound: int, roots: dict[int, list[int]]
+    F: FieldContext, n: int, bound: int, roots: dict[tuple, tuple[int, ...]]
 ) -> Iterator[tuple[tuple, tuple]]:
     """(P, P) for each prime ideal P = (p, omega - r) over a root r of omega mod p | n, then
-    (P, P') for the two primes over each split p.  Each p^2 meets the bound before
-    omega_roots, which scans all of range(p), runs on p (once, kept in roots under p): a
-    large p fails at once, after the smaller p's tests.  A split p passes its P^2 tests, so
-    its pairs wait for every p^2."""
+    (P, P') for the two primes over each split p.  Each p^2 meets the bound before omega_roots,
+    which scans all of range(p), runs on p (once, kept in roots under (p, half, t mod p)): a
+    large p fails at once, after the smaller p's tests.  Split pairs wait for every p^2."""
     pairs = []
     for p, _ in factorize(n):
         _check_modulus(p * p, bound)
-        if p not in roots:
-            roots[p] = omega_roots(F, p)
-        primes = [(p, r) for r in roots[p]]
+        key = (p, F.half, F.t % p)
+        if key not in roots:
+            roots[key] = omega_roots(F, p)
+        primes = [(p, r) for r in roots[key]]
         yield from ((P, P) for P in primes)
         pairs += [(P, Q) for P in primes for Q in primes if Q != P]
     yield from pairs
@@ -170,14 +183,14 @@ def _witness_exists(n: int, M: int, P: tuple[int, int], excluded: tuple[int, int
 
 
 def _ideal_preserving(
-    F: FieldContext, n: int, bound: int, roots: dict[int, list[int]], outcomes: dict[tuple, bool]
+    F: FieldContext, n: int, bound: int, roots: dict[tuple, tuple], outcomes: dict[tuple, bool]
 ) -> bool:
-    """The tests of _ideal_pairs in order, False at the first that finds no witness.  Each
-    test's outcome is scanned on its first touch and kept in outcomes under (P, Q, gcd(n, p^2)):
-    the Hermite form reads P, Q and p^2, and the witness scan reads n only through its step."""
+    """The tests of _ideal_pairs in order, False at the first that finds no witness.  Each test's
+    outcome is scanned on its first touch and kept in outcomes under (P, Q, gcd(n, p^2), half,
+    t mod p^2): the witness scan reads n only through its step, the Hermite form omega mod p^2."""
     for P, Q in _ideal_pairs(F, n, bound, roots):
         M = P[0] * P[0]
-        key = (P, Q, gcd(n, M))
+        key = (P, Q, gcd(n, M), F.half, F.t % M)
         if key not in outcomes:
             gens = [(Q[0], 0), (-Q[1], 1)]
             if Q == P:  # P^2 is generated by the products of P's generators
@@ -202,31 +215,18 @@ def brute_ideal_preserving(F: FieldContext, n: int, bound: int = DEFAULT_ENUM_BO
     return _ideal_preserving(F, n, bound, {}, {})
 
 
-def field_oracle(F: FieldContext, U: FundamentalUnit) -> Callable[[int], dict[str, bool | None]]:
-    """verdicts(n): each oracle's flag at index n of the field, by name in a fixed order; None
-    at n = 1 or past its bound.  For the life of the field it keeps the unit count of each
-    O_K/(p^a), the roots of omega mod each p and each ideal test's outcome; one walk over the
-    powers of u mod n gives both unit verdicts of each n."""
-    counts: dict[int, int] = {}
-    roots: dict[int, list[int]] = {}
-    outcomes: dict[tuple, bool] = {}
-
-    def verdicts(n: int) -> dict[str, bool | None]:
-        la: bool | None = None
-        ip: bool | None = None
-        assoc: bool | None = None
-        if 1 < n <= DEFAULT_ENUM_BOUND:
-            unit_multiples, multiples = _unit_cosets(F, U, n, DEFAULT_ENUM_BOUND)
-            la = unit_multiples == _unit_count(F, n, DEFAULT_ENUM_BOUND, counts)
-            assoc = multiples == n * n
-        if n > 1:
-            with suppress(OracleBoundError):
-                ip = _ideal_preserving(F, n, DEFAULT_ENUM_BOUND, roots, outcomes)
-        return {"locally_associated": la, "ideal_preserving": ip, "associated": assoc}
-
-    return verdicts
-
-
 def oracle_verdicts(F: FieldContext, U: FundamentalUnit, n: int) -> dict[str, bool | None]:
-    """field_oracle's window of one n."""
-    return field_oracle(F, U)(n)
+    """Each oracle's flag at index n of the field, by name in a fixed order; None at n = 1 or
+    past its bound.  The enumerations are read from the process's tables, and one walk over
+    the powers of u mod n gives both unit verdicts."""
+    la: bool | None = None
+    ip: bool | None = None
+    assoc: bool | None = None
+    if 1 < n <= DEFAULT_ENUM_BOUND:
+        unit_multiples, multiples = _unit_cosets(F, U, n, DEFAULT_ENUM_BOUND, _SPLITS)
+        la = unit_multiples == _unit_count(F, n, DEFAULT_ENUM_BOUND, _UNIT_COUNTS)
+        assoc = multiples == n * n
+    if n > 1:
+        with suppress(OracleBoundError):
+            ip = _ideal_preserving(F, n, DEFAULT_ENUM_BOUND, _ROOTS, _IDEAL_OUTCOMES)
+    return {"locally_associated": la, "ideal_preserving": ip, "associated": assoc}

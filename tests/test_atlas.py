@@ -1,4 +1,3 @@
-import inspect
 import json
 import os
 import random
@@ -125,14 +124,12 @@ def test_scan_starts_no_more_workers_than_fields(tmp_path, monkeypatch):
 
 
 def wrap_verdicts(monkeypatch, change):
-    """Pass each verdict dict that atlas reads (from its field_oracle) and cli reads (from
-    oracle_verdicts) through change."""
-    def field(F, U):
-        verdicts = oracle.field_oracle(F, U)
-        return lambda n: change(verdicts(n))
+    """Pass each verdict dict that atlas and cli read (from oracle_verdicts) through change."""
+    def changed(F, U, n):
+        return change(oracle.oracle_verdicts(F, U, n))
 
-    monkeypatch.setattr(atlas, "field_oracle", field)
-    monkeypatch.setattr(cli, "oracle_verdicts", lambda F, U, n: change(oracle.oracle_verdicts(F, U, n)))
+    monkeypatch.setattr(atlas, "oracle_verdicts", changed)
+    monkeypatch.setattr(cli, "oracle_verdicts", changed)
 
 
 def flip_associated(monkeypatch):
@@ -499,25 +496,23 @@ def test_scan_sets_each_field_up_once(tmp_path):
         assert [a.hits + a.misses - b.hits - b.misses for a, b in zip(after, before)] == [k] * 3
 
 
-def test_verify_builds_one_oracle_context_per_field(tmp_path, monkeypatch):
-    # tasks of several fields each, and one field_oracle per d, in d order, for the whole of
-    # the field's n; a scan without --verify builds none
-    built = []
+def test_verify_asks_the_oracles_once_per_cell(tmp_path, monkeypatch):
+    # tasks of several fields each, and one oracle_verdicts per cell, in (d, n) order; a scan
+    # without --verify asks none
+    asked = []
 
-    def spy(F, U):
-        built.append(F.d)
-        return oracle.field_oracle(F, U)
+    def spy(F, U, n):
+        asked.append((F.d, n))
+        return oracle.oracle_verdicts(F, U, n)
 
-    monkeypatch.setattr(atlas, "field_oracle", spy)
+    monkeypatch.setattr(atlas, "oracle_verdicts", spy)
     window = dict(d_min=-7, d_max=7, n_min=1, n_max=12, jobs=1)
     scan(ScanConfig(out=str(tmp_path / "plain.csv"), **window))
-    assert built == []
+    assert asked == []
     written = spy_checkpoints(monkeypatch)
     scan(ScanConfig(out=str(tmp_path / "checked.csv"), verify=True, **window))
     ds = atlas._squarefree_range(-7, 7)
-    assert built == ds and len(written) < len(ds)
-    # the oracles keep no process cache: their state lives in each field's context
-    assert "lru_cache" not in inspect.getsource(oracle)
+    assert asked == [(d, n) for d in ds for n in range(1, 13)] and len(written) < len(ds)
 
 
 def test_verdicts_are_matched_to_flags_by_name(tmp_path, monkeypatch):

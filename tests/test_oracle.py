@@ -1,10 +1,11 @@
 import hashlib
+import inspect
 from math import gcd
 
 import pytest
 
 from quadorders import ScanConfig, ScanVerificationError, oracle, scan
-from quadorders.arith import InternalConsistencyError, factorize, is_squarefree
+from quadorders.arith import InternalConsistencyError, factorize, is_prime, is_squarefree
 from quadorders.classify import OrderSpec, classify_order
 from quadorders.oracle import (
     OracleBoundError,
@@ -14,7 +15,6 @@ from quadorders.oracle import (
     brute_associated,
     brute_ideal_preserving,
     brute_locally_associated,
-    field_oracle,
     oracle_verdicts,
     quotient_unit_count,
 )
@@ -135,58 +135,101 @@ def test_oracle_verdicts_match_the_reference_oracles():
     assert cells == 7139
 
 
-def test_field_oracle_matches_oracle_verdicts_per_cell():
-    # one context per field, walked over n = 2..60, against a fresh context per cell, on
-    # every cell of squarefree |d| <= 100, each None included
-    cells = 0
-    for d in range(-100, 101):
-        if d in (0, 1) or not is_squarefree(d):
-            continue
-        F = make_field(d)
-        U = fundamental_unit(F)
-        verdicts = field_oracle(F, U)
+def test_shared_tables_match_fresh_tables_per_cell(fresh_oracle_tables):
+    # every cell of squarefree |d| <= 100, 2 <= n <= 60, each None included: the verdicts
+    # read from tables shared across all fields, visited in d order and again in reverse d
+    # order, are those of fresh tables per cell
+    ds = [d for d in range(-100, 101) if d not in (0, 1) and is_squarefree(d)]
+    fields = [(F, fundamental_unit(F)) for F in map(make_field, ds)]
+    cold = {}
+    for F, U in fields:
         for n in range(2, 61):
-            assert verdicts(n) == oracle_verdicts(F, U, n), (d, n)
-            cells += 1
-    assert cells == 7139
+            fresh_oracle_tables()
+            cold[F.d, n] = oracle_verdicts(F, U, n)
+    assert len(cold) == 7139
+    for order in (fields, fields[::-1]):
+        fresh_oracle_tables()
+        for F, U in order:
+            for n in range(2, 61):
+                assert oracle_verdicts(F, U, n) == cold[F.d, n], (F.d, n)
 
 
-def test_field_oracle_runs_each_enumeration_once(monkeypatch):
-    # over one field's n = 2..200, each O_K/(p^a) is enumerated, each p scanned for roots
-    # and each ideal test (P, Q, gcd(n, p^2)) scanned once; brute_* keep nothing between calls
+def test_each_ring_is_enumerated_once_per_process(monkeypatch):
+    # over n = 2..200 of several fields, each O_K/(q) is enumerated, each p scanned for roots
+    # and each ideal test scanned once per ring, (q, half, t mod q), across the fields: d = 2
+    # and d = -5 share O_K/(7), as 2 = -5 (mod 7), so the second enumerates no O_K/(7).
+    # brute_* keep nothing between calls.
     calls = []
     units, roots, witness = oracle._units, oracle.omega_roots, oracle._witness_exists
 
     def spy_units(F, M, bound):
-        calls.append(("units", M))
+        calls.append(("units", M, F.half, F.t % M))
         return units(F, M, bound)
 
     def spy_roots(F, p):
-        calls.append(("roots", p))
+        calls.append(("roots", p, F.half, F.t % p))
         return roots(F, p)
 
     def spy_witness(n, M, P, excluded):
-        calls.append(("witness", gcd(n, M), M, P, excluded))
+        # the ideal test's ring is the field's under test
+        calls.append(("witness", gcd(n, M), P, excluded, M, F.half, F.t % M))
         return witness(n, M, P, excluded)
 
     monkeypatch.setattr(oracle, "_units", spy_units)
     monkeypatch.setattr(oracle, "omega_roots", spy_roots)
     monkeypatch.setattr(oracle, "_witness_exists", spy_witness)
-    for d in (2, -5, 17, -3):
-        F = make_field(d)
-        verdicts = field_oracle(F, fundamental_unit(F))
-        calls.clear()
+    prime_powers = {p**a for n in range(2, DEFAULT_ENUM_BOUND + 1) for p, a in factorize(n)}
+    fields = [make_field(d) for d in (2, -5, 17, -3, 10)]
+    per_field = {}
+    for F in fields:
+        U = fundamental_unit(F)
+        start = len(calls)
         for n in range(2, DEFAULT_ENUM_BOUND + 1):
-            verdicts(n)
-        assert len(calls) == len(set(calls)), d
-        assert {c[1] for c in calls if c[0] == "units"} == {
-            p**a for n in range(2, DEFAULT_ENUM_BOUND + 1) for p, a in factorize(n)}, d
+            oracle_verdicts(F, U, n)
+        per_field[F.d] = calls[start:]
+    assert len(calls) == len(set(calls))
+    assert {c[1:] for c in calls if c[0] == "units"} == {
+        (q, F.half, F.t % q) for F in fields for q in prime_powers}
+    assert ("units", 7, 0, 2) in per_field[2]
+    assert [c for c in per_field[-5] if c[:2] == ("units", 7)] == []
+    for F in fields:
         calls.clear()
         brute_ideal_preserving(F, 6)
         brute_ideal_preserving(F, 6)
         quotient_unit_count(F, 6)
         quotient_unit_count(F, 6)
-        assert len(calls) == 2 * len(set(calls)), d
+        assert calls and len(calls) == 2 * len(set(calls)), F.d
+
+
+def test_oracle_tables_stay_within_their_stated_bounds():
+    # n = 2..200 over fields of both signs: each key's modulus is within the enumeration
+    # bound, and each table within the bound that oracle.py's docstring states, worked out
+    # here from the prime powers up to the bound; the oracles keep no lru_cache
+    B = DEFAULT_ENUM_BOUND
+    for d in (2, 3, 5, 17, 94, -1, -2, -3, -5, -7, -94):
+        F = make_field(d)
+        U = fundamental_unit(F)
+        for n in range(2, B + 1):
+            oracle_verdicts(F, U, n)
+    prime_powers = [q for q in range(2, B + 1) if len(factorize(q)) == 1]
+    ideal_primes = [p for p in range(2, B + 1) if is_prime(p) and p * p <= B]
+    assert len(prime_powers) == 60 and ideal_primes == [2, 3, 5, 7, 11, 13]
+    bounds = {
+        # a key (q, half, t mod q) for each q, half in (0, 1) and t mod q
+        "_UNIT_COUNTS": 2 * sum(prime_powers),
+        "_ROOTS": 2 * sum(ideal_primes),
+        # at most 4 pairs (P, Q) over p and 2 values of gcd(n, p^2), each half and t mod p^2
+        "_IDEAL_OUTCOMES": 8 * 2 * sum(p * p for p in ideal_primes),
+        "_SPLITS": B - 1,
+    }
+    for name, bound in bounds.items():
+        assert 0 < len(getattr(oracle, name)) <= bound, name
+        assert f"{bound:,} in all" in oracle.__doc__, name
+    assert max(q for q, _, _ in oracle._UNIT_COUNTS) <= B
+    assert max(p * p for p, _, _ in oracle._ROOTS) <= B
+    assert max(P[0] * P[0] for P, *_ in oracle._IDEAL_OUTCOMES) <= B
+    assert max(oracle._SPLITS) <= B
+    assert "lru_cache" not in inspect.getsource(oracle)
 
 
 def test_quotient_unit_count_fixtures():
@@ -272,8 +315,8 @@ def test_walk_without_non_unit_multipliers_fails_the_verified_scan(tmp_path, mon
     # (Z/n)^*<u>, which misses 0, so no n is associated
     walk = oracle._unit_cosets
 
-    def units_only(F, U, n, bound):
-        unit_multiples, _ = walk(F, U, n, bound)
+    def units_only(F, U, n, bound, splits):
+        unit_multiples, _ = walk(F, U, n, bound, splits)
         return unit_multiples, unit_multiples
 
     monkeypatch.setattr(oracle, "_unit_cosets", units_only)
