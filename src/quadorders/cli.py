@@ -16,7 +16,7 @@ from .atlas import (_FLAG_WORDS, ScanConfig, ScanFileError, _to_json, record_to_
                     report_hfd, scan)
 from .classgroup import class_number
 from .classify import OrderSpec, classify_order
-from .oracle import oracle_verdicts
+from .oracle import DEFAULT_ENUM_BOUND, oracle_verdicts
 from .pell import FundamentalUnit, fundamental_unit, verify_unit
 from .quadfield import FieldContext, make_field, unit_xy
 from .unitindex import l_value
@@ -99,7 +99,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     if skipped:
         raise ValueError(
             f"n={rec.n} is outside the range of the oracle(s) {', '.join(skipped)}, which "
-            f"enumerate O_K/(M) for 2 <= M <= their enumeration bound"
+            f"enumerate O_K/(M) for 2 <= M <= {DEFAULT_ENUM_BOUND}, the enumeration bound"
         )
     names = ("locally_associated", "ideal_preserving", "associated")
     bla, bip, bassoc = (verdicts[name] for name in names)

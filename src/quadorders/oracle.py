@@ -18,21 +18,21 @@ prime P' over a split p.  The rest hold by x = p, in R and in P, outside
 P^2 = (p^2) when P = (p) is inert and outside every prime over another rational
 prime.  An excluded ideal's image in O_K/(M) is read through the Hermite form
 (d1, c, d2) of the lattice spanned by its generators, their omega-multiples and
-M*Z^2: (A, B) lies in it iff d2 | B and d1 | A - (B/d2)*c.  Moduli are capped
-(default 200) since the scans are quadratic.  oracle_verdicts(F, U, n) gives each
-oracle's verdict at one cell, none at n = 1 (O_K, no quotient) or past the cap.  What
-it enumerates depends on a ring, not on the field, so four tables keep it for the
-life of the process, each entry made on its first touch; (q, half, t mod q) fixes
-O_K/(q) = Z[x]/(q, x^2 - half*x - t).  _UNIT_COUNTS: |U(O_K/(q))| under that key, at
-most 2q for each of the 60 prime powers q <= 200, 10,170 in all.  _ROOTS: the roots of
-omega mod p under (p, half, t mod p), for p <= 13 (p^2 within the cap), 82 in all.
-_IDEAL_OUTCOMES: each ideal test's outcome under (P, Q, gcd(n, p^2), half, t mod p^2),
-all that its Hermite form and witness scan read, at most 8 for each p <= 13, half and
-residue t mod p^2, 6,032 in all.  _SPLITS: the residues mod n prime to n and the
-others, for each n <= 200, 199 in all.  The walk over u stays per cell; brute_* and
-quotient_unit_count give each call fresh tables.  Only ring arithmetic and
-factorization are shared with the fast path (qi_mul, qi_norm, factorize, the roots of
-omega's minimal polynomial), never m, L or the field character (D/p).
+M*Z^2: (A, B) lies in it iff d2 | B and d1 | A - (B/d2)*c.  Every modulus is capped at
+DEFAULT_ENUM_BOUND = 200, since the scans are quadratic.  oracle_verdicts(F, U, n) gives
+each oracle's verdict at one cell, none at n = 1 (O_K, no quotient) or past the cap; the
+public oracles refuse n < 2.  What they enumerate depends on a ring, not on the field, so
+every entry point reads and fills four tables kept for the life of the process, each entry
+made on its first touch; (q, half, t mod q) fixes O_K/(q) = Z[x]/(q, x^2 - half*x - t).
+_UNIT_COUNTS: |U(O_K/(q))| under that key, at most 2q for each of the 60 prime powers
+q <= 200, 10,170 in all.  _ROOTS: the roots of omega mod p under (p, half, t mod p), for
+p <= 13 (p^2 within the cap), 82 in all.  _IDEAL_OUTCOMES: each ideal test's outcome under
+(P, Q, gcd(n, p^2), half, t mod p^2), all that its Hermite form and witness scan read, at
+most 8 for each p <= 13, half and residue t mod p^2, 6,032 in all.  _SPLITS: the residues
+mod n prime to n and the others, for each n <= 200, 199 in all.  The walk over u stays per
+call.  Only ring arithmetic and factorization are shared with the fast path (qi_mul,
+qi_norm, factorize, the roots of omega's minimal polynomial), never m, L or the field
+character (D/p).
 """
 
 from __future__ import annotations
@@ -54,20 +54,20 @@ _SPLITS: dict[int, tuple[list[int], list[int]]] = {}
 
 
 class OracleBoundError(ValueError):
-    """The requested enumeration modulus exceeds the configured cap."""
+    """The requested enumeration modulus exceeds the cap, DEFAULT_ENUM_BOUND."""
 
 
-def _check_modulus(M: int, bound: int) -> None:
+def _check_modulus(M: int) -> None:
     if M < 2:
         raise ValueError(f"oracle modulus must be >= 2, got {M}")
-    if M > bound:
-        raise OracleBoundError(f"modulus {M} exceeds enumeration bound {bound}")
+    if M > DEFAULT_ENUM_BOUND:
+        raise OracleBoundError(f"modulus {M} exceeds enumeration bound {DEFAULT_ENUM_BOUND}")
 
 
-def _units(F: FieldContext, M: int, bound: int) -> list[int]:
+def _units(F: FieldContext, M: int) -> list[int]:
     """The units of O_K/(M), each a + b*omega with 0 <= a, b < M coded as the int a*M + b,
     found one row of b at a time by the norm form N(a, b) = a^2 + B*ab + C*b^2."""
-    _check_modulus(M, bound)
+    _check_modulus(M)
     C = qi_norm(F, (0, 1))
     B = qi_norm(F, (1, 1)) - 1 - C
     unit = bytes(gcd(k, M) == 1 for k in range(M))
@@ -75,37 +75,30 @@ def _units(F: FieldContext, M: int, bound: int) -> list[int]:
     return [a * M + b for b, Bb, Cb in rows for a in range(M) if unit[(a * (a + Bb) + Cb) % M]]
 
 
-def _unit_count(F: FieldContext, M: int, bound: int, counts: dict[tuple, int]) -> int:
+def quotient_unit_count(F: FieldContext, M: int) -> int:
     """|U(O_K/(M))| as the product over q = p^a || M of |U(O_K/(q))|, each enumerated on its
-    first touch and kept in counts under (q, half, t mod q), which fix O_K/(q): O_K/(M) is the
-    product of the O_K/(q) by the Chinese remainder theorem."""
-    _check_modulus(M, bound)
+    first touch and kept in _UNIT_COUNTS under (q, half, t mod q), which fix O_K/(q): O_K/(M)
+    is the product of the O_K/(q) by the Chinese remainder theorem."""
+    _check_modulus(M)
     total = 1
     for p, a in factorize(M):
         key = (p**a, F.half, F.t % p**a)
-        if key not in counts:
-            counts[key] = len(_units(F, p**a, bound))
-        total *= counts[key]
+        if key not in _UNIT_COUNTS:
+            _UNIT_COUNTS[key] = len(_units(F, p**a))
+        total *= _UNIT_COUNTS[key]
     return total
 
 
-def quotient_unit_count(F: FieldContext, M: int, bound: int = DEFAULT_ENUM_BOUND) -> int:
-    """|U(O_K/(M))|, each O_K/(p^a) with p^a || M enumerated afresh."""
-    return _unit_count(F, M, bound, {})
-
-
-def _unit_cosets(
-    F: FieldContext, U: FundamentalUnit, n: int, bound: int, splits: dict[int, tuple]
-) -> tuple[int, int]:
+def _unit_cosets(F: FieldContext, U: FundamentalUnit, n: int) -> tuple[int, int]:
     """(|(Z/n)^* <u>|, |(Z/n) <u>|) by one walk over u^k mod n, k >= 0 up to the first rational
     u^k = c: c^2 = N(u)^k = +-1 makes c a unit, so z*c runs over the z of the k = 0 step.
     Each z*u^k, coded as _units codes it, goes to the unit multiples for z prime to n and to
-    the others for the rest, split once and kept in splits under n; z*u^k is a unit iff z is,
+    the others for the rest, split once and kept in _SPLITS under n; z*u^k is a unit iff z is,
     so the two sets are disjoint.  A rational z scales both coordinates: z*(a, b) = (z*a, z*b)."""
-    _check_modulus(n, bound)
-    if n not in splits:
-        splits[n] = [z for z in range(n) if gcd(z, n) == 1], [z for z in range(n) if gcd(z, n) > 1]
-    rational_units, rational_others = splits[n]
+    _check_modulus(n)
+    if n not in _SPLITS:
+        _SPLITS[n] = [z for z in range(n) if gcd(z, n) == 1], [z for z in range(n) if gcd(z, n) > 1]
+    rational_units, rational_others = _SPLITS[n]
     u = (U.u[0] % n, U.u[1] % n)
     unit_multiples: set[int] = set()
     other_multiples: set[int] = set()
@@ -119,19 +112,15 @@ def _unit_cosets(
     raise InternalConsistencyError(f"powers of the unit mod {n} never re-entered Z")
 
 
-def brute_locally_associated(
-    F: FieldContext, U: FundamentalUnit, n: int, bound: int = DEFAULT_ENUM_BOUND
-) -> bool:
+def brute_locally_associated(F: FieldContext, U: FundamentalUnit, n: int) -> bool:
     """True iff every unit of O_K/(n) is a rational unit times a power of u: (Z/n)^* <u> lies
     in U(O_K/(n)), so equal sizes mean equal sets."""
-    return _unit_cosets(F, U, n, bound, {})[0] == quotient_unit_count(F, n, bound)
+    return _unit_cosets(F, U, n)[0] == quotient_unit_count(F, n)
 
 
-def brute_associated(
-    F: FieldContext, U: FundamentalUnit, n: int, bound: int = DEFAULT_ENUM_BOUND
-) -> bool:
+def brute_associated(F: FieldContext, U: FundamentalUnit, n: int) -> bool:
     """True iff every element of O_K/(n) is a rational integer times a power of u."""
-    return _unit_cosets(F, U, n, bound, {})[1] == n * n
+    return _unit_cosets(F, U, n)[1] == n * n
 
 
 def _ideal_lattice(F: FieldContext, gens: list[QI], M: int) -> tuple[int, int, int]:
@@ -150,20 +139,18 @@ def _ideal_lattice(F: FieldContext, gens: list[QI], M: int) -> tuple[int, int, i
     return d1, c % d1, d2
 
 
-def _ideal_pairs(
-    F: FieldContext, n: int, bound: int, roots: dict[tuple, tuple[int, ...]]
-) -> Iterator[tuple[tuple, tuple]]:
+def _ideal_pairs(F: FieldContext, n: int) -> Iterator[tuple[tuple, tuple]]:
     """(P, P) for each prime ideal P = (p, omega - r) over a root r of omega mod p | n, then
     (P, P') for the two primes over each split p.  Each p^2 meets the bound before omega_roots,
-    which scans all of range(p), runs on p (once, kept in roots under (p, half, t mod p)): a
+    which scans all of range(p), runs on p (once, kept in _ROOTS under (p, half, t mod p)): a
     large p fails at once, after the smaller p's tests.  Split pairs wait for every p^2."""
     pairs = []
     for p, _ in factorize(n):
-        _check_modulus(p * p, bound)
+        _check_modulus(p * p)
         key = (p, F.half, F.t % p)
-        if key not in roots:
-            roots[key] = omega_roots(F, p)
-        primes = [(p, r) for r in roots[key]]
+        if key not in _ROOTS:
+            _ROOTS[key] = omega_roots(F, p)
+        primes = [(p, r) for r in _ROOTS[key]]
         yield from ((P, P) for P in primes)
         pairs += [(P, Q) for P in primes for Q in primes if Q != P]
     yield from pairs
@@ -182,26 +169,7 @@ def _witness_exists(n: int, M: int, P: tuple[int, int], excluded: tuple[int, int
     return False
 
 
-def _ideal_preserving(
-    F: FieldContext, n: int, bound: int, roots: dict[tuple, tuple], outcomes: dict[tuple, bool]
-) -> bool:
-    """The tests of _ideal_pairs in order, False at the first that finds no witness.  Each test's
-    outcome is scanned on its first touch and kept in outcomes under (P, Q, gcd(n, p^2), half,
-    t mod p^2): the witness scan reads n only through its step, the Hermite form omega mod p^2."""
-    for P, Q in _ideal_pairs(F, n, bound, roots):
-        M = P[0] * P[0]
-        key = (P, Q, gcd(n, M), F.half, F.t % M)
-        if key not in outcomes:
-            gens = [(Q[0], 0), (-Q[1], 1)]
-            if Q == P:  # P^2 is generated by the products of P's generators
-                gens = [qi_mul(F, g, h) for g in gens for h in gens]
-            outcomes[key] = _witness_exists(n, M, P, _ideal_lattice(F, gens, M))
-        if not outcomes[key]:
-            return False
-    return True
-
-
-def brute_ideal_preserving(F: FieldContext, n: int, bound: int = DEFAULT_ENUM_BOUND) -> bool:
+def brute_ideal_preserving(F: FieldContext, n: int) -> bool:
     """Witness search for the ideal-theoretic criterion.
 
     R is ideal-preserving iff for every prime ideal P over a divisor of n,
@@ -209,24 +177,37 @@ def brute_ideal_preserving(F: FieldContext, n: int, bound: int = DEFAULT_ENUM_BO
     P != P', R meets P outside P'.  Only the tests over one split or ramified
     p are scanned, mod p^2: x = p lies in R and P and outside (p^2) = P^2 for
     an inert P = (p), and outside every prime over another rational prime.
+    The tests of _ideal_pairs run in order, False at the first that finds no
+    witness; each outcome is scanned on its first touch and kept in
+    _IDEAL_OUTCOMES under (P, Q, gcd(n, p^2), half, t mod p^2): the witness
+    scan reads n only through its step, the Hermite form omega mod p^2.
     """
-    if n < 1:
-        raise ValueError(f"order index must be >= 1, got {n}")
-    return _ideal_preserving(F, n, bound, {}, {})
+    if n < 2:
+        raise ValueError(f"order index must be >= 2, got {n}")
+    for P, Q in _ideal_pairs(F, n):
+        M = P[0] * P[0]
+        key = (P, Q, gcd(n, M), F.half, F.t % M)
+        if key not in _IDEAL_OUTCOMES:
+            gens = [(Q[0], 0), (-Q[1], 1)]
+            if Q == P:  # P^2 is generated by the products of P's generators
+                gens = [qi_mul(F, g, h) for g in gens for h in gens]
+            _IDEAL_OUTCOMES[key] = _witness_exists(n, M, P, _ideal_lattice(F, gens, M))
+        if not _IDEAL_OUTCOMES[key]:
+            return False
+    return True
 
 
 def oracle_verdicts(F: FieldContext, U: FundamentalUnit, n: int) -> dict[str, bool | None]:
     """Each oracle's flag at index n of the field, by name in a fixed order; None at n = 1 or
-    past its bound.  The enumerations are read from the process's tables, and one walk over
-    the powers of u mod n gives both unit verdicts."""
+    past its bound.  One walk over the powers of u mod n gives both unit verdicts."""
     la: bool | None = None
     ip: bool | None = None
     assoc: bool | None = None
     if 1 < n <= DEFAULT_ENUM_BOUND:
-        unit_multiples, multiples = _unit_cosets(F, U, n, DEFAULT_ENUM_BOUND, _SPLITS)
-        la = unit_multiples == _unit_count(F, n, DEFAULT_ENUM_BOUND, _UNIT_COUNTS)
+        unit_multiples, multiples = _unit_cosets(F, U, n)
+        la = unit_multiples == quotient_unit_count(F, n)
         assoc = multiples == n * n
     if n > 1:
         with suppress(OracleBoundError):
-            ip = _ideal_preserving(F, n, DEFAULT_ENUM_BOUND, _ROOTS, _IDEAL_OUTCOMES)
+            ip = brute_ideal_preserving(F, n)
     return {"locally_associated": la, "ideal_preserving": ip, "associated": assoc}

@@ -2,7 +2,8 @@ import pytest
 
 from quadorders import oracle
 
-# oracle_verdicts keeps its enumerations in these module tables for the life of the process
+# every oracle entry point keeps its enumerations in these module tables for the life of
+# the process
 ORACLE_TABLES = ("_UNIT_COUNTS", "_ROOTS", "_IDEAL_OUTCOMES", "_SPLITS")
 
 

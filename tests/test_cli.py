@@ -12,6 +12,7 @@ import pytest
 from quadorders import OrderSpec, atlas, classify_order, make_field, record_to_json_obj
 from quadorders.arith import WINDOW_WIDTH_MAX
 from quadorders.cli import format_unit, main
+from quadorders.oracle import DEFAULT_ENUM_BOUND
 from quadorders.pell import FundamentalUnit
 from test_atlas import flip_associated, reverse_verdicts
 
@@ -126,6 +127,7 @@ def test_verify_bound_exceeded(capsys):
     rc, _, err = run_cli(capsys, "verify", "-d", "2", "-n", "5000")
     assert rc == 2
     assert "bound" in err
+    assert f"2 <= M <= {DEFAULT_ENUM_BOUND}, the enumeration bound" in err
 
 
 def test_verify_n1_names_the_input(capsys):

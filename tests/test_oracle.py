@@ -1,5 +1,6 @@
 import hashlib
 import inspect
+from contextlib import suppress
 from math import gcd
 
 import pytest
@@ -27,13 +28,13 @@ from quadorders.quadfield import field_char, make_field, omega_roots, qi_mul, qi
 # and each prime's membership as its own mod-p test.  oracle.py must decide as they do.
 
 
-def _reference_check(M, bound=DEFAULT_ENUM_BOUND):
-    if M > bound:
-        raise OracleBoundError(f"modulus {M} exceeds enumeration bound {bound}")
+def _reference_check(M):
+    if M > DEFAULT_ENUM_BOUND:
+        raise OracleBoundError(f"modulus {M} exceeds enumeration bound {DEFAULT_ENUM_BOUND}")
 
 
-def reference_units(F, M, bound=DEFAULT_ENUM_BOUND):
-    _reference_check(M, bound)
+def reference_units(F, M):
+    _reference_check(M)
     return {(a, b) for a in range(M) for b in range(M) if gcd(qi_norm(F, (a, b)), M) == 1}
 
 
@@ -97,6 +98,17 @@ def _reference_pair(F, n, P, Q):
     )
 
 
+def verdicts_by_name(la, ip, assoc):
+    """Each run's verdict by name, in oracle_verdicts' order, None where it meets the bound."""
+    verdicts = {}
+    for name, run in (("locally_associated", la), ("ideal_preserving", ip), ("associated", assoc)):
+        try:
+            verdicts[name] = run()
+        except OracleBoundError:
+            verdicts[name] = None
+    return verdicts
+
+
 def reference_verdicts(F, U, n):
     """oracle_verdicts by the reference oracles, None wherever they meet the bound."""
     def la():
@@ -108,17 +120,7 @@ def reference_verdicts(F, U, n):
         _reference_check(n)
         return len(reference_unit_cosets(F, U, n, [(z, 0) for z in range(n)])) == n * n
 
-    verdicts = {}
-    for name, run in (
-        ("locally_associated", la),
-        ("ideal_preserving", lambda: reference_ideal_preserving(F, n)),
-        ("associated", assoc),
-    ):
-        try:
-            verdicts[name] = run()
-        except OracleBoundError:
-            verdicts[name] = None
-    return verdicts
+    return verdicts_by_name(la, lambda: reference_ideal_preserving(F, n), assoc)
 
 
 def test_oracle_verdicts_match_the_reference_oracles():
@@ -135,10 +137,18 @@ def test_oracle_verdicts_match_the_reference_oracles():
     assert cells == 7139
 
 
+def brute_verdicts(F, U, n):
+    """oracle_verdicts by the public brute_* oracles, None wherever they meet the bound."""
+    return verdicts_by_name(lambda: brute_locally_associated(F, U, n),
+                            lambda: brute_ideal_preserving(F, n),
+                            lambda: brute_associated(F, U, n))
+
+
 def test_shared_tables_match_fresh_tables_per_cell(fresh_oracle_tables):
     # every cell of squarefree |d| <= 100, 2 <= n <= 60, each None included: the verdicts
-    # read from tables shared across all fields, visited in d order and again in reverse d
-    # order, are those of fresh tables per cell
+    # read from tables shared across all fields, filled by oracle_verdicts in d order and
+    # again in reverse d order, then by the brute_* oracles in d order, are those of fresh
+    # tables per cell
     ds = [d for d in range(-100, 101) if d not in (0, 1) and is_squarefree(d)]
     fields = [(F, fundamental_unit(F)) for F in map(make_field, ds)]
     cold = {}
@@ -147,24 +157,26 @@ def test_shared_tables_match_fresh_tables_per_cell(fresh_oracle_tables):
             fresh_oracle_tables()
             cold[F.d, n] = oracle_verdicts(F, U, n)
     assert len(cold) == 7139
-    for order in (fields, fields[::-1]):
+    for order, verdicts in ((fields, oracle_verdicts), (fields[::-1], oracle_verdicts),
+                            (fields, brute_verdicts)):
         fresh_oracle_tables()
         for F, U in order:
             for n in range(2, 61):
-                assert oracle_verdicts(F, U, n) == cold[F.d, n], (F.d, n)
+                assert verdicts(F, U, n) == cold[F.d, n], (verdicts.__name__, F.d, n)
 
 
-def test_each_ring_is_enumerated_once_per_process(monkeypatch):
+def test_each_ring_is_enumerated_once_per_process(monkeypatch, fresh_oracle_tables):
     # over n = 2..200 of several fields, each O_K/(q) is enumerated, each p scanned for roots
     # and each ideal test scanned once per ring, (q, half, t mod q), across the fields: d = 2
     # and d = -5 share O_K/(7), as 2 = -5 (mod 7), so the second enumerates no O_K/(7).
-    # brute_* keep nothing between calls.
+    # Every entry point reads the same tables: the public oracles enumerate nothing on a
+    # ring that oracle_verdicts has enumerated, nor on a second call.
     calls = []
     units, roots, witness = oracle._units, oracle.omega_roots, oracle._witness_exists
 
-    def spy_units(F, M, bound):
+    def spy_units(F, M):
         calls.append(("units", M, F.half, F.t % M))
-        return units(F, M, bound)
+        return units(F, M)
 
     def spy_roots(F, p):
         calls.append(("roots", p, F.half, F.t % p))
@@ -192,25 +204,40 @@ def test_each_ring_is_enumerated_once_per_process(monkeypatch):
         (q, F.half, F.t % q) for F in fields for q in prime_powers}
     assert ("units", 7, 0, 2) in per_field[2]
     assert [c for c in per_field[-5] if c[:2] == ("units", 7)] == []
+    calls.clear()
     for F in fields:
-        calls.clear()
-        brute_ideal_preserving(F, 6)
-        brute_ideal_preserving(F, 6)
-        quotient_unit_count(F, 6)
-        quotient_unit_count(F, 6)
-        assert calls and len(calls) == 2 * len(set(calls)), F.d
+        U = fundamental_unit(F)
+        for n in (6, 49, 60, 200):
+            brute_verdicts(F, U, n)
+            quotient_unit_count(F, n)
+    assert calls == []
+    fresh_oracle_tables()
+    for F in fields:
+        for _ in range(2):
+            brute_verdicts(F, fundamental_unit(F), 6)
+            quotient_unit_count(F, 6)
+    assert calls and len(calls) == len(set(calls))
 
 
 def test_oracle_tables_stay_within_their_stated_bounds():
-    # n = 2..200 over fields of both signs: each key's modulus is within the enumeration
-    # bound, and each table within the bound that oracle.py's docstring states, worked out
-    # here from the prime powers up to the bound; the oracles keep no lru_cache
+    # n = 2..2B over fields of both signs, each cell through one entry point in turn: each
+    # key's modulus is within the enumeration bound B, and each table within the bound that
+    # oracle.py's docstring states, worked out here from the prime powers up to B, whichever
+    # entry point fills it; the oracles keep no lru_cache
     B = DEFAULT_ENUM_BOUND
-    for d in (2, 3, 5, 17, 94, -1, -2, -3, -5, -7, -94):
+    entry_points = (
+        oracle_verdicts,
+        brute_locally_associated,
+        brute_associated,
+        lambda F, U, n: brute_ideal_preserving(F, n),
+        lambda F, U, n: quotient_unit_count(F, n),
+    )
+    for i, d in enumerate((2, 3, 5, 17, 94, -1, -2, -3, -5, -7, -94)):
         F = make_field(d)
         U = fundamental_unit(F)
-        for n in range(2, B + 1):
-            oracle_verdicts(F, U, n)
+        for n in range(2, 2 * B + 1):
+            with suppress(OracleBoundError):
+                entry_points[(i + n) % len(entry_points)](F, U, n)
     prime_powers = [q for q in range(2, B + 1) if len(factorize(q)) == 1]
     ideal_primes = [p for p in range(2, B + 1) if is_prime(p) and p * p <= B]
     assert len(prime_powers) == 60 and ideal_primes == [2, 3, 5, 7, 11, 13]
@@ -275,7 +302,21 @@ def test_bound_is_enforced(monkeypatch):
             brute_locally_associated(F, U, 300)
         with pytest.raises(ValueError):
             quotient_unit_count(F, 1)
-    assert quotient_unit_count(F, 300, bound=300) == len(reference_units(F, 300, bound=300))
+
+
+@pytest.mark.parametrize("n", [0, 1])
+def test_public_oracles_refuse_an_index_below_2(n):
+    # n = 1 is O_K itself, with no quotient to enumerate: every public oracle refuses it
+    F = make_field(2)
+    U = fundamental_unit(F)
+    for run in (
+        lambda: brute_locally_associated(F, U, n),
+        lambda: brute_associated(F, U, n),
+        lambda: brute_ideal_preserving(F, n),
+        lambda: quotient_unit_count(F, n),
+    ):
+        with pytest.raises(ValueError, match=f"must be >= 2, got {n}$"):
+            run()
 
 
 @pytest.mark.parametrize("d", [2, 3, 5, 94, -1, -3, -5])
@@ -299,8 +340,8 @@ def test_unit_count_one_too_low_fails_the_verified_scan(tmp_path, monkeypatch, p
     # the closed form says locally associated, or agree where it says not
     units = oracle._units
 
-    def one_short(F, M, bound):
-        found = units(F, M, bound)
+    def one_short(F, M):
+        found = units(F, M)
         if M == prime_power:
             found.pop()
         return found
@@ -315,8 +356,8 @@ def test_walk_without_non_unit_multipliers_fails_the_verified_scan(tmp_path, mon
     # (Z/n)^*<u>, which misses 0, so no n is associated
     walk = oracle._unit_cosets
 
-    def units_only(F, U, n, bound, splits):
-        unit_multiples, _ = walk(F, U, n, bound, splits)
+    def units_only(F, U, n):
+        unit_multiples, _ = walk(F, U, n)
         return unit_multiples, unit_multiples
 
     monkeypatch.setattr(oracle, "_unit_cosets", units_only)
@@ -350,7 +391,7 @@ def test_quotient_ring_unit_criterion():
         F = make_field(d)
         for M in (2, 3, 4, 6):
             elements = [(a, b) for a in range(M) for b in range(M)]
-            units = {divmod(x, M) for x in _units(F, M, DEFAULT_ENUM_BOUND)}
+            units = {divmod(x, M) for x in _units(F, M)}
             one = (1 % M, 0)
             for x in elements:
                 invertible = any(qi_mul(F, x, y, M) == one for y in elements)
@@ -554,7 +595,7 @@ def test_ideal_pairs_stay_over_one_split_or_ramified_prime():
         F = make_field(d)
         for n in range(2, 200):
             try:
-                pairs = list(oracle._ideal_pairs(F, n, DEFAULT_ENUM_BOUND, {}))
+                pairs = list(oracle._ideal_pairs(F, n))
             except OracleBoundError:
                 continue
             squares = [P for P, Q in pairs if Q == P]

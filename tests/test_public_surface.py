@@ -30,9 +30,9 @@ CALLED_BY_BENCHMARK = {
     "record_to_json_obj": ["rec"],
     "report_hfd": ["path"],
     "scan": ["cfg"],
-    "brute_locally_associated": ["F", "U", "n", "bound"],
-    "brute_associated": ["F", "U", "n", "bound"],
-    "brute_ideal_preserving": ["F", "n", "bound"],
+    "brute_locally_associated": ["F", "U", "n"],
+    "brute_associated": ["F", "U", "n"],
+    "brute_ideal_preserving": ["F", "n"],
 }
 SCAN_CONFIG_FIELDS = ["d_min", "d_max", "n_max", "out", "n_min", "fmt", "resume", "jobs", "verify"]
 CACHED = [
