@@ -98,8 +98,10 @@ def cmd_verify(args: argparse.Namespace) -> int:
     skipped = [name for name, got in verdicts.items() if got is None]
     if skipped:
         raise ValueError(
-            f"n={rec.n} is outside the range of the oracle(s) {', '.join(skipped)}, which "
-            f"enumerate O_K/(M) for 2 <= M <= {DEFAULT_ENUM_BOUND}, the enumeration bound"
+            f"n={rec.n} is outside the range of the oracle(s) {', '.join(skipped)}: "
+            "locally_associated and associated enumerate O_K/(M) at M = n, ideal_preserving "
+            f"at M = p^2 for each prime p | n, each within 2 <= M <= {DEFAULT_ENUM_BOUND}, "
+            "the enumeration bound"
         )
     names = ("locally_associated", "ideal_preserving", "associated")
     bla, bip, bassoc = (verdicts[name] for name in names)

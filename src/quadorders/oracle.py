@@ -22,23 +22,21 @@ M*Z^2: (A, B) lies in it iff d2 | B and d1 | A - (B/d2)*c.  Every modulus is cap
 DEFAULT_ENUM_BOUND = 200, since the scans are quadratic.  oracle_verdicts(F, U, n) gives
 each oracle's verdict at one cell, none at n = 1 (O_K, no quotient) or past the cap; the
 public oracles refuse n < 2.  What they enumerate depends on a ring, not on the field, so
-every entry point reads and fills four tables kept for the life of the process, each entry
+every entry point reads and fills three tables kept for the life of the process, each entry
 made on its first touch; (q, half, t mod q) fixes O_K/(q) = Z[x]/(q, x^2 - half*x - t).
 _UNIT_COUNTS: |U(O_K/(q))| under that key, at most 2q for each of the 60 prime powers
-q <= 200, 10,170 in all.  _ROOTS: the roots of omega mod p under (p, half, t mod p), for
-p <= 13 (p^2 within the cap), 82 in all.  _IDEAL_OUTCOMES: each ideal test's outcome under
-(P, Q, gcd(n, p^2), half, t mod p^2), all that its Hermite form and witness scan read, at
-most 8 for each p <= 13, half and residue t mod p^2, 6,032 in all.  _SPLITS: the residues
-mod n prime to n and the others, for each n <= 200, 199 in all.  The walk over u stays per
-call.  Only ring arithmetic and factorization are shared with the fast path (qi_mul,
-qi_norm, factorize, the roots of omega's minimal polynomial), never m, L or the field
-character (D/p).
+q <= 200, 10,170 in all.  _IDEAL_OUTCOMES: (every P^2 test over p holds, every split-pair
+test holds) under (p, gcd(n, p^2), half, t mod p^2), all that those tests read, at most 4p^2
+for each p <= 13 (p^2 within the cap), 1,508 in all.  _SPLITS: the walk's rows, z*x mod n
+over the z prime to n and over the others for each residue x, as bytes: n^2 bytes for each
+n <= 200, 2,686,699 bytes in all.  bytes holds residues below 256 only; the cap keeps them
+there, and bytes() raises should one reach 256.  The walk over u stays per call.  Only ring
+arithmetic and factorization are shared with the fast path (qi_mul, qi_norm, factorize, the
+roots of omega's minimal polynomial), never m, L or the field character (D/p).
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterator
-from contextlib import suppress
 from math import gcd
 
 from .arith import InternalConsistencyError, factorize
@@ -48,9 +46,8 @@ from .quadfield import QI, FieldContext, omega_roots, qi_mul, qi_norm
 DEFAULT_ENUM_BOUND = 200
 
 _UNIT_COUNTS: dict[tuple, int] = {}
-_ROOTS: dict[tuple, tuple[int, ...]] = {}
-_IDEAL_OUTCOMES: dict[tuple, bool] = {}
-_SPLITS: dict[int, tuple[list[int], list[int]]] = {}
+_IDEAL_OUTCOMES: dict[tuple, tuple[bool, bool]] = {}
+_SPLITS: dict[int, tuple[list[bytes], list[bytes]]] = {}
 
 
 class OracleBoundError(ValueError):
@@ -92,20 +89,21 @@ def quotient_unit_count(F: FieldContext, M: int) -> int:
 def _unit_cosets(F: FieldContext, U: FundamentalUnit, n: int) -> tuple[int, int]:
     """(|(Z/n)^* <u>|, |(Z/n) <u>|) by one walk over u^k mod n, k >= 0 up to the first rational
     u^k = c: c^2 = N(u)^k = +-1 makes c a unit, so z*c runs over the z of the k = 0 step.
-    Each z*u^k, coded as _units codes it, goes to the unit multiples for z prime to n and to
-    the others for the rest, split once and kept in _SPLITS under n; z*u^k is a unit iff z is,
-    so the two sets are disjoint.  A rational z scales both coordinates: z*(a, b) = (z*a, z*b)."""
+    Each z*u^k = (z*a, z*b) mod n goes to the unit multiples for z prime to n and to the
+    others for the rest (z*u^k is a unit iff z is, so the sets are disjoint): one step zips
+    two rows of _SPLITS[n], z*x mod n over those z for x = a and for x = b."""
     _check_modulus(n)
     if n not in _SPLITS:
-        _SPLITS[n] = [z for z in range(n) if gcd(z, n) == 1], [z for z in range(n) if gcd(z, n) > 1]
-    rational_units, rational_others = _SPLITS[n]
+        zs = [[z for z in range(n) if (gcd(z, n) == 1) == unit] for unit in (True, False)]
+        _SPLITS[n] = tuple([bytes([z * x % n for z in row]) for x in range(n)] for row in zs)
+    units, others = _SPLITS[n]
     u = (U.u[0] % n, U.u[1] % n)
-    unit_multiples: set[int] = set()
-    other_multiples: set[int] = set()
+    unit_multiples: set[tuple[int, int]] = set()
+    other_multiples: set[tuple[int, int]] = set()
     a, b = 1 % n, 0
     for _ in range(n * n + 1):
-        unit_multiples.update([z * a % n * n + z * b % n for z in rational_units])
-        other_multiples.update([z * a % n * n + z * b % n for z in rational_others])
+        unit_multiples.update(zip(units[a], units[b]))
+        other_multiples.update(zip(others[a], others[b]))
         a, b = qi_mul(F, (a, b), u, n)
         if b == 0:
             return len(unit_multiples), len(unit_multiples) + len(other_multiples)
@@ -139,23 +137,6 @@ def _ideal_lattice(F: FieldContext, gens: list[QI], M: int) -> tuple[int, int, i
     return d1, c % d1, d2
 
 
-def _ideal_pairs(F: FieldContext, n: int) -> Iterator[tuple[tuple, tuple]]:
-    """(P, P) for each prime ideal P = (p, omega - r) over a root r of omega mod p | n, then
-    (P, P') for the two primes over each split p.  Each p^2 meets the bound before omega_roots,
-    which scans all of range(p), runs on p (once, kept in _ROOTS under (p, half, t mod p)): a
-    large p fails at once, after the smaller p's tests.  Split pairs wait for every p^2."""
-    pairs = []
-    for p, _ in factorize(n):
-        _check_modulus(p * p)
-        key = (p, F.half, F.t % p)
-        if key not in _ROOTS:
-            _ROOTS[key] = omega_roots(F, p)
-        primes = [(p, r) for r in _ROOTS[key]]
-        yield from ((P, P) for P in primes)
-        pairs += [(P, Q) for P in primes for Q in primes if Q != P]
-    yield from pairs
-
-
 def _witness_exists(n: int, M: int, P: tuple[int, int], excluded: tuple[int, int, int]) -> bool:
     """Scan the image of R = Z + n*O_K in O_K/(M) for x in P = (p, omega - r) outside the
     excluded ideal, given by the Hermite form of its preimage (the ideal contains M).  Only
@@ -169,6 +150,14 @@ def _witness_exists(n: int, M: int, P: tuple[int, int], excluded: tuple[int, int
     return False
 
 
+def _test_holds(F: FieldContext, n: int, P: tuple[int, int], Q: tuple[int, int]) -> bool:
+    """R meets P = (p, omega - r) outside Q = (p, omega - s), or outside P^2 when Q = P."""
+    gens = [(Q[0], 0), (-Q[1], 1)]
+    if Q == P:  # P^2 is generated by the products of P's generators
+        gens = [qi_mul(F, g, h) for g in gens for h in gens]
+    return _witness_exists(n, P[0] ** 2, P, _ideal_lattice(F, gens, P[0] ** 2))
+
+
 def brute_ideal_preserving(F: FieldContext, n: int) -> bool:
     """Witness search for the ideal-theoretic criterion.
 
@@ -177,37 +166,40 @@ def brute_ideal_preserving(F: FieldContext, n: int) -> bool:
     P != P', R meets P outside P'.  Only the tests over one split or ramified
     p are scanned, mod p^2: x = p lies in R and P and outside (p^2) = P^2 for
     an inert P = (p), and outside every prime over another rational prime.
-    The tests of _ideal_pairs run in order, False at the first that finds no
-    witness; each outcome is scanned on its first touch and kept in
-    _IDEAL_OUTCOMES under (P, Q, gcd(n, p^2), half, t mod p^2): the witness
-    scan reads n only through its step, the Hermite form omega mod p^2.
+    Each p | n in increasing order meets the bound before omega_roots (a scan
+    of range(p)) runs on it, and gives False if a P^2 test fails; the split
+    pairs are read after every p.  Both outcomes of p are scanned on its first
+    touch and kept in _IDEAL_OUTCOMES under (p, gcd(n, p^2), half, t mod p^2).
     """
     if n < 2:
         raise ValueError(f"order index must be >= 2, got {n}")
-    for P, Q in _ideal_pairs(F, n):
-        M = P[0] * P[0]
-        key = (P, Q, gcd(n, M), F.half, F.t % M)
+    pair_outcomes = []
+    for p, _ in factorize(n):
+        _check_modulus(M := p * p)
+        key = (p, gcd(n, M), F.half, F.t % M)
         if key not in _IDEAL_OUTCOMES:
-            gens = [(Q[0], 0), (-Q[1], 1)]
-            if Q == P:  # P^2 is generated by the products of P's generators
-                gens = [qi_mul(F, g, h) for g in gens for h in gens]
-            _IDEAL_OUTCOMES[key] = _witness_exists(n, M, P, _ideal_lattice(F, gens, M))
-        if not _IDEAL_OUTCOMES[key]:
+            primes = [(p, r) for r in omega_roots(F, p)]
+            _IDEAL_OUTCOMES[key] = (all(_test_holds(F, n, P, P) for P in primes),
+                                    all(_test_holds(F, n, P, Q) for P in primes for Q in primes
+                                        if Q != P))
+        squares_hold, pairs_hold = _IDEAL_OUTCOMES[key]
+        if not squares_hold:
             return False
-    return True
+        pair_outcomes.append(pairs_hold)
+    return all(pair_outcomes)
 
 
 def oracle_verdicts(F: FieldContext, U: FundamentalUnit, n: int) -> dict[str, bool | None]:
     """Each oracle's flag at index n of the field, by name in a fixed order; None at n = 1 or
     past its bound.  One walk over the powers of u mod n gives both unit verdicts."""
     la: bool | None = None
-    ip: bool | None = None
     assoc: bool | None = None
     if 1 < n <= DEFAULT_ENUM_BOUND:
         unit_multiples, multiples = _unit_cosets(F, U, n)
         la = unit_multiples == quotient_unit_count(F, n)
         assoc = multiples == n * n
-    if n > 1:
-        with suppress(OracleBoundError):
-            ip = brute_ideal_preserving(F, n)
+    try:
+        ip = brute_ideal_preserving(F, n) if n > 1 else None
+    except OracleBoundError:
+        ip = None
     return {"locally_associated": la, "ideal_preserving": ip, "associated": assoc}

@@ -4,7 +4,7 @@ from quadorders import oracle
 
 # every oracle entry point keeps its enumerations in these module tables for the life of
 # the process
-ORACLE_TABLES = ("_UNIT_COUNTS", "_ROOTS", "_IDEAL_OUTCOMES", "_SPLITS")
+ORACLE_TABLES = ("_UNIT_COUNTS", "_IDEAL_OUTCOMES", "_SPLITS")
 
 
 @pytest.fixture(autouse=True)

@@ -130,6 +130,16 @@ def test_verify_bound_exceeded(capsys):
     assert f"2 <= M <= {DEFAULT_ENUM_BOUND}, the enumeration bound" in err
 
 
+def test_verify_names_the_modulus_past_the_bound(capsys):
+    # n = 17 is within the bound, but ideal_preserving enumerates mod 17^2 = 289, past it
+    rc, _, err = run_cli(capsys, "verify", "-d", "2", "-n", "17")
+    assert rc == 2
+    assert err.startswith("error: n=17 is outside the range of the oracle(s) ideal_preserving: ")
+    assert "locally_associated and associated enumerate O_K/(M) at M = n" in err
+    assert "ideal_preserving at M = p^2 for each prime p | n" in err
+    assert f"2 <= M <= {DEFAULT_ENUM_BOUND}, the enumeration bound" in err
+
+
 def test_verify_n1_names_the_input(capsys):
     # n = 1 is O_K itself, with no quotient for the oracles to enumerate
     rc, _, err = run_cli(capsys, "verify", "-d", "2", "-n", "1")

@@ -166,29 +166,26 @@ def test_shared_tables_match_fresh_tables_per_cell(fresh_oracle_tables):
 
 
 def test_each_ring_is_enumerated_once_per_process(monkeypatch, fresh_oracle_tables):
-    # over n = 2..200 of several fields, each O_K/(q) is enumerated, each p scanned for roots
-    # and each ideal test scanned once per ring, (q, half, t mod q), across the fields: d = 2
-    # and d = -5 share O_K/(7), as 2 = -5 (mod 7), so the second enumerates no O_K/(7).
-    # Every entry point reads the same tables: the public oracles enumerate nothing on a
-    # ring that oracle_verdicts has enumerated, nor on a second call.
+    # over n = 2..200 of several fields, each O_K/(q) is enumerated, and each ideal test
+    # scanned, once per ring, (q, half, t mod q), across the fields: d = 2 and d = -5 share
+    # O_K/(7), as 2 = -5 (mod 7), so the second enumerates no O_K/(7).  A prime's ideal tests
+    # are scanned together, in one run of witness scans under its outcome's key
+    # (p, gcd(n, p^2), half, t mod p^2).  Every entry point reads the same tables: the public
+    # oracles enumerate nothing on a ring that oracle_verdicts has enumerated, nor on a
+    # second call.
     calls = []
-    units, roots, witness = oracle._units, oracle.omega_roots, oracle._witness_exists
+    units, witness = oracle._units, oracle._witness_exists
 
     def spy_units(F, M):
         calls.append(("units", M, F.half, F.t % M))
         return units(F, M)
 
-    def spy_roots(F, p):
-        calls.append(("roots", p, F.half, F.t % p))
-        return roots(F, p)
-
     def spy_witness(n, M, P, excluded):
         # the ideal test's ring is the field's under test
-        calls.append(("witness", gcd(n, M), P, excluded, M, F.half, F.t % M))
+        calls.append(("witness", P[0], gcd(n, M), F.half, F.t % M, P, excluded))
         return witness(n, M, P, excluded)
 
     monkeypatch.setattr(oracle, "_units", spy_units)
-    monkeypatch.setattr(oracle, "omega_roots", spy_roots)
     monkeypatch.setattr(oracle, "_witness_exists", spy_witness)
     prime_powers = {p**a for n in range(2, DEFAULT_ENUM_BOUND + 1) for p, a in factorize(n)}
     fields = [make_field(d) for d in (2, -5, 17, -3, 10)]
@@ -204,6 +201,9 @@ def test_each_ring_is_enumerated_once_per_process(monkeypatch, fresh_oracle_tabl
         (q, F.half, F.t % q) for F in fields for q in prime_powers}
     assert ("units", 7, 0, 2) in per_field[2]
     assert [c for c in per_field[-5] if c[:2] == ("units", 7)] == []
+    outcome_keys = [c[1:5] for c in calls if c[0] == "witness"]
+    runs = [k for i, k in enumerate(outcome_keys) if i == 0 or outcome_keys[i - 1] != k]
+    assert runs and len(runs) == len(set(runs)) and set(runs) <= set(oracle._IDEAL_OUTCOMES)
     calls.clear()
     for F in fields:
         U = fundamental_unit(F)
@@ -244,18 +244,24 @@ def test_oracle_tables_stay_within_their_stated_bounds():
     bounds = {
         # a key (q, half, t mod q) for each q, half in (0, 1) and t mod q
         "_UNIT_COUNTS": 2 * sum(prime_powers),
-        "_ROOTS": 2 * sum(ideal_primes),
-        # at most 4 pairs (P, Q) over p and 2 values of gcd(n, p^2), each half and t mod p^2
-        "_IDEAL_OUTCOMES": 8 * 2 * sum(p * p for p in ideal_primes),
-        "_SPLITS": B - 1,
+        # a key (p, gcd(n, p^2), half, t mod p^2) for 2 values of the gcd, each half and
+        # t mod p^2
+        "_IDEAL_OUTCOMES": 4 * sum(p * p for p in ideal_primes),
     }
+    assert bounds["_IDEAL_OUTCOMES"] == 1508
     for name, bound in bounds.items():
         assert 0 < len(getattr(oracle, name)) <= bound, name
         assert f"{bound:,} in all" in oracle.__doc__, name
     assert max(q for q, _, _ in oracle._UNIT_COUNTS) <= B
-    assert max(p * p for p, _, _ in oracle._ROOTS) <= B
-    assert max(P[0] * P[0] for P, *_ in oracle._IDEAL_OUTCOMES) <= B
-    assert max(oracle._SPLITS) <= B
+    assert max(p * p for p, *_ in oracle._IDEAL_OUTCOMES) <= B
+    # n rows of n bytes for each n, the z prime to n in one row and the others in the other
+    split_bytes = {n: sum(map(len, units + others))
+                   for n, (units, others) in oracle._SPLITS.items()}
+    assert split_bytes and all(size == n * n for n, size in split_bytes.items())
+    assert max(split_bytes) <= B
+    bound = sum(n * n for n in range(2, B + 1))
+    assert bound == 2686699 and sum(split_bytes.values()) <= bound
+    assert f"{bound:,} bytes in all" in oracle.__doc__
     assert "lru_cache" not in inspect.getsource(oracle)
 
 
@@ -588,21 +594,42 @@ def test_unscanned_ideal_tests_always_hold():
     assert tests == 5039
 
 
-def test_ideal_pairs_stay_over_one_split_or_ramified_prime():
-    # every scanned test is P^2 for a P with a root, or the pair over one split p, and
-    # every pair comes after the last P^2 test
+def test_ideal_pairs_stay_over_one_split_or_ramified_prime(monkeypatch):
+    # every scanned test is P^2 for a P with a root, or the pair over one split p, each
+    # scanned once, under its prime outcome's key; each stored outcome is (every P^2 test
+    # holds, every split-pair test holds) by the reference oracle
+    scanned = []
+    holds = oracle._test_holds
+
+    def spy(F, n, P, Q):
+        M = P[0] ** 2
+        scanned.append(((P[0], gcd(n, M), F.half, F.t % M), P, Q))
+        return holds(F, n, P, Q)
+
+    monkeypatch.setattr(oracle, "_test_holds", spy)
+    checked = set()
     for d in (2, -5, 17, -7, -3, 5, -1):
         F = make_field(d)
         for n in range(2, 200):
-            try:
-                pairs = list(oracle._ideal_pairs(F, n))
-            except OracleBoundError:
+            with suppress(OracleBoundError):
+                brute_ideal_preserving(F, n)
+        for key, outcome in oracle._IDEAL_OUTCOMES.items():
+            p, step = key[:2]
+            if key not in {(p, g, F.half, F.t % (p * p)) for g in (p, p * p)}:
                 continue
-            squares = [P for P, Q in pairs if Q == P]
-            assert pairs[: len(squares)] == [(P, P) for P in squares], (d, n)
-            assert all(P[0] == Q[0] and P[1] is not None for P, Q in pairs), (d, n)
-            split = [p for p, _ in factorize(n) if field_char(d, p) == 1]
-            assert len(pairs) == len(squares) + sum(P[0] in split for P in squares), (d, n)
+            checked.add(key)
+            primes = [(p, r) for r in omega_roots(F, p)]
+            tests = [(P, Q) for key_, P, Q in scanned if key_ == key]
+            assert bool(tests) == bool(primes), (d, key)
+            assert set(tests) <= {(P, Q) for P in primes for Q in primes}, (d, key)
+            assert all(Q == P or field_char(d, p) == 1 for P, Q in tests), (d, key)
+            # the reference oracle reads n only through gcd(n, p^2)
+            assert outcome == (all(_reference_pair(F, step, P, P) for P in primes),
+                               all(_reference_pair(F, step, P, Q) for P in primes for Q in primes
+                                   if Q != P)), (d, key)
+    # every stored key is (p, gcd(n, p^2), half, t mod p^2) for some field and n
+    assert checked == set(oracle._IDEAL_OUTCOMES)
+    assert len(scanned) == len(set(scanned))
 
 
 def test_matches_closed_forms_small_grid():
