@@ -31,7 +31,7 @@ import signal
 import time
 from contextlib import ExitStack, contextmanager, nullcontext
 from dataclasses import dataclass
-from itertools import chain, compress, islice
+from itertools import chain, islice
 from math import isqrt
 from tempfile import TemporaryFile
 from typing import BinaryIO, Callable, Iterator, NoReturn
@@ -269,15 +269,10 @@ def read_checkpoint(path: str) -> Checkpoint:
 
 
 def _squarefree_range(d_min: int, d_max: int) -> list[int]:
-    """The squarefree d in [d_min, d_max] other than 0 and 1, by a sieve on the p^2 multiples
-    of the primes p with p^2 <= the window's largest |d|, themselves sieved first."""
-    root = isqrt(max(-d_min, d_max, 0))
-    prime = bytearray(2) + bytearray([1]) * (root - 1)
-    for p in range(2, isqrt(root) + 1):
-        if prime[p]:
-            prime[p * p :: p] = bytes(len(range(p * p, root + 1, p)))
+    """The squarefree d in [d_min, d_max] other than 0 and 1, by a sieve on the p^2 multiples."""
     keep = bytearray([1]) * (d_max - d_min + 1)
-    for q in (p * p for p in compress(range(root + 1), prime)):
+    for p in range(2, isqrt(max(-d_min, d_max, 0)) + 1):  # p^2 <= the window's largest |d|
+        q = p * p
         keep[-d_min % q :: q] = bytes(len(range(-d_min % q, len(keep), q)))
     return [d for d, k in zip(range(d_min, d_max + 1), keep) if k and d not in (0, 1)]
 

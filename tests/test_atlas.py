@@ -463,14 +463,6 @@ def test_window_without_d_is_not_planned(tmp_path):
         (3, -5),
         (10**9, 10**9 + 50),
         (-(10**6) - 30, -(10**6)),
-        # narrow windows near 10^12, one around the square of the prime 1000003, which only
-        # the sieve's largest prime crosses off; and windows of both signs, the root set by
-        # either end
-        (10**12, 10**12 + 40),
-        (1000003**2 - 20, 1000003**2 + 20),
-        (-(1000003**2) - 20, -(1000003**2) + 20),
-        (-30000, 900),
-        (-900, 30000),
     ],
 )
 def test_squarefree_range_is_the_squarefree_filter(d_min, d_max):
