@@ -94,8 +94,11 @@ def is_prime(n: int) -> bool:
 
 @lru_cache(maxsize=CACHE_MAXSIZE)
 def is_squarefree(d: int) -> bool:
-    """True iff no prime square divides d.  d = 0 is rejected."""
+    """True iff no prime square divides d.  d = 0, or a d too large to factor, is refused."""
     if d == 0:
         raise ValueError("is_squarefree is undefined for 0")
-    return all(a == 1 for _, a in factorize(abs(d)))
+    try:
+        return all(a == 1 for _, a in factorize(abs(d)))
+    except ValueError as exc:  # factorize names its argument n = |d|
+        raise ValueError(f"d = {d}" + str(exc).removeprefix(f"n = {abs(d)}")) from None
 

@@ -18,12 +18,12 @@ On an exception the file is cut back to its last checkpoint.
 report and scan --resume read a scan file through one reader, _scan_file: it checks
 64 KiB blocks of whole lines by one regex search from line end to line end, built from
 the writer's row template, for a line not in that one spelling, and decodes only a
-refused line, to name it.
+refused line, to name it: read against the same template, literal text first and then
+each field's text, it names the line and, past the literal text, the field and its text.
 """
 
 from __future__ import annotations
 
-import json
 import os
 import pickle
 import re
@@ -46,11 +46,11 @@ from .quadfield import FieldContext, make_field
 FIELD_NAMES = ClassificationRecord._fields
 CSV_HEADER = ",".join(FIELD_NAMES)
 _BOOL_FIELDS = ("ideal_preserving", "locally_associated", "associated", "hfd")
-_to_json = json.JSONEncoder(separators=(",", ":")).encode
 _BLOCK_SIZE = 1 << 16  # bytes read, spooled or copied at once; a read block runs on to a line end
 _TASK_CELLS = 1 << 14  # rows of a scan task at most, unless one field's alone is more
 _SEGMENT_ROWS = 1 << 12  # rows a field is rendered in at a time
 _FLAG_WORDS = {"csv": ("0", "1"), "jsonl": ("false", "true")}  # a flag's spelling, by value
+_INTEGER = "-?[1-9][0-9]*|0"  # an integer's spelling: no +, space, underscore or leading zero
 
 
 def _row_template(fmt: str, **fixed: int) -> str:
@@ -388,56 +388,22 @@ def _bad_line(fmt: str) -> Callable[[bytes], int]:
     ended by a bare LF, or the block's length if every line is one.
 
     ROW is the row template scan fills, escaped, with each %s a flag word of fmt and
-    each %d an integer without +, spaces, underscores or leading zeros.  The search is
-    for \n(?!ROW\n) in LF + block: the literal LF lets the regex engine skip from one line
-    end to the next, and the lookahead keeps no backtracking state from one row to the next.
+    each %d an integer spelled as _INTEGER.  The search is for \n(?!ROW\n) in LF + block:
+    the literal LF lets the regex engine skip from one line end to the next, and the
+    lookahead keeps no backtracking state from one row to the next.
     """
-    row = re.escape(_row_template(fmt)).replace("%d", r"(?:-?[1-9][0-9]*|0)")
+    row = re.escape(_row_template(fmt)).replace("%d", "(?:%s)" % _INTEGER)
     row = row.replace("%s", "(?:%s)" % "|".join(_FLAG_WORDS[fmt]))
     search = re.compile(rb"\n(?!%s\n)" % row.encode()).search
     return lambda block: search(b"\n" + block).start()
 
 
-def _explain_csv_row(line: str, lineno: int) -> None:
-    """Raise ScanFileError naming the first field of a CSV row not in the spelling scan writes."""
-    parts = line.split(",")
-    if len(parts) != len(FIELD_NAMES):
-        raise ScanFileError(f"line {lineno}: expected {len(FIELD_NAMES)} fields, got {len(parts)}")
-    for name, part in zip(FIELD_NAMES, parts):
-        try:
-            value = int(part)
-        except ValueError:
-            raise ScanFileError(f"line {lineno}: field {name} is not an integer: {part!r}") from None
-        if name in _BOOL_FIELDS and value not in (0, 1):
-            raise ScanFileError(f"line {lineno}: field {name} must be 0 or 1, got {value}")
-        if str(value) != part:
-            raise ScanFileError(f"line {lineno}: field {name} is not in canonical form: {part!r}")
-
-
-def _explain_jsonl_row(line: str, lineno: int) -> None:
-    """Raise ScanFileError for a JSONL row that is not an object of scan's fields and value
-    types, or is one spelled otherwise than scan writes it (spaced, or keys reordered)."""
-    try:
-        obj = json.loads(line)
-    except json.JSONDecodeError as exc:
-        raise ScanFileError(f"line {lineno}: invalid JSON: {exc}") from None
-    if not isinstance(obj, dict) or set(obj) != set(FIELD_NAMES):
-        raise ScanFileError(f"line {lineno}: unexpected fields")
-    for name in FIELD_NAMES:
-        if type(obj[name]) is not (bool if name in _BOOL_FIELDS else int):
-            raise ScanFileError(f"line {lineno}: field {name} has wrong type")
-    if line != _to_json({name: obj[name] for name in FIELD_NAMES}):
-        raise ScanFileError(f"line {lineno}: not in the spelling scan writes")
-
-
-def _explain_header(line: str, lineno: int) -> None:
-    raise ScanFileError(f"line {lineno}: neither the CSV header nor a JSONL object")
-
-
-def _refuse(line: bytes, lineno: int, explain_row: Callable[[str, int], None]) -> NoReturn:
-    """Raise the ScanFileError that names why a refused line is not a row, by the per-line
-    rules: UTF-8, then the bare LF scan writes, then explain_row.  A line that passes them
-    all contradicts the block search, which refused it."""
+def _refuse(line: bytes, lineno: int, fmt: str | None) -> NoReturn:
+    """Raise the ScanFileError that names why a refused line is not a row of fmt (None for
+    a first line that opens neither format): UTF-8, the bare LF, then the line read against
+    _row_template(fmt), as the block search compiles it: the literal text, each field running
+    to the next literal, then each field's text, an _INTEGER or a flag word.  A line that
+    passes them all contradicts the block search, which refused it."""
     try:
         text = line.decode()
     except UnicodeDecodeError:
@@ -445,7 +411,22 @@ def _refuse(line: bytes, lineno: int, explain_row: Callable[[str, int], None]) -
     if text[-1:] != "\n" or text[-2:-1] in ("\r", ""):  # no LF, CRLF or blank
         why = "blank line" if text == "\n" else "does not end in a bare \\n"
         raise ScanFileError(f"line {lineno}: {why}")
-    explain_row(text[:-1], lineno)
+    if fmt is None:
+        raise ScanFileError(f"line {lineno}: neither the CSV header nor a JSONL object")
+    pieces = re.split("(%[ds])", _row_template(fmt) + "\n")  # literal, kind, ..., kind, literal
+    fields, at = [], len(pieces[0])
+    for literal in pieces[2::2]:  # the text's one LF ends the last
+        end = text.find(literal, at)
+        if end < 0 or not text.startswith(pieces[0]):
+            raise ScanFileError(f"line {lineno}: not in the spelling scan writes")
+        fields.append(text[at:end])
+        at = end + len(literal)
+    spelled = {"%d": (re.compile(_INTEGER).fullmatch, "a canonical integer"),
+               "%s": (_FLAG_WORDS[fmt].__contains__, " or ".join(_FLAG_WORDS[fmt]))}
+    for name, kind, field in zip(FIELD_NAMES, pieces[1::2], fields):
+        ok, what = spelled[kind]
+        if not ok(field):
+            raise ScanFileError(f"line {lineno}: field {name} is not {what}: {field!r}")
     raise InternalConsistencyError(f"line {lineno}: refused by the block search, by no line rule")
 
 
@@ -475,17 +456,17 @@ def _scan_file(fh: BinaryIO, rows: int | None = None) -> tuple[str | None, int, 
 
     A block whose lines are all rows in the format's one spelling, each ended by a bare
     LF, passes on one search; the first line that is not raises ScanFileError naming it,
-    by the per-line rules.  Lines past `rows` are never checked.  An empty file has no
+    and why, by _refuse.  Lines past `rows` are never checked.  An empty file has no
     format and no rows.
     """
     blocks = _line_blocks(fh)
     first = next(blocks, b"")
     if first[:1] == b"{":  # a JSONL file's first line is its first row
-        fmt, explain, head = "jsonl", _explain_jsonl_row, 0
+        fmt, head = "jsonl", 0
     elif first.startswith(CSV_HEADER.encode() + b"\n"):
-        fmt, explain, head = "csv", _explain_csv_row, len(CSV_HEADER) + 1
+        fmt, head = "csv", len(CSV_HEADER) + 1
     elif first:
-        _refuse(_line_at(first, 0), 1, _explain_header)
+        _refuse(_line_at(first, 0), 1, None)
     else:
         return None, 0, iter(())
 
@@ -503,7 +484,7 @@ def _scan_file(fh: BinaryIO, rows: int | None = None) -> tuple[str | None, int, 
                 left -= lines
             start = bad_line(block)
             if start < len(block):
-                _refuse(_line_at(block, start), lineno + block.count(b"\n", 0, start), explain)
+                _refuse(_line_at(block, start), lineno + block.count(b"\n", 0, start), fmt)
             if block:
                 yield block
             lineno += lines

@@ -7,13 +7,13 @@ Exit codes: 0 ok or a closed stdout, 1 failed check or corrupt data, 2 bad usage
 from __future__ import annotations
 
 import argparse
+import json
 import os
 import sys
 from dataclasses import fields
 from math import log10
 
-from .atlas import (_FLAG_WORDS, ScanConfig, ScanFileError, _to_json, record_to_json_obj,
-                    report_hfd, scan)
+from .atlas import _FLAG_WORDS, ScanConfig, ScanFileError, record_to_json_obj, report_hfd, scan
 from .classgroup import class_number
 from .classify import OrderSpec, classify_order
 from .oracle import DEFAULT_ENUM_BOUND, oracle_verdicts
@@ -22,6 +22,7 @@ from .quadfield import FieldContext, make_field, unit_xy
 from .unitindex import l_value
 
 
+_to_json = json.JSONEncoder(separators=(",", ":")).encode  # a record as its JSONL scan line
 _DECIMAL_CAP = 10**4300  # CPython's default int-to-str limit
 
 

@@ -568,20 +568,23 @@ def test_report_rejects_malformed_rows(tmp_path):
         report_hfd(str(bad))
     good = "2,2,8,2,2,0,1,0,1,1,0\n"
     for rows, message in [
-        (good + "2,3,8,4,4,1,1,1,1,1,2\n", "line 3: field hfd must be 0 or 1, got 2"),
-        ("2,3,8,x,4,1,1,1,1,1,1\n", "line 2: field m is not an integer: 'x'"),
-        ("2,3,8,4,4,1,1,1,1,1,1.0\n", "line 2: field hfd is not an integer: '1.0'"),
-        ("2,3,8,4,4,3,x,1,1,1,1\n", "line 2: field ideal_preserving must be 0 or 1, got 3"),
-        ("2,3,8,4,4,1,1,1,1,1,1,0\n", "line 2: expected 11 fields, got 12"),
+        (good + "2,3,8,4,4,1,1,1,1,1,2\n", "line 3: field hfd is not 0 or 1: '2'"),
+        ("2,3,8,x,4,1,1,1,1,1,1\n", "line 2: field m is not a canonical integer: 'x'"),
+        ("2,3,8,4,4,1,1,1,1,1,1.0\n", "line 2: field hfd is not 0 or 1: '1.0'"),
+        ("2,3,8,4,4,3,x,1,1,1,1\n", "line 2: field ideal_preserving is not 0 or 1: '3'"),
+        # the template's literal text is read first: each field runs to the next comma,
+        # the last to the line end, so a twelfth field is read as part of the eleventh
+        ("2,3,8,4,4,1,1,1,1,1,1,0\n", "line 2: field hfd is not 0 or 1: '1,0'"),
+        ("2,3,8,4,4,1,1,1,1,1\n", "line 2: not in the spelling scan writes"),
         (good + "\n" + good, "line 3: blank line"),
         # only the spelling scan writes is read: no sign but -, no space, no underscore,
         # no leading zero, and a flag is 0 or 1 exactly
-        ("2,+3,8,4,4,1,1,1,1,1,1\n", "line 2: field n is not in canonical form: '+3'"),
-        ("2,3,8,4,4,1,1,1,1,1, 1\n", "line 2: field hfd is not in canonical form: ' 1'"),
-        ("2,1_1,8,4,4,1,1,1,1,1,1\n", "line 2: field n is not in canonical form: '1_1'"),
-        ("2,3,8,4,4,-0,1,1,1,1,1\n", "line 2: field ideal_preserving is not in canonical form: '-0'"),
-        ("2,3,8,04,4,1,1,1,1,1,1\n", "line 2: field m is not in canonical form: '04'"),
-        ("-0,3,8,4,4,1,1,1,1,1,1\n", "line 2: field d is not in canonical form: '-0'"),
+        ("2,+3,8,4,4,1,1,1,1,1,1\n", "line 2: field n is not a canonical integer: '+3'"),
+        ("2,3,8,4,4,1,1,1,1,1, 1\n", "line 2: field hfd is not 0 or 1: ' 1'"),
+        ("2,1_1,8,4,4,1,1,1,1,1,1\n", "line 2: field n is not a canonical integer: '1_1'"),
+        ("2,3,8,4,4,-0,1,1,1,1,1\n", "line 2: field ideal_preserving is not 0 or 1: '-0'"),
+        ("2,3,8,04,4,1,1,1,1,1,1\n", "line 2: field m is not a canonical integer: '04'"),
+        ("-0,3,8,4,4,1,1,1,1,1,1\n", "line 2: field d is not a canonical integer: '-0'"),
     ]:
         bad.write_text(CSV_HEADER + "\n" + rows)
         with pytest.raises(ValueError) as exc:
@@ -678,6 +681,34 @@ def test_report_rejects_malformed_jsonl(tmp_path):
         with pytest.raises(ValueError) as exc:
             report_hfd(str(bad))
         assert str(exc.value) == "line 2: not in the spelling scan writes"
+
+
+def test_each_field_names_its_off_spelling_text(tmp_path):
+    # a good row, then the same row with one field's text off the spelling scan writes:
+    # in both formats and for every field, the refusal names the row's line, the field
+    # and the text
+    rec = classify_order(OrderSpec(2, 3))
+    formats = [("csv", ("0", "1"), CSV_HEADER + "\n"), ("jsonl", ("false", "true"), "")]
+    for fmt, words, head in formats:
+        if fmt == "csv":
+            texts = [str(int(v)) for v in rec]
+            spell = ",".join
+        else:
+            texts = [json.dumps(v) for v in rec]
+            spell = lambda ts: "{" + ",".join(f'"{k}":{t}' for k, t in zip(rec._fields, ts)) + "}"
+        good = spell(texts) + "\n"
+        lineno = (head + good).count("\n") + 1
+        path = tmp_path / f"bad.{fmt}"
+        path.write_text(head + good)
+        assert report_hfd(str(path)).total == rec.hfd
+        for i, name in enumerate(rec._fields):
+            flag = isinstance(rec[i], bool)
+            what = " or ".join(words) if flag else "a canonical integer"
+            for text in ["x", "+1", "01", " 1", "1.0"] + (["1"] if flag and fmt == "jsonl" else []):
+                path.write_text(head + good + spell(texts[:i] + [text] + texts[i + 1 :]) + "\n")
+                with pytest.raises(ValueError) as exc:
+                    report_hfd(str(path))
+                assert str(exc.value) == f"line {lineno}: field {name} is not {what}: {text!r}"
 
 
 def test_scan_validation(tmp_path):
@@ -777,6 +808,6 @@ def test_resume_checks_every_checkpointed_row(tmp_path):
     with pytest.raises(ValueError) as resumed:
         scan(small_cfg(out, d_max=13, resume=True))
     line = data.count(b"\n", 0, pos) + 1
-    assert str(reported.value) == f"line {line}: field hfd is not an integer: 'x'"
+    assert str(reported.value) == f"line {line}: field hfd is not 0 or 1: 'x'"
     assert str(resumed.value) == str(reported.value)
     assert (out.read_bytes(), ck.read_bytes()) == (before, ck_before)

@@ -9,7 +9,7 @@ import time
 
 import pytest
 
-from quadorders import OrderSpec, atlas, classify_order, make_field, record_to_json_obj
+from quadorders import OrderSpec, arith, atlas, classify_order, make_field, record_to_json_obj
 from quadorders.arith import WINDOW_WIDTH_MAX
 from quadorders.cli import format_unit, main
 from quadorders.oracle import DEFAULT_ENUM_BOUND
@@ -121,6 +121,20 @@ def test_verify_mismatch_exits_1(capsys, monkeypatch):
     rc, out, _ = run_cli(capsys, "verify", "-d", "2", "-n", "2")
     assert rc == 1
     assert out.startswith("MISMATCH") and "ip: true/false" in out
+
+
+def test_a_value_too_large_to_factor_is_named(capsys, monkeypatch):
+    # make_field factors |d| to test it squarefree: that refusal names d, sign and all,
+    # and one of n still names n; a trial bound of 1000 makes each refusal instant
+    monkeypatch.setattr(arith, "TRIAL_BOUND", 1000)
+    big = 10**18 + 3  # a prime past 10^14: no test factors it, so no cache holds it
+    for argv, name in [
+        (("lfun", "-d", str(big), "-n", "2"), f"d = {big}"),
+        (("classnum", "-d", str(-big)), f"d = {-big}"),
+        (("classify", "-d", "2", "-n", str(big)), f"n = {big}"),
+    ]:
+        message = f"error: {name} is too large to factor: no factor of {big} up to 1000\n"
+        assert run_cli(capsys, *argv) == (2, "", message)
 
 
 def test_verify_bound_exceeded(capsys):

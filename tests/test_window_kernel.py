@@ -24,8 +24,9 @@ from quadorders import (
     scan,
 )
 from quadorders.arith import WINDOW_WIDTH_MAX, check_window, factorize, window_plan
-from quadorders.atlas import _BOOL_FIELDS, _to_json, _write_task
+from quadorders.atlas import _BOOL_FIELDS, _write_task
 from quadorders.classify import classify_field
+from quadorders.cli import _to_json
 from test_classify import reference_record
 
 
