@@ -16,7 +16,9 @@ twice that of z^k - 1, so even: z^k = 1 mod q iff V_k(P', 1) = 2 mod M = q^2/p =
 which is mod p at a = 1, p = 2 included.  V_jk = V_j(V_k) (Lehmer, Ann. Math. 1930): for
 r^e || L(q), V_(L/r^e) mod M is raised to the r-th power until it is 2 (order reduction from
 the group order, Cohen, A Course in Computational Algebraic Number Theory, 1993, Alg. 1.4.3).
-A u not of norm N mod M, or z^L != 1, raises InternalConsistencyError.
+A u not of norm N mod M, or z^L != 1, raises InternalConsistencyError.  When q | y, u is
+already in Z + q*O_K, so m(q) = 1 is returned after the norm check with no ladder: this is
+every prime power for u = -1, the unit of every imaginary field but d = -1, -3.
 """
 
 from __future__ import annotations
@@ -63,6 +65,8 @@ def local_data(F: FieldContext, U: FundamentalUnit, p: int, a: int) -> tuple[int
     x, y, N = x % M, y % M, U.norm_sign
     if (x * x - F.D * y * y - 4 * N) % M:
         raise InternalConsistencyError(f"u is not a unit of norm {N} mod {M} for d = {F.d}")
+    if not y % q:  # u is already in Z + q*O_K
+        return 1, L, chi == -1
     P = (x * x - 2 * N) * N % M  # z + 1/z for z = alpha/beta
     m = 1
     for r, e in factorize(L):

@@ -42,6 +42,7 @@ from test_classgroup import (
     count_reduced_definite_by_box_scan,
     equivalence_components,
     fundamental_discriminants,
+    with_mirrors,
 )
 from test_pell import brute_pell4, minimality_cap
 
@@ -220,11 +221,11 @@ def test_c7_class_numbers_two_methods():
     t0 = time.perf_counter()
     for D in fundamental_discriminants(400):
         if D < 0:
-            assert len(reduced_forms_negative(D)) == count_reduced_definite_by_box_scan(D), D
-            forms = reduced_forms_negative(D)
+            forms = list(reduced_forms_negative(D))
+            assert len(forms) == count_reduced_definite_by_box_scan(D), D
             assert equivalence_components(D, forms) == len(forms), D
         else:
-            forms = reduced_forms_indefinite(D)
+            forms = with_mirrors(reduced_forms_indefinite(D))
             assert narrow_class_number(D) == equivalence_components(D, forms), D
     spot = {(-5, 2), (-1, 1), (10, 2)}
     for d, h in spot:

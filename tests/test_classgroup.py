@@ -123,23 +123,29 @@ def equivalence_components(D, forms):
 
 
 def test_definite_fixture_counts():
-    assert len(reduced_forms_negative(-3)) == 1
-    assert len(reduced_forms_negative(-4)) == 1
-    assert len(reduced_forms_negative(-20)) == 2
-    assert len(reduced_forms_negative(-23)) == 3
+    assert len(list(reduced_forms_negative(-3))) == 1
+    assert len(list(reduced_forms_negative(-4))) == 1
+    assert len(list(reduced_forms_negative(-20))) == 2
+    assert len(list(reduced_forms_negative(-23))) == 3
 
 
 def test_definite_matches_box_scan():
     for D in fundamental_discriminants(400):
         if D < 0:
-            assert len(reduced_forms_negative(D)) == count_reduced_definite_by_box_scan(D)
+            assert len(list(reduced_forms_negative(D))) == count_reduced_definite_by_box_scan(D)
+
+
+def with_mirrors(forms):
+    """The reduced indefinite forms with a > 0 and their mirrors (-a, b, -c): all of them."""
+    return forms | {(-a, b, -c) for a, b, c in forms}
 
 
 def assert_same_forms_as_reference(D):
     if D < 0:
-        assert reduced_forms_negative(D) == reference_forms_negative(D), D
+        assert sorted(reduced_forms_negative(D)) == reference_forms_negative(D), D
     else:
-        assert reduced_forms_indefinite(D) == reference_forms_indefinite(D), D
+        positive = {f for f in reference_forms_indefinite(D) if f[0] > 0}
+        assert reduced_forms_indefinite(D) == positive, D
 
 
 def test_forms_match_reference_up_to_3000():
@@ -157,25 +163,30 @@ def test_forms_match_reference_on_random_discriminants():
             sample.add(d if d % 4 == 1 else 4 * d)
     for D in sorted(sample):
         assert_same_forms_as_reference(D)
+        if D < 0:
+            d = D if D % 4 == 1 else D // 4
+            F = make_field(d)
+            h = class_number(F, fundamental_unit(F)).h
+            assert h == len(reference_forms_negative(D)), D
 
 
 def test_definite_forms_are_pairwise_inequivalent():
     for D in fundamental_discriminants(200):
         if D < 0:
-            forms = reduced_forms_negative(D)
+            forms = list(reduced_forms_negative(D))
             assert equivalence_components(D, forms) == len(forms)
 
 
 def test_indefinite_fixture():
     forms = reduced_forms_indefinite(40)
-    assert len(forms) == 8
+    assert len(forms) == 4 and len(with_mirrors(forms)) == 8
     assert narrow_class_number(40) == 2
 
 
 def test_rho_permutes_reduced_forms():
     for D in (8, 12, 13, 40, 60, 316):
-        forms = reduced_forms_indefinite(D)
-        image = {rho_step(D, f) for f in forms}
+        forms = with_mirrors(reduced_forms_indefinite(D))
+        image = {rho_step(D, isqrt(D), f) for f in forms}
         assert image == forms
 
 
@@ -183,8 +194,8 @@ def test_rho_alternates_the_sign_of_a():
     # so each rho-cycle is one rho^2-cycle on the forms with a > 0, which narrow_class_number walks
     for D in fundamental_discriminants(2000):
         if D > 0:
-            for f in reduced_forms_indefinite(D):
-                assert f[0] * rho_step(D, f)[0] < 0, (D, f)
+            for f in with_mirrors(reduced_forms_indefinite(D)):
+                assert f[0] * rho_step(D, isqrt(D), f)[0] < 0, (D, f)
 
 
 @pytest.mark.parametrize("start,bad,message", [
@@ -197,10 +208,12 @@ def test_rho_alternates_the_sign_of_a():
     ((-3, 2, 3), (1, 6, -1), "rho left its cycle at"),
 ])
 def test_walk_refuses_a_step_off_the_cycle(monkeypatch, start, bad, message):
-    # D = 40 has 8 reduced forms in 2 cycles; rho_step is patched at one form
-    forms, rho = reduced_forms_indefinite(40), rho_step
-    assert start in forms and bad != rho(40, start)
-    monkeypatch.setattr(classgroup, "rho_step", lambda D, f: bad if f == start else rho(D, f))
+    # D = 40 has 8 reduced forms in 2 cycles; rho_step, the one rho the walk calls, is patched
+    # at one form
+    forms, rho = with_mirrors(reduced_forms_indefinite(40)), rho_step
+    assert start in forms and bad != rho(40, 6, start)
+    monkeypatch.setattr(classgroup, "rho_step",
+                        lambda D, s, f: bad if f == start else rho(D, s, f))
     with pytest.raises(InternalConsistencyError, match=message):
         classgroup.narrow_class_number(40)
 
@@ -208,7 +221,7 @@ def test_walk_refuses_a_step_off_the_cycle(monkeypatch, start, bad, message):
 def test_narrow_count_matches_equivalence_components():
     for D in fundamental_discriminants(400):
         if D > 0:
-            forms = reduced_forms_indefinite(D)
+            forms = with_mirrors(reduced_forms_indefinite(D))
             assert narrow_class_number(D) == equivalence_components(D, forms)
 
 
@@ -263,10 +276,13 @@ def test_maximal_order_is_hfd():
 
 def test_validation():
     with pytest.raises(ValueError):
-        reduced_forms_negative(8)
+        list(reduced_forms_negative(8))
     with pytest.raises(ValueError):
-        reduced_forms_negative(-6)
+        list(reduced_forms_negative(-6))
     with pytest.raises(ValueError):
         reduced_forms_indefinite(-4)
     with pytest.raises(ValueError):
         reduced_forms_indefinite(16)
+    for D in (16, 6, -4):  # a square, not a discriminant, negative
+        with pytest.raises(ValueError):
+            narrow_class_number(D)

@@ -208,9 +208,10 @@ def routes_taken(monkeypatch):
 
 def test_routes_match_order_reduction(monkeypatch):
     # d mod 8 in {1, 2, 3, 5, 6, 7} (17, 2, 3, 5, 6, 7); units of norm -1 (2, 5, 17, 41) and
-    # +1 (3, 6, 7, 94); 3 | y at d = 7 (u = 8 + 3*sqrt(7)); the torsion generators of -1, -3;
-    # every prime power up to 10^4, so a = 2 up to p = 97 and a up to 13 at p = 2
-    ds = [-3, -1, 2, 3, 5, 6, 7, 17, 41, 94]
+    # +1 (3, 6, 7, 94); 3 | y at d = 7 (u = 8 + 3*sqrt(7)); the torsion generators of -1, -3
+    # and u = -1 at d = -5 (y = 0); every prime power up to 10^4, so a = 2 up to p = 97 and a
+    # up to 13 at p = 2
+    ds = [-5, -3, -1, 2, 3, 5, 6, 7, 17, 41, 94]
     assert {d % 8 for d in ds if d > 0} == {1, 2, 3, 5, 6, 7}
     assert {fundamental_unit(make_field(d)).norm_sign for d in ds if d > 0} == {-1, 1}
     prime_powers = [(p, a) for p in range(2, 10**4) if is_prime(p)
@@ -226,18 +227,22 @@ def test_routes_match_order_reduction(monkeypatch):
             taken.clear()
             m, L, inert = local_data(F, U, p, a)
             assert (L, inert) == (p ** (a - 1) * (p - chi), chi == -1)
-            # the torus exactly at unramified p with L(q) > 1, p-th powers exactly at ramified
-            # p where u is not in Z + q*O_K; a = 1 and a >= 2 alike
-            routes = {"torus"} if chi and L > 1 else {"powers"} if not chi and y % q else set()
+            # the torus exactly at unramified p with L(q) > 1 where u is not in Z + q*O_K,
+            # p-th powers exactly at ramified p where it is not; a = 1 and a >= 2 alike
+            routes = {"torus" if chi else "powers"} if y % q and (L > 1 or not chi) else set()
             assert set(taken) == routes, (d, p, a, taken)
             assert m == order_reduction_min_power(F, U, p, a), (d, p, a)
+            if not y % q:  # u is in Z + q*O_K: m = 1 with no ladder and no power
+                assert m == 1 and not taken, (d, p, a)
             seen.add((chi, a > 1, m > 1))
             if a == 1:
                 assert m == 1 or y % p, (d, p)  # p | y: u is in Z + p*O_K
                 route_of[d, p], m_of[d, p] = min(routes, default=None), m
     assert {(chi, True, True) for chi in (-1, 0, 1)} <= seen  # a >= 2 on each splitting type
     assert {field_char(d, p) for (d, p), route in route_of.items() if route == "torus"} == {-1, 1}
-    assert route_of[7, 3] == "torus" and field_char(7, 3) == 1  # split, and 3 | y
+    assert route_of[7, 3] is None and field_char(7, 3) == 1  # split, and 3 | y
+    assert all(route_of[-5, p] is None for p in (2, 3, 11))  # ramified, split, inert
+    assert route_of[7, 19] == route_of[7, 5] == "torus"  # split and inert, and y = 3
     # p = 2 unramified: inert at d = 5 mod 8 (L = 3), split at d = 1 mod 8 (L = 1, m = 1)
     assert route_of[-3, 2] == route_of[5, 2] == "torus"
     assert route_of[17, 2] is route_of[41, 2] is None
