@@ -7,12 +7,13 @@ N(a, b) = a^2 + B*ab + C*b^2 is prime to M; the coefficients come from qi_norm
 itself, C = N(0, 1) and B = N(1, 1) - 1 - C, and _units tests N mod M against a
 mask of the residues prime to M one row of b at a time.  The unit count of
 O_K/(M) is the product over p^a || M of the counts so enumerated mod p^a (the
-Chinese remainder theorem).  One walk over the powers of u mod n, where a
-rational multiplier z scales both coordinates, builds the unit multiples
-(Z/n)^* * <u> and the others; local associativity compares the first size with
-the unit count, associativity the sum of both with n^2.  Ideal preservation is one
-witness loop over (P, excluded ideal) pairs: x in the image of R, in P, outside
-the excluded ideal.  Only the tests over one split or ramified p can fail, so
+Chinese remainder theorem).  One walk over the powers of u mod n, where a rational
+multiplier z scales both coordinates, builds the unit multiples (Z/n)^* * <u>, as many
+as the units iff locally associated.  Only then does a pass over the kept powers build
+the others, z*u^k with gcd(z, n) > 1, for associativity to count both against n^2;
+elsewhere both fail: no such z*u^k is a unit, its norm z^2*N(u)^k not prime to n.  Ideal
+preservation is one witness loop over (P, excluded ideal) pairs: x in the image of R,
+in P, outside the excluded ideal.  Only the tests over one split or ramified p can fail, so
 only they are scanned, mod p^2: P^2 for each P = (p, omega - r), then the other
 prime P' over a split p.  The rest hold by x = p, in R and in P, outside
 P^2 = (p^2) when P = (p) is inert and outside every prime over another rational
@@ -86,39 +87,48 @@ def quotient_unit_count(F: FieldContext, M: int) -> int:
     return total
 
 
-def _unit_cosets(F: FieldContext, U: FundamentalUnit, n: int) -> tuple[int, int]:
-    """(|(Z/n)^* <u>|, |(Z/n) <u>|) by one walk over u^k mod n, k >= 0 up to the first rational
-    u^k = c: c^2 = N(u)^k = +-1 makes c a unit, so z*c runs over the z of the k = 0 step.
-    Each z*u^k = (z*a, z*b) mod n goes to the unit multiples for z prime to n and to the
-    others for the rest (z*u^k is a unit iff z is, so the sets are disjoint): one step zips
-    two rows of _SPLITS[n], z*x mod n over those z for x = a and for x = b."""
+def _unit_cosets(F: FieldContext, U: FundamentalUnit, n: int) -> tuple[bool, bool]:
+    """(locally associated, associated) by one walk over u^k mod n, k >= 0 up to the first
+    rational u^k = c: c^2 = N(u)^k = +-1 makes c a unit, so z*c runs over the z of the k = 0
+    step.  Each step keeps u^k = (a, b) and adds z*u^k over the z prime to n, zipped from
+    the rows z*x mod n of _SPLITS[n] at x = a and b; the others wait until every unit is hit."""
     _check_modulus(n)
     if n not in _SPLITS:
         zs = [[z for z in range(n) if (gcd(z, n) == 1) == unit] for unit in (True, False)]
         _SPLITS[n] = tuple([bytes([z * x % n for z in row]) for x in range(n)] for row in zs)
-    units, others = _SPLITS[n]
+    units = _SPLITS[n][0]
     u = (U.u[0] % n, U.u[1] % n)
     unit_multiples: set[tuple[int, int]] = set()
-    other_multiples: set[tuple[int, int]] = set()
+    powers = []
     a, b = 1 % n, 0
     for _ in range(n * n + 1):
+        powers.append((a, b))
         unit_multiples.update(zip(units[a], units[b]))
-        other_multiples.update(zip(others[a], others[b]))
         a, b = qi_mul(F, (a, b), u, n)
         if b == 0:
-            return len(unit_multiples), len(unit_multiples) + len(other_multiples)
+            la = len(unit_multiples) == quotient_unit_count(F, n)
+            return la, la and _fills_quotient(n, powers, len(unit_multiples))
     raise InternalConsistencyError(f"powers of the unit mod {n} never re-entered Z")
+
+
+def _fills_quotient(n: int, powers: list[tuple[int, int]], covered: int) -> bool:
+    """True iff covered unit multiples and the z*u^k, gcd(z, n) > 1, over the powers u^k, zipped
+    from the other rows of _SPLITS[n], make n^2: z*u^k is a unit iff z is, so none counts twice."""
+    others, multiples = _SPLITS[n][1], set()
+    for a, b in powers:
+        multiples.update(zip(others[a], others[b]))
+    return covered + len(multiples) == n * n
 
 
 def brute_locally_associated(F: FieldContext, U: FundamentalUnit, n: int) -> bool:
     """True iff every unit of O_K/(n) is a rational unit times a power of u: (Z/n)^* <u> lies
     in U(O_K/(n)), so equal sizes mean equal sets."""
-    return _unit_cosets(F, U, n)[0] == quotient_unit_count(F, n)
+    return _unit_cosets(F, U, n)[0]
 
 
 def brute_associated(F: FieldContext, U: FundamentalUnit, n: int) -> bool:
     """True iff every element of O_K/(n) is a rational integer times a power of u."""
-    return _unit_cosets(F, U, n)[1] == n * n
+    return _unit_cosets(F, U, n)[1]
 
 
 def _ideal_lattice(F: FieldContext, gens: list[QI], M: int) -> tuple[int, int, int]:
@@ -192,12 +202,7 @@ def brute_ideal_preserving(F: FieldContext, n: int) -> bool:
 def oracle_verdicts(F: FieldContext, U: FundamentalUnit, n: int) -> dict[str, bool | None]:
     """Each oracle's flag at index n of the field, by name in a fixed order; None at n = 1 or
     past its bound.  One walk over the powers of u mod n gives both unit verdicts."""
-    la: bool | None = None
-    assoc: bool | None = None
-    if 1 < n <= DEFAULT_ENUM_BOUND:
-        unit_multiples, multiples = _unit_cosets(F, U, n)
-        la = unit_multiples == quotient_unit_count(F, n)
-        assoc = multiples == n * n
+    la, assoc = _unit_cosets(F, U, n) if 1 < n <= DEFAULT_ENUM_BOUND else (None, None)
     try:
         ip = brute_ideal_preserving(F, n) if n > 1 else None
     except OracleBoundError:

@@ -1,3 +1,4 @@
+import ast
 import hashlib
 import inspect
 from contextlib import suppress
@@ -358,17 +359,74 @@ def test_unit_count_one_too_low_fails_the_verified_scan(tmp_path, monkeypatch, p
 
 
 def test_walk_without_non_unit_multipliers_fails_the_verified_scan(tmp_path, monkeypatch):
-    # the walk as if it skipped every z sharing a factor with n: (Z/n)<u> shrinks to
-    # (Z/n)^*<u>, which misses 0, so no n is associated
-    walk = oracle._unit_cosets
+    # the walk as if it never collected a z*u^k with z sharing a factor with n: (Z/n)<u>
+    # shrinks to (Z/n)^*<u>, which misses 0, so no n is associated
+    def units_only(n, powers, covered):
+        return covered == n * n
 
-    def units_only(F, U, n):
-        unit_multiples, _ = walk(F, U, n)
-        return unit_multiples, unit_multiples
-
-    monkeypatch.setattr(oracle, "_unit_cosets", units_only)
+    monkeypatch.setattr(oracle, "_fills_quotient", units_only)
     with pytest.raises(ScanVerificationError, match="^associated mismatch"):
         scan(verified_60(tmp_path))
+
+
+def test_associated_taken_as_locally_associated_fails_the_verified_scan(tmp_path, monkeypatch):
+    # the shortcut wired wrong: once every unit is covered, assoc follows la without the n^2
+    # test over the non-unit multiples; by the closed forms 239 cells of the window are
+    # locally associated and not associated, so the scan cannot pass
+    window = [(d, n) for d in range(-60, 61) if d not in (0, 1) and is_squarefree(d)
+              for n in range(2, 61)]
+    records = [classify_order(OrderSpec(d, n)) for d, n in window]
+    assert sum(r.locally_associated and not r.associated for r in records) == 239
+    monkeypatch.setattr(oracle, "_fills_quotient", lambda n, powers, covered: True)
+    with pytest.raises(ScanVerificationError, match="^associated mismatch"):
+        scan(verified_60(tmp_path))
+
+
+def test_non_unit_walk_runs_exactly_where_every_unit_is_covered(monkeypatch):
+    # every cell of squarefree |d| <= 100, 2 <= n <= 60: the walk over the non-unit multiples
+    # runs once where the reference oracles find the order locally associated and nowhere
+    # else, and they never find it associated without it, the fact the skip rests on
+    fills = oracle._fills_quotient
+    runs = []
+
+    def spy(n, powers, covered):
+        runs.append(n)
+        return fills(n, powers, covered)
+
+    monkeypatch.setattr(oracle, "_fills_quotient", spy)
+    cells = 0
+    for d in range(-100, 101):
+        if d in (0, 1) or not is_squarefree(d):
+            continue
+        F = make_field(d)
+        U = fundamental_unit(F)
+        for n in range(2, 61):
+            runs.clear()
+            reference = reference_verdicts(F, U, n)
+            la, assoc = reference["locally_associated"], reference["associated"]
+            assert la or not assoc, (d, n)
+            oracle_verdicts(F, U, n)
+            assert runs == ([n] if la else []), (d, n)
+            cells += 1
+    assert cells == 7139
+
+
+def test_oracle_imports_nothing_of_the_closed_forms():
+    # the oracles witness the closed forms, so oracle.py imports none of their code: no
+    # splitting character, unit index, classifier or class number
+    tree = ast.parse(inspect.getsource(oracle))
+    forbidden = {"field_char", "local_data", "classify_field", "class_number"}
+    closed_form_modules = {"unitindex", "classify", "classgroup"}
+    imported = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported += [(alias.name, alias.name) for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            imported += [(node.module or "", alias.name) for alias in node.names]
+    assert ("quadfield", "qi_mul") in imported
+    for module, name in imported:
+        assert module.split(".")[-1] not in closed_form_modules, (module, name)
+        assert name.split(".")[-1] not in forbidden | closed_form_modules, (module, name)
 
 
 def test_wrong_stored_ideal_test_fails_the_verified_scan(tmp_path, monkeypatch):
