@@ -101,8 +101,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
         raise ValueError(
             f"n={rec.n} is outside the range of the oracle(s) {', '.join(skipped)}: "
             "locally_associated and associated enumerate O_K/(M) at M = n, ideal_preserving "
-            f"at M = p^2 for each prime p | n, each within 2 <= M <= {DEFAULT_ENUM_BOUND}, "
-            "the enumeration bound"
+            "works modulo M = p^2 for each prime p | n, each within "
+            f"2 <= M <= {DEFAULT_ENUM_BOUND}, the enumeration bound"
         )
     names = ("locally_associated", "ideal_preserving", "associated")
     bla, bip, bassoc = (verdicts[name] for name in names)

@@ -1,7 +1,7 @@
 """Brute-force verification of the order properties inside finite quotients.
 
-Everything here works by direct enumeration of O_K/(M) and is deliberately
-independent of the closed-form criteria.  An element a + b*omega of O_K/(M),
+The unit oracles enumerate O_K/(M), ideal preservation is lattice algebra in Z^2, and both
+are deliberately independent of the closed-form criteria.  An element a + b*omega of O_K/(M),
 0 <= a, b < M, is coded as the int a*M + b.  It is a unit iff its norm
 N(a, b) = a^2 + B*ab + C*b^2 is prime to M; the coefficients come from qi_norm
 itself, C = N(0, 1) and B = N(1, 1) - 1 - C, and _units tests N mod M against a
@@ -12,28 +12,29 @@ multiplier z scales both coordinates, builds the unit multiples (Z/n)^* * <u>, a
 as the units iff locally associated.  Only then does a pass over the kept powers build
 the others, z*u^k with gcd(z, n) > 1, for associativity to count both against n^2;
 elsewhere both fail: no such z*u^k is a unit, its norm z^2*N(u)^k not prime to n.  Ideal
-preservation is one witness loop over (P, excluded ideal) pairs: x in the image of R,
-in P, outside the excluded ideal.  Only the tests over one split or ramified p can fail, so
-only they are scanned, mod p^2: P^2 for each P = (p, omega - r), then the other
-prime P' over a split p.  The rest hold by x = p, in R and in P, outside
-P^2 = (p^2) when P = (p) is inert and outside every prime over another rational
-prime.  An excluded ideal's image in O_K/(M) is read through the Hermite form
-(d1, c, d2) of the lattice spanned by its generators, their omega-multiples and
-M*Z^2: (A, B) lies in it iff d2 | B and d1 | A - (B/d2)*c.  Every modulus is capped at
-DEFAULT_ENUM_BOUND = 200, since the scans are quadratic.  oracle_verdicts(F, U, n) gives
-each oracle's verdict at one cell, none at n = 1 (O_K, no quotient) or past the cap; the
-public oracles refuse n < 2.  What they enumerate depends on a ring, not on the field, so
-every entry point reads and fills three tables kept for the life of the process, each entry
-made on its first touch; (q, half, t mod q) fixes O_K/(q) = Z[x]/(q, x^2 - half*x - t).
-_UNIT_COUNTS: |U(O_K/(q))| under that key, at most 2q for each of the 60 prime powers
-q <= 200, 10,170 in all.  _IDEAL_OUTCOMES: (every P^2 test over p holds, every split-pair
-test holds) under (p, gcd(n, p^2), half, t mod p^2), all that those tests read, at most 4p^2
-for each p <= 13 (p^2 within the cap), 1,508 in all.  _SPLITS: the walk's rows, z*x mod n
-over the z prime to n and over the others for each residue x, as bytes: n^2 bytes for each
-n <= 200, 2,686,699 bytes in all.  bytes holds residues below 256 only; the cap keeps them
-there, and bytes() raises should one reach 256.  The walk over u stays per call.  Only ring
-arithmetic and factorization are shared with the fast path (qi_mul, qi_norm, factorize, the
-roots of omega's minimal polynomial), never m, L or the field character (D/p).
+preservation tests, for each prime P over a p | n, that R = Z + n*O_K meets P outside Q:
+Q = P^2 for every P, the inert P = (p) included, and Q the other prime over a split p.  An
+ideal holding p^2*O_K is the Hermite form (d1, c, d2) of the lattice spanned by its
+generators, their omega-multiples and p^2*Z^2, whose members are x*(d1, 0) + y*(c, d2):
+(A, B) lies in it iff d2 | B and d1 | A - (B/d2)*c.  R meets P in the span of (d1, 0) and
+k*(c, d2), k = n/gcd(n, d2), so a test is two membership checks in Q, with no scan.  Only
+the pairs over two rational primes go untested: p lies in R and P, not in Q.  Every
+modulus, p^2 included, is capped at DEFAULT_ENUM_BOUND = 200, since the unit scans are
+quadratic.  oracle_verdicts(F, U, n) gives each oracle's verdict at one cell, none at n = 1
+(O_K, no quotient) or past the cap; the public oracles refuse n < 2.  What they read depends
+on a ring, not on the field, so every entry point reads and fills three tables kept for the
+life of the process, each entry made on its first touch; (q, half, t mod q) fixes
+O_K/(q) = Z[x]/(q, x^2 - half*x - t).  _UNIT_COUNTS: |U(O_K/(q))| under that key, at most
+2q for each of the 60 prime powers q <= 200, 10,170 in all.  _IDEAL_OUTCOMES: (every P^2
+test over p holds, every split-pair test holds) under (p, gcd(n, p^2), half, t mod p^2): n
+enters a test only as k*(c, d2), and p in P gives d2 | p and p*(c, d2) in Q, so only
+whether p | k counts, which gcd(n, p^2) fixes; at most 4p^2 for each p <= 13 (p^2 within
+the cap), 1,508 in all.  _SPLITS: the walk's rows, z*x mod n over the z prime to n and over
+the others for each residue x, as bytes: n^2 bytes for each n <= 200,
+2,686,699 bytes in all.  bytes holds residues below 256 only; the cap keeps them there, and
+bytes() raises should one reach 256.  The walk over u stays per call.  Only ring arithmetic
+and factorization are shared with the fast path (qi_mul, qi_norm, factorize, the roots of
+omega's minimal polynomial), never m, L or the field character (D/p).
 """
 
 from __future__ import annotations
@@ -52,7 +53,8 @@ _SPLITS: dict[int, tuple[list[bytes], list[bytes]]] = {}
 
 
 class OracleBoundError(ValueError):
-    """The requested enumeration modulus exceeds the cap, DEFAULT_ENUM_BOUND."""
+    """An oracle's modulus exceeds the cap, DEFAULT_ENUM_BOUND: n, where the unit oracles
+    enumerate O_K/(n), or p^2 for a p | n, where ideal preservation works modulo p^2."""
 
 
 def _check_modulus(M: int) -> None:
@@ -147,39 +149,30 @@ def _ideal_lattice(F: FieldContext, gens: list[QI], M: int) -> tuple[int, int, i
     return d1, c % d1, d2
 
 
-def _witness_exists(n: int, M: int, P: tuple[int, int], excluded: tuple[int, int, int]) -> bool:
-    """Scan the image of R = Z + n*O_K in O_K/(M) for x in P = (p, omega - r) outside the
-    excluded ideal, given by the Hermite form of its preimage (the ideal contains M).  Only
-    members of P are walked: A = -B*r (mod p)."""
-    p, r = P
-    d1, c, d2 = excluded
-    for B in range(0, M, gcd(n, M)):
-        for A in range(-B * r % p, M, p):
-            if B % d2 or (A - B // d2 * c) % d1:
-                return True
-    return False
-
-
-def _test_holds(F: FieldContext, n: int, P: tuple[int, int], Q: tuple[int, int]) -> bool:
-    """R meets P = (p, omega - r) outside Q = (p, omega - s), or outside P^2 when Q = P."""
-    gens = [(Q[0], 0), (-Q[1], 1)]
-    if Q == P:  # P^2 is generated by the products of P's generators
-        gens = [qi_mul(F, g, h) for g in gens for h in gens]
-    return _witness_exists(n, P[0] ** 2, P, _ideal_lattice(F, gens, P[0] ** 2))
+def _test_holds(F: FieldContext, n: int, P: list[QI], Q: list[QI], M: int) -> bool:
+    """R = Z + n*O_K meets the ideal generated by P outside the one generated by Q, both
+    containing M*O_K.  R is the (a, b) with n | b, so R meets P = x*(d1, 0) + y*(c, d2) in the
+    span of (d1, 0) and k*(c, d2), k = n / gcd(n, d2): the test holds iff one of the two lies
+    outside Q, each read by Q's Hermite form."""
+    d1, c, d2 = _ideal_lattice(F, P, M)
+    e1, f, e2 = _ideal_lattice(F, Q, M)
+    k = n // gcd(n, d2)
+    return any(B % e2 or (A - B // e2 * f) % e1 for A, B in ((d1, 0), (k * c, k * d2)))
 
 
 def brute_ideal_preserving(F: FieldContext, n: int) -> bool:
-    """Witness search for the ideal-theoretic criterion.
+    """Lattice-membership test of the ideal-theoretic criterion.
 
     R is ideal-preserving iff for every prime ideal P over a divisor of n,
     R meets P outside P^2, and for every ordered pair of distinct primes
-    P != P', R meets P outside P'.  Only the tests over one split or ramified
-    p are scanned, mod p^2: x = p lies in R and P and outside (p^2) = P^2 for
-    an inert P = (p), and outside every prime over another rational prime.
-    Each p | n in increasing order meets the bound before omega_roots (a scan
-    of range(p)) runs on it, and gives False if a P^2 test fails; the split
-    pairs are read after every p.  Both outcomes of p are scanned on its first
-    touch and kept in _IDEAL_OUTCOMES under (p, gcd(n, p^2), half, t mod p^2).
+    P != P', R meets P outside P'.  _test_holds decides each, mod p^2: P^2
+    for every P over p, the inert P = (p) included, and the pair over a split
+    p.  Only the pairs over two rational primes go untested: p lies in R and
+    P, not in P'.  Each p | n in increasing order meets the bound before
+    omega_roots (a scan of range(p)) runs on it, and gives False if a P^2 test
+    fails; the split pairs are read after every p.  Both outcomes of p are
+    decided on its first touch and kept in _IDEAL_OUTCOMES under
+    (p, gcd(n, p^2), half, t mod p^2).
     """
     if n < 2:
         raise ValueError(f"order index must be >= 2, got {n}")
@@ -188,10 +181,11 @@ def brute_ideal_preserving(F: FieldContext, n: int) -> bool:
         _check_modulus(M := p * p)
         key = (p, gcd(n, M), F.half, F.t % M)
         if key not in _IDEAL_OUTCOMES:
-            primes = [(p, r) for r in omega_roots(F, p)]
-            _IDEAL_OUTCOMES[key] = (all(_test_holds(F, n, P, P) for P in primes),
-                                    all(_test_holds(F, n, P, Q) for P in primes for Q in primes
-                                        if Q != P))
+            primes = [[(p, 0), (-r, 1)] for r in omega_roots(F, p)] or [[(p, 0)]]
+            _IDEAL_OUTCOMES[key] = (
+                all(_test_holds(F, n, P, [qi_mul(F, g, h) for g in P for h in P], M)
+                    for P in primes),
+                all(_test_holds(F, n, P, Q, M) for P in primes for Q in primes if Q != P))
         squares_hold, pairs_hold = _IDEAL_OUTCOMES[key]
         if not squares_hold:
             return False

@@ -139,14 +139,14 @@ def test_a_value_too_large_to_factor_is_named(capsys, monkeypatch):
 
 def test_verify_bound_exceeded(capsys):
     # n = 5000 = 2^3 5^4 is past the bound at M = n, while ideal_preserving runs mod 2^2 and
-    # 5^2; n = 17 is within it, but ideal_preserving enumerates mod 17^2 = 289, past it
+    # 5^2; n = 17 is within it, but ideal_preserving works mod 17^2 = 289, past it
     for n, skipped in ((5000, "locally_associated, associated"),
                        (17, "ideal_preserving")):
         rc, _, err = run_cli(capsys, "verify", "-d", "2", "-n", str(n))
         assert rc == 2
         assert err.startswith(f"error: n={n} is outside the range of the oracle(s) {skipped}: ")
         assert "locally_associated and associated enumerate O_K/(M) at M = n" in err
-        assert "ideal_preserving at M = p^2 for each prime p | n" in err
+        assert "ideal_preserving works modulo M = p^2 for each prime p | n" in err
         assert f"2 <= M <= {DEFAULT_ENUM_BOUND}, the enumeration bound" in err
 
 

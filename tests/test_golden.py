@@ -5,8 +5,8 @@ pinned by the line count, sha256 and `report` hfd_total of the file it writes;
 adding a window is adding one entry. Any change to a digest is a change of
 output and needs a documented reason.
 
-Heavy entries, and the checks derived from the golden window, run only when
-QUADORDERS_CENSUS=1 is set. `QUADORDERS_CENSUS=1 python -m pytest -q
+Heavy entries, the checks derived from the golden window and the census of the
+oracles' verdicts run only when QUADORDERS_CENSUS=1 is set. `QUADORDERS_CENSUS=1 python -m pytest -q
 tests/test_golden.py` runs them all; `-k paper` selects the paper's census
 window (a 212 MB file), `-k "not paper"` the rest.
 """
@@ -19,7 +19,11 @@ from typing import NamedTuple
 
 import pytest
 
+from quadorders.arith import is_squarefree
 from quadorders.cli import main
+from quadorders.oracle import oracle_verdicts
+from quadorders.pell import fundamental_unit
+from quadorders.quadfield import make_field
 
 OPT_IN = pytest.mark.skipif(os.environ.get("QUADORDERS_CENSUS") != "1",
                             reason="heavy: set QUADORDERS_CENSUS=1")
@@ -181,7 +185,11 @@ def test_pinned_window(tmp_path, capsys, name):
 # peak RSS and the largest of its forked workers' (0 with none), in KiB
 _PEAK_RSS = """
 import resource, sys
+from quadorders.arith import is_squarefree
 from quadorders.cli import main
+from quadorders.oracle import oracle_verdicts
+from quadorders.pell import fundamental_unit
+from quadorders.quadfield import make_field
 rc = main(sys.argv[1:])
 peaks = (resource.getrusage(who).ru_maxrss for who in (resource.RUSAGE_SELF, resource.RUSAGE_CHILDREN))
 print(*peaks, file=sys.stderr)
@@ -253,3 +261,24 @@ def test_n_too_large_to_factor_is_refused_in_time(command):
     # about a second; test_cli.py pins the exit code and message in-process, where a hang
     # would stop the suite instead of failing one test
     assert cli(command, "-d", "2", "-n", str(10**18 + 3), timeout=20).returncode == 2
+
+
+@OPT_IN
+def test_oracle_verdict_census():
+    # oracle_verdicts on each of the 36,600 cells of squarefree |d| <= 150, n = 1..200, one
+    # line "d,n,<la><ip><assoc>" a cell, each T, F or N (None: n = 1 or past a bound); the
+    # oracles witness the closed forms, so a rewrite of them must move no verdict.  Pinned
+    # while ideal preservation still scanned O_K/(p^2) for a witness
+    words = {True: "T", False: "F", None: "N"}
+    lines = []
+    for d in range(-150, 151):
+        if d in (0, 1) or not is_squarefree(d):
+            continue
+        F = make_field(d)
+        U = fundamental_unit(F)
+        for n in range(1, 201):
+            verdicts = oracle_verdicts(F, U, n).values()
+            lines.append(f"{d},{n},{''.join(words[v] for v in verdicts)}\n")
+    assert len(lines) == 36_600
+    digest = hashlib.sha256("".join(lines).encode()).hexdigest()
+    assert digest == "9c1efe97600fa8258dc360f9dc3f038279584cf3a493ccb95de143fb07ff2850"

@@ -1,6 +1,7 @@
 import ast
 import hashlib
 import inspect
+from collections import Counter
 from contextlib import suppress
 from math import gcd
 
@@ -170,24 +171,23 @@ def test_each_ring_is_enumerated_once_per_process(monkeypatch, fresh_oracle_tabl
     # over n = 2..200 of several fields, each O_K/(q) is enumerated, and each ideal test
     # scanned, once per ring, (q, half, t mod q), across the fields: d = 2 and d = -5 share
     # O_K/(7), as 2 = -5 (mod 7), so the second enumerates no O_K/(7).  A prime's ideal tests
-    # are scanned together, in one run of witness scans under its outcome's key
+    # are decided together, in one run of lattice tests under its outcome's key
     # (p, gcd(n, p^2), half, t mod p^2).  Every entry point reads the same tables: the public
     # oracles enumerate nothing on a ring that oracle_verdicts has enumerated, nor on a
     # second call.
     calls = []
-    units, witness = oracle._units, oracle._witness_exists
+    units, holds = oracle._units, oracle._test_holds
 
     def spy_units(F, M):
         calls.append(("units", M, F.half, F.t % M))
         return units(F, M)
 
-    def spy_witness(n, M, P, excluded):
-        # the ideal test's ring is the field's under test
-        calls.append(("witness", P[0], gcd(n, M), F.half, F.t % M, P, excluded))
-        return witness(n, M, P, excluded)
+    def spy_holds(F, n, P, Q, M):
+        calls.append(("ideal", P[0][0], gcd(n, M), F.half, F.t % M, tuple(P), tuple(Q)))
+        return holds(F, n, P, Q, M)
 
     monkeypatch.setattr(oracle, "_units", spy_units)
-    monkeypatch.setattr(oracle, "_witness_exists", spy_witness)
+    monkeypatch.setattr(oracle, "_test_holds", spy_holds)
     prime_powers = {p**a for n in range(2, DEFAULT_ENUM_BOUND + 1) for p, a in factorize(n)}
     fields = [make_field(d) for d in (2, -5, 17, -3, 10)]
     per_field = {}
@@ -202,7 +202,7 @@ def test_each_ring_is_enumerated_once_per_process(monkeypatch, fresh_oracle_tabl
         (q, F.half, F.t % q) for F in fields for q in prime_powers}
     assert ("units", 7, 0, 2) in per_field[2]
     assert [c for c in per_field[-5] if c[:2] == ("units", 7)] == []
-    outcome_keys = [c[1:5] for c in calls if c[0] == "witness"]
+    outcome_keys = [c[1:5] for c in calls if c[0] == "ideal"]
     runs = [k for i, k in enumerate(outcome_keys) if i == 0 or outcome_keys[i - 1] != k]
     assert runs and len(runs) == len(set(runs)) and set(runs) <= set(oracle._IDEAL_OUTCOMES)
     calls.clear()
@@ -432,18 +432,18 @@ def test_oracle_imports_nothing_of_the_closed_forms():
 def test_wrong_stored_ideal_test_fails_the_verified_scan(tmp_path, monkeypatch):
     # each ideal test's outcome is stored on its first touch and read by every later n of
     # the field with the same (P, Q, gcd(n, p^2)); a wrong outcome stored then stops the scan
-    witness = oracle._witness_exists
+    holds = oracle._test_holds
     touched = set()
 
-    def wrong_on_first_touch(n, M, P, excluded):
-        found = witness(n, M, P, excluded)
-        key = (gcd(n, M), M, P, excluded)
+    def wrong_on_first_touch(F, n, P, Q, M):
+        found = holds(F, n, P, Q, M)
+        key = (gcd(n, M), M, tuple(P), tuple(Q))
         if key in touched:
             return found
         touched.add(key)
         return not found
 
-    monkeypatch.setattr(oracle, "_witness_exists", wrong_on_first_touch)
+    monkeypatch.setattr(oracle, "_test_holds", wrong_on_first_touch)
     with pytest.raises(ScanVerificationError, match="^ideal_preserving mismatch"):
         scan(verified_60(tmp_path))
 
@@ -619,23 +619,22 @@ def test_prime_square_image_matches_exact_lattice():
 
 
 def test_witness_walk_stays_inside_the_prime():
-    # with R = O_K (n = 1), P = (p, omega - r) holds an element outside P^2 but none
-    # outside P itself: the walk visits members of P only
+    # with R = O_K (n = 1), each prime P over p, (p, omega - r) or the inert (p), holds an
+    # element outside P^2 but none outside P itself: the lattice test reads members of P only
     for d in (2, -5, 17, -3, 5, -1):
         F = make_field(d)
         for p in (2, 3, 5, 7):
-            for r in omega_roots(F, p):
-                P = [(p, 0), (-r, 1)]
+            for P in [[(p, 0), (-r, 1)] for r in omega_roots(F, p)] or [[(p, 0)]]:
                 square = [qi_mul(F, g, h) for g in P for h in P]
                 M = p * p
-                assert oracle._witness_exists(1, M, (p, r), _ideal_lattice(F, square, M))
-                assert not oracle._witness_exists(1, M, (p, r), _ideal_lattice(F, P, M))
+                assert oracle._test_holds(F, 1, P, square, M)
+                assert not oracle._test_holds(F, 1, P, P, M)
 
 
 def test_unscanned_ideal_tests_always_hold():
-    # brute_ideal_preserving scans no inert P^2 test and no pair over two rational primes:
-    # by the reference oracle each holds (x = p is a witness) on every cell of squarefree
-    # |d| <= 30, 2 <= n <= 60, for every prime ideal over each p | n with p^2 in the bound
+    # brute_ideal_preserving tests no pair over two rational primes: by the reference oracle
+    # each holds (x = p is a witness) on every cell of squarefree |d| <= 30, 2 <= n <= 60,
+    # for every prime ideal over each p | n with p^2 in the bound
     tests = 0
     for d in range(-30, 31):
         if d in (0, 1) or not is_squarefree(d):
@@ -646,23 +645,24 @@ def test_unscanned_ideal_tests_always_hold():
                       for r in omega_roots(F, p) or (None,)]
             for P in primes:
                 for Q in primes:
-                    if Q[0] != P[0] or (Q == P and P[1] is None):
+                    if Q[0] != P[0]:
                         assert _reference_pair(F, n, P, Q), (d, n, P, Q)
                         tests += 1
-    assert tests == 5039
+    assert tests == 4104
 
 
 def test_ideal_pairs_stay_over_one_split_or_ramified_prime(monkeypatch):
-    # every scanned test is P^2 for a P with a root, or the pair over one split p, each
-    # scanned once, under its prime outcome's key; each stored outcome is (every P^2 test
-    # holds, every split-pair test holds) by the reference oracle
-    scanned = []
+    # each key runs the P^2 test of every prime P over p, the inert P = (p) included, and the
+    # pair test only over a split p, each test once, under its prime outcome's key; each
+    # stored outcome is (every P^2 test holds, every split-pair test holds) by the reference
+    # oracle.  Q is named by its Hermite form, which the key fixes whatever field filled it
+    decided = []
     holds = oracle._test_holds
 
-    def spy(F, n, P, Q):
-        M = P[0] ** 2
-        scanned.append(((P[0], gcd(n, M), F.half, F.t % M), P, Q))
-        return holds(F, n, P, Q)
+    def spy(F, n, P, Q, M):
+        key = (P[0][0], gcd(n, M), F.half, F.t % M)
+        decided.append((key, tuple(P), _ideal_lattice(F, Q, M)))
+        return holds(F, n, P, Q, M)
 
     monkeypatch.setattr(oracle, "_test_holds", spy)
     checked = set()
@@ -676,18 +676,49 @@ def test_ideal_pairs_stay_over_one_split_or_ramified_prime(monkeypatch):
             if key not in {(p, g, F.half, F.t % (p * p)) for g in (p, p * p)}:
                 continue
             checked.add(key)
-            primes = [(p, r) for r in omega_roots(F, p)]
-            tests = [(P, Q) for key_, P, Q in scanned if key_ == key]
-            assert bool(tests) == bool(primes), (d, key)
-            assert set(tests) <= {(P, Q) for P in primes for Q in primes}, (d, key)
-            assert all(Q == P or field_char(d, p) == 1 for P, Q in tests), (d, key)
+            roots = omega_roots(F, p)
+            primes = [((p, 0), (-r, 1)) for r in roots] or [((p, 0),)]
+            M = p * p
+            squares = [(P, _ideal_lattice(F, [qi_mul(F, g, h) for g in P for h in P], M))
+                       for P in primes]
+            pairs = {(P, _ideal_lattice(F, Q, M)) for P in primes for Q in primes if Q != P}
+            tests = {(P, Q) for key_, P, Q in decided if key_ == key}
+            # all() stops at the first failing P^2 test, so only the first one always runs
+            assert squares[0] in tests and tests <= set(squares) | pairs, (d, key)
+            assert not pairs or field_char(d, p) == 1, (d, key)
             # the reference oracle reads n only through gcd(n, p^2)
-            assert outcome == (all(_reference_pair(F, step, P, P) for P in primes),
-                               all(_reference_pair(F, step, P, Q) for P in primes for Q in primes
+            refs = [(p, r) for r in roots] or [(p, None)]
+            assert outcome == (all(_reference_pair(F, step, P, P) for P in refs),
+                               all(_reference_pair(F, step, P, Q) for P in refs for Q in refs
                                    if Q != P)), (d, key)
     # every stored key is (p, gcd(n, p^2), half, t mod p^2) for some field and n
     assert checked == set(oracle._IDEAL_OUTCOMES)
-    assert len(scanned) == len(set(scanned))
+    assert len(decided) == len(set(decided))
+
+
+def test_lattice_test_matches_the_reference_test_by_test():
+    # _test_holds decides each P^2 test, the inert P = (p) included, and each pair over one
+    # split p as the reference scan does, on squarefree |d| <= 30 at every p <= 13 and
+    # n in (p, p^2), both classes of gcd(n, p^2); the outcomes are counted by class
+    outcomes = Counter()
+    for d in range(-30, 31):
+        if d in (0, 1) or not is_squarefree(d):
+            continue
+        F = make_field(d)
+        for p in (2, 3, 5, 7, 11, 13):
+            M = p * p
+            primes = ({(p, r): [(p, 0), (-r, 1)] for r in omega_roots(F, p)}
+                      or {(p, None): [(p, 0)]})
+            for n in (p, M):
+                for P, gens in primes.items():
+                    for Q, excluded in primes.items():
+                        if Q == P:
+                            excluded = [qi_mul(F, g, h) for g in gens for h in gens]
+                        got = oracle._test_holds(F, n, gens, excluded, M)
+                        assert got == _reference_pair(F, n, P, Q), (d, n, P, Q)
+                        outcomes[n == M, got] += 1
+    assert outcomes == {(False, False): 218, (False, True): 244,
+                        (True, False): 218, (True, True): 244}
 
 
 def test_matches_closed_forms_small_grid():
