@@ -8,12 +8,10 @@ most one per task: worker k of `jobs` runs tasks k, k + jobs, ... into a spool o
 an unlinked file in the output's directory, and the parent copies each task out of its
 spool in task order, so the output is independent of the worker count.  Every worker
 is killed and waited for when the scan ends, however it ends, and no spool outlives it.
-A task sets each of its fields up once, takes its cells from classify_field (and under
---verify checks each by oracle_verdicts, which keeps its enumerations by ring for the life
-of the process, building no record), and renders them through one row template per field,
-with d, D and h_maximal in place, in segments of at most _SEGMENT_ROWS rows, so the rows a
-process holds are bounded by the segment, whatever the width of its n window; a spool
-keeps its rows on disk until the scan ends.
+A task sets each of its fields up once, takes its cells from classify_field (under --verify,
+checked by checked_columns) and renders them through one row template per field, d, D and
+h_maximal in place, in segments of at most _SEGMENT_ROWS rows: a process holds at most a
+segment's rows, whatever its n window's width; a spool keeps its rows until the scan ends.
 On an exception the file is cut back to its last checkpoint.
 report and scan --resume read a scan file through one reader, _scan_file: it checks
 64 KiB blocks of whole lines by one regex search from line end to line end, built from
@@ -24,6 +22,7 @@ each field's text, it names the line and, past the literal text, the field and i
 
 from __future__ import annotations
 
+import json
 import os
 import pickle
 import re
@@ -45,6 +44,8 @@ from .quadfield import FieldContext, make_field
 
 FIELD_NAMES = ClassificationRecord._fields
 CSV_HEADER = ",".join(FIELD_NAMES)
+# a classify_field cell's columns: the record's, less the field's d, D and h_maximal
+CELL_NAMES = tuple(name for name in FIELD_NAMES if name not in ("d", "D", "h_maximal"))
 _BOOL_FIELDS = ("ideal_preserving", "locally_associated", "associated", "hfd")
 _BLOCK_SIZE = 1 << 16  # bytes read, spooled or copied at once; a read block runs on to a line end
 _TASK_CELLS = 1 << 14  # rows of a scan task at most, unless one field's alone is more
@@ -118,17 +119,24 @@ def record_to_json_obj(rec: tuple) -> dict:
     return dict(zip(FIELD_NAMES, rec))
 
 
+def checked_columns(F: FieldContext, U: FundamentalUnit, names: tuple, row: tuple) -> dict:
+    """{name: (row's value in that column, verdict)} for each oracle_verdicts name, row a cell
+    or record and names its columns; the verdict is None at n = 1 or past the bound."""
+    verdicts = oracle_verdicts(F, U, row[names.index("n")])  # the one reader of the verdicts
+    return {name: (row[names.index(name)], got) for name, got in verdicts.items()}
+
+
+def compared(flag: object, verdict: object) -> str:  # in the JSONL spelling, as in a row
+    return f"closed-form={json.dumps(flag)} oracle={json.dumps(verdict)}"
+
+
 def _verified(F: FieldContext, U: FundamentalUnit, cells: Iterator[tuple]) -> Iterator[tuple]:
-    """cells, each checked by the brute oracles where they have a value (--verify), through one
-    oracle_verdicts a cell; each verdict is matched to the cell's flag by name."""
+    """cells, checked by checked_columns: a verdict neither None nor the cell's value raises."""
     for cell in cells:
-        n, _, _, ip, la, assoc = cell[:6]
-        flags = {"locally_associated": la, "ideal_preserving": ip, "associated": assoc}
-        for name, got in oracle_verdicts(F, U, n).items():
-            if got is not None and got != flags[name]:
-                raise ScanVerificationError(
-                    f"{name} mismatch at d={F.d}, n={n}: closed-form {flags[name]}, oracle {got}"
-                )
+        for name, (flag, got) in checked_columns(F, U, CELL_NAMES, cell).items():
+            if got != flag and got is not None:
+                at = f"d={F.d}, n={cell[0]}"
+                raise ScanVerificationError(f"{name} mismatch at {at}: {compared(flag, got)}")
         yield cell
 
 

@@ -1,7 +1,7 @@
-"""Command-line entry point.
+"""Command-line entry point: classify, unit, lfun, classnum, verify, scan, report.
 
-Subcommands: classify, unit, lfun, classnum, verify, scan, report.
-Exit codes: 0 ok or a closed stdout, 1 failed check or corrupt data, 2 bad usage or out of memory.
+Exit codes: 0 ok or a closed stdout, 1 failed check or corrupt data, 2 bad usage, a file that
+cannot be read or written, or out of memory.
 """
 
 from __future__ import annotations
@@ -13,10 +13,10 @@ import sys
 from dataclasses import fields
 from math import log10
 
-from .atlas import _FLAG_WORDS, ScanConfig, ScanFileError, record_to_json_obj, report_hfd, scan
+from .atlas import ScanConfig, ScanFileError, checked_columns, compared, report_hfd, scan
 from .classgroup import class_number
 from .classify import OrderSpec, classify_order
-from .oracle import DEFAULT_ENUM_BOUND, oracle_verdicts
+from .oracle import DEFAULT_ENUM_BOUND
 from .pell import FundamentalUnit, fundamental_unit, verify_unit
 from .quadfield import FieldContext, make_field, unit_xy
 from .unitindex import l_value
@@ -48,15 +48,15 @@ def _sqrt_expr(x: int, y: int, d: int) -> str:
 
 def format_unit(F: FieldContext, U: FundamentalUnit) -> str:
     x, y = unit_xy(F, U.u)
-    if F.half:
+    if x % 2:
         return f"({_sqrt_expr(x, y, F.d)})/2"
-    return _sqrt_expr(x // 2, y, F.d)
+    return _sqrt_expr(x // 2, y // 2 if F.half else y, F.d)  # with half, X and Y share parity
 
 
 def cmd_classify(args: argparse.Namespace) -> int:
     rec = classify_order(OrderSpec(args.d, args.n))
     if args.json:
-        print(_to_json(record_to_json_obj(rec)))
+        print(_to_json(rec._asdict()))
         return 0
     print(f"d={rec.d} n={rec.n} D={rec.D}")
     print(
@@ -95,25 +95,17 @@ def cmd_classnum(args: argparse.Namespace) -> int:
 def cmd_verify(args: argparse.Namespace) -> int:
     rec = classify_order(OrderSpec(args.d, args.n))
     F = make_field(rec.d)
-    verdicts = oracle_verdicts(F, fundamental_unit(F), rec.n)
-    skipped = [name for name, got in verdicts.items() if got is None]
-    if skipped:
+    checked = checked_columns(F, fundamental_unit(F), rec._fields, rec)
+    if skipped := [name for name, (_, got) in checked.items() if got is None]:
         raise ValueError(
             f"n={rec.n} is outside the range of the oracle(s) {', '.join(skipped)}: "
             "locally_associated and associated enumerate O_K/(M) at M = n, ideal_preserving "
             "works modulo M = p^2 for each prime p | n, each within "
             f"2 <= M <= {DEFAULT_ENUM_BOUND}, the enumeration bound"
         )
-    names = ("locally_associated", "ideal_preserving", "associated")
-    bla, bip, bassoc = (verdicts[name] for name in names)
-    la, ip, assoc = rec.locally_associated, rec.ideal_preserving, rec.associated
-    ok = (la, ip, assoc) == (bla, bip, bassoc)
-    word = _FLAG_WORDS["jsonl"]
-    print(
-        f"{'OK' if ok else 'MISMATCH'} "
-        f"(la: closed-form={word[la]} oracle={word[bla]}; "
-        f"ip: {word[ip]}/{word[bip]}; assoc: {word[assoc]}/{word[bassoc]})"
-    )
+    ok = all(flag == got for flag, got in checked.values())
+    columns = "; ".join(f"{name}: {compared(*pair)}" for name, pair in checked.items())
+    print(f"{'OK' if ok else 'MISMATCH'} ({columns})")
     return 0 if ok else 1
 
 

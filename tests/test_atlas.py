@@ -14,7 +14,6 @@ from quadorders import (
     atlas,
     class_number,
     classify_order,
-    cli,
     oracle,
     record_to_csv_row,
     record_to_json_obj,
@@ -124,17 +123,17 @@ def test_scan_starts_no_more_workers_than_fields(tmp_path, monkeypatch):
 
 
 def wrap_verdicts(monkeypatch, change):
-    """Pass each verdict dict that atlas and cli read (from oracle_verdicts) through change."""
+    """Pass each verdict dict through change where atlas.checked_columns, the one reader of
+    oracle_verdicts for scan --verify and quadorders verify, reads it."""
     def changed(F, U, n):
         return change(oracle.oracle_verdicts(F, U, n))
 
     monkeypatch.setattr(atlas, "oracle_verdicts", changed)
-    monkeypatch.setattr(cli, "oracle_verdicts", changed)
 
 
 def flip_associated(monkeypatch):
-    """Make the verdicts that atlas and cli read disagree with every associated flag they
-    check: each verdict other than None is negated."""
+    """Make the verdicts that scan --verify and quadorders verify read disagree with every
+    associated flag they check: each verdict other than None is negated."""
     def flipped(verdicts):
         if verdicts["associated"] is not None:
             verdicts["associated"] = not verdicts["associated"]
@@ -144,7 +143,7 @@ def flip_associated(monkeypatch):
 
 
 def reverse_verdicts(monkeypatch):
-    """The same verdicts that atlas and cli read, named as before, in reverse order."""
+    """The same verdicts that both verify paths read, named as before, in reverse order."""
     wrap_verdicts(monkeypatch, lambda verdicts: dict(reversed(verdicts.items())))
 
 
@@ -539,7 +538,8 @@ def test_oracle_verdicts_skip_and_mismatch(tmp_path, monkeypatch):
     with pytest.raises(ScanVerificationError, match="associated mismatch at d=2, n=2"):
         scan(ScanConfig(d_min=2, d_max=2, n_max=2, out=str(tmp_path / "v.csv"), verify=True))
     # the same mismatch found in a forked worker keeps its type and its message
-    with pytest.raises(ScanVerificationError, match="^associated mismatch at d=2, n=2: closed-form"):
+    with pytest.raises(ScanVerificationError,
+                       match="^associated mismatch at d=2, n=2: closed-form=false oracle=true$"):
         scan(ScanConfig(d_min=2, d_max=3, n_max=2, out=str(tmp_path / "v.csv"), verify=True, jobs=2))
 
 

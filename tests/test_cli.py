@@ -9,12 +9,22 @@ import time
 
 import pytest
 
-from quadorders import OrderSpec, arith, atlas, classify_order, make_field, record_to_json_obj
+from quadorders import (
+    OrderSpec,
+    ScanConfig,
+    ScanVerificationError,
+    arith,
+    atlas,
+    classify_order,
+    make_field,
+    record_to_json_obj,
+    scan,
+)
 from quadorders.arith import WINDOW_WIDTH_MAX
 from quadorders.cli import format_unit, main
 from quadorders.oracle import DEFAULT_ENUM_BOUND
 from quadorders.pell import FundamentalUnit
-from test_atlas import flip_associated, reverse_verdicts
+from test_atlas import flip_associated, reverse_verdicts, wrap_verdicts
 
 
 def run_cli(capsys, *argv):
@@ -61,6 +71,11 @@ def test_unit_output(capsys):
     assert "torsion order 6" in out
     rc, out, _ = run_cli(capsys, "unit", "-d", "-5")
     assert out.startswith("-1,")
+    # d = 1 mod 4 with X and Y even: the unit is spelled in lowest terms, not as (X + Y√d)/2
+    rc, out, _ = run_cli(capsys, "unit", "-d", "-7")
+    assert out == "-1, norm 1, torsion order 2\n"
+    rc, out, _ = run_cli(capsys, "unit", "-d", "17")
+    assert out == "4+√17, norm -1\n"
 
 
 def test_unit_with_huge_coordinates_renders_digit_counts():
@@ -71,9 +86,12 @@ def test_unit_with_huge_coordinates_renders_digit_counts():
         "<5000 digits>-<5000 digits>√2"
     )
     F = make_field(5)
-    # (X + Y*sqrt(5))/2 with X = 2a + b = -3 * 10**4999
-    text = format_unit(F, FundamentalUnit((-2 * big, big), -1, 2))
+    # (X + Y*sqrt(5))/2 with X = 2a + b = -3 * 10**4999 - 1 and Y = 10**4999 + 1, both odd
+    text = format_unit(F, FundamentalUnit((-2 * big - 1, big + 1), -1, 2))
     assert text == "(-<5000 digits>+<5000 digits>√5)/2"
+    # X = -3 * 10**4999 and Y = 10**4999, both even: X/2 + (Y/2)*sqrt(5)
+    text = format_unit(F, FundamentalUnit((-2 * big, big), -1, 2))
+    assert text == "-<5000 digits>+<4999 digits>√5"
 
 
 def test_lfun(capsys):
@@ -98,18 +116,21 @@ def test_classnum(capsys):
 def test_verify_ok(capsys):
     rc, out, _ = run_cli(capsys, "verify", "-d", "2", "-n", "2")
     assert rc == 0
-    assert out.startswith("OK")
-    assert "la: closed-form=true oracle=true" in out
-    assert "ip: false/false" in out
-    assert "assoc: false/false" in out
+    assert out == (
+        "OK (locally_associated: closed-form=true oracle=true; "
+        "ideal_preserving: closed-form=false oracle=false; "
+        "associated: closed-form=false oracle=false)\n"
+    )
 
 
 def test_verify_matches_verdicts_to_flags_by_name(capsys, monkeypatch):
-    # the verdicts in reverse order: paired by position, la's true would meet assoc's false
+    # the verdicts in reverse order: paired by position, locally_associated's true would meet
+    # associated's false
     reverse_verdicts(monkeypatch)
     rc, out, _ = run_cli(capsys, "verify", "-d", "2", "-n", "2")
     assert rc == 0
-    assert out.startswith("OK") and "la: closed-form=true oracle=true" in out
+    assert out.startswith("OK (associated: closed-form=false oracle=false; ")
+    assert "locally_associated: closed-form=true oracle=true)" in out
 
 
 def test_verify_mismatch_exits_1(capsys, monkeypatch):
@@ -120,7 +141,33 @@ def test_verify_mismatch_exits_1(capsys, monkeypatch):
     monkeypatch.setattr("quadorders.cli.classify_order", flipped)
     rc, out, _ = run_cli(capsys, "verify", "-d", "2", "-n", "2")
     assert rc == 1
-    assert out.startswith("MISMATCH") and "ip: true/false" in out
+    assert out.startswith("MISMATCH") and "ideal_preserving: closed-form=true oracle=false" in out
+
+
+@pytest.mark.parametrize(
+    "column", ["locally_associated", "ideal_preserving", "associated", "h_order"]
+)
+def test_a_verdict_is_checked_by_its_column_name_in_both_paths(
+    capsys, monkeypatch, tmp_path, column
+):
+    # a verdict is compared with the column of its name by quadorders verify and by
+    # scan --verify alike, with atlas.oracle_verdicts the only thing patched: a flipped flag
+    # fails both, and so does an h_order verdict, which no oracle gives, one off the cell's
+    rec = classify_order(OrderSpec(2, 2))
+    wrong = rec.h_order + 1 if column == "h_order" else not getattr(rec, column)
+
+    def changed(verdicts):
+        verdicts[column] = wrong
+        return verdicts
+
+    wrap_verdicts(monkeypatch, changed)
+    checked = f"closed-form={json.dumps(getattr(rec, column))} oracle={json.dumps(wrong)}"
+    rc, out, _ = run_cli(capsys, "verify", "-d", "2", "-n", "2")
+    status, _, columns = out.partition(" (")
+    assert (rc, status) == (1, "MISMATCH")
+    assert f"{column}: {checked}" in columns.removesuffix(")\n").split("; ")
+    with pytest.raises(ScanVerificationError, match=f"^{column} mismatch at d=2, n=2: {checked}$"):
+        scan(ScanConfig(d_min=2, d_max=2, n_max=2, out=str(tmp_path / "v.csv"), verify=True))
 
 
 def test_a_value_too_large_to_factor_is_named(capsys, monkeypatch):
@@ -359,6 +406,8 @@ def _scan_out_of_memory(monkeypatch, tmp_path):
                  id="report-malformed-row"),
     pytest.param(lambda mp, tp: _report_on(tp, b"2,3,8,4,4,1,1,1,1,1,\xff\n"), 1,
                  id="report-non-utf8-byte"),
+    # a file that cannot be read or written exits 2
+    pytest.param(lambda mp, tp: ("report", str(tp / "missing.csv")), 2, id="report-missing-file"),
     # any other ValueError (a cell outside the oracles' range among them) exits 2
     pytest.param(lambda mp, tp: ("verify", "-d", "2", "-n", "5000"), 2, id="verify-past-bound"),
     # a prime n past the bound: refused before the roots mod n are searched, at once

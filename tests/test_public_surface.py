@@ -6,6 +6,7 @@ with positional arguments, reads `quadorders.atlas.CSV_HEADER` and the
 these breaks it without failing any other test.
 """
 
+import ast
 import importlib
 import inspect
 import pkgutil
@@ -52,6 +53,19 @@ def readme_names():
     return set(re.findall(r"from quadorders import ([\w, ]+)", library)[0].split(", ")) | set(
         re.findall(r"`([A-Za-z_]\w*)`", library)
     )
+
+
+def test_readme_library_example_runs_to_its_commented_result():
+    # the `## Library` code block, run as written: its last line is an expression whose
+    # value the comment after it states
+    library = README.read_text().split("## Library", 1)[1]
+    code = re.search(r"```python\n(.*?)```", library, re.S)[1]
+    body, _, comment = code.rstrip().rpartition("\n# ")
+    *statements, last = ast.parse(body).body
+    namespace = {}
+    exec(compile(ast.Module(statements, type_ignores=[]), "README.md", "exec"), namespace)
+    got = eval(compile(ast.Expression(last.value), "README.md", "eval"), namespace)
+    assert got == ast.literal_eval(comment) == (3, 6, True, False, False)
 
 
 def test_all_and_readme_names_resolve():
