@@ -48,10 +48,11 @@ def factorize(n: int) -> tuple[tuple[int, int], ...]:
 
 def check_window(lo: int, hi: int, name: str = "n") -> None:
     """Refuse with a ValueError, allocating nothing, a window [lo, hi] of n (or of d) wider
-    than WINDOW_WIDTH_MAX, or an n window that window_plan would sieve (lo != hi) ending at
-    TRIAL_BOUND^2 = 10^14 or past it, where factorize stops too."""
-    if name == "n" and lo != hi and hi >= TRIAL_BOUND**2:
-        raise ValueError(f"n window [{lo}, {hi}] is too large to sieve: its end must be below 10^14")
+    than WINDOW_WIDTH_MAX, or one reaching TRIAL_BOUND^2 = 10^14, where factorize stops: an n
+    window that window_plan would sieve (lo != hi) by its end, a d window by its largest |d|."""
+    if max(-lo, hi) >= TRIAL_BOUND**2 and (name == "d" or lo != hi):
+        end = "factor: its largest |d|" if name == "d" else "sieve: its end"
+        raise ValueError(f"{name} window [{lo}, {hi}] is too large to {end} must be below 10^14")
     if hi - lo >= WINDOW_WIDTH_MAX:
         raise ValueError(
             f"{name} window [{lo}, {hi}] is too large to scan at once: it holds {hi - lo + 1:,} "

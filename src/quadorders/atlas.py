@@ -8,10 +8,10 @@ most one per task: worker k of `jobs` runs tasks k, k + jobs, ... into a spool o
 an unlinked file in the output's directory, and the parent copies each task out of its
 spool in task order, so the output is independent of the worker count.  Every worker
 is killed and waited for when the scan ends, however it ends, and no spool outlives it.
-A task sets each of its fields up once, takes its cells from classify_field (under --verify,
-checked by checked_columns) and renders them through one row template per field, d, D and
-h_maximal in place, in segments of at most _SEGMENT_ROWS rows: a process holds at most a
-segment's rows, whatever its n window's width; a spool keeps its rows until the scan ends.
+A task sets each of its fields up once, takes its rows, in record order, from classify_field
+(under --verify, checked by checked_columns) and renders them through one row template per
+field, d, D and h_maximal in place, in segments of at most _SEGMENT_ROWS rows: a process holds
+at most a segment's rows, whatever its n window's width; a spool keeps its rows until the scan ends.
 On an exception the file is cut back to its last checkpoint.
 report and scan --resume read a scan file through one reader, _scan_file: it checks
 64 KiB blocks of whole lines by one regex search from line end to line end, built from
@@ -44,8 +44,6 @@ from .quadfield import FieldContext, make_field
 
 FIELD_NAMES = ClassificationRecord._fields
 CSV_HEADER = ",".join(FIELD_NAMES)
-# a classify_field cell's columns: the record's, less the field's d, D and h_maximal
-CELL_NAMES = tuple(name for name in FIELD_NAMES if name not in ("d", "D", "h_maximal"))
 _BOOL_FIELDS = ("ideal_preserving", "locally_associated", "associated", "hfd")
 _BLOCK_SIZE = 1 << 16  # bytes read, spooled or copied at once; a read block runs on to a line end
 _TASK_CELLS = 1 << 14  # rows of a scan task at most, unless one field's alone is more
@@ -119,25 +117,25 @@ def record_to_json_obj(rec: tuple) -> dict:
     return dict(zip(FIELD_NAMES, rec))
 
 
-def checked_columns(F: FieldContext, U: FundamentalUnit, names: tuple, row: tuple) -> dict:
-    """{name: (row's value in that column, verdict)} for each oracle_verdicts name, row a cell
-    or record and names its columns; the verdict is None at n = 1 or past the bound."""
-    verdicts = oracle_verdicts(F, U, row[names.index("n")])  # the one reader of the verdicts
-    return {name: (row[names.index(name)], got) for name, got in verdicts.items()}
+def checked_columns(F: FieldContext, U: FundamentalUnit, row: tuple) -> dict:
+    """{name: (row's value in that column, verdict)} for each oracle_verdicts name, row a record
+    or a bare row in its column order; the verdict is None at n = 1 or past the bound."""
+    verdicts = oracle_verdicts(F, U, row[1])  # the one reader of the verdicts
+    return {name: (row[FIELD_NAMES.index(name)], got) for name, got in verdicts.items()}
 
 
 def compared(flag: object, verdict: object) -> str:  # in the JSONL spelling, as in a row
     return f"closed-form={json.dumps(flag)} oracle={json.dumps(verdict)}"
 
 
-def _verified(F: FieldContext, U: FundamentalUnit, cells: Iterator[tuple]) -> Iterator[tuple]:
-    """cells, checked by checked_columns: a verdict neither None nor the cell's value raises."""
-    for cell in cells:
-        for name, (flag, got) in checked_columns(F, U, CELL_NAMES, cell).items():
+def _verified(F: FieldContext, U: FundamentalUnit, rows: Iterator[tuple]) -> Iterator[tuple]:
+    """rows, checked by checked_columns: a verdict neither None nor the row's value raises."""
+    for row in rows:
+        for name, (flag, got) in checked_columns(F, U, row).items():
             if got != flag and got is not None:
-                at = f"d={F.d}, n={cell[0]}"
+                at = f"d={F.d}, n={row[1]}"
                 raise ScanVerificationError(f"{name} mismatch at {at}: {compared(flag, got)}")
-        yield cell
+        yield row
 
 
 def _scan_one_d(
@@ -148,12 +146,13 @@ def _scan_one_d(
     F = make_field(d)
     U = fundamental_unit(F)
     h = class_number(F, U).h
-    cells = classify_field(F, U, h, n_min, n_max)
-    cells = _verified(F, U, cells) if verify else cells
+    rows = classify_field(F, U, h, n_min, n_max)
+    rows = _verified(F, U, rows) if verify else rows
     template, word = _row_template(fmt, d=d, D=F.D, h_maximal=h) + "\n", _FLAG_WORDS[fmt]
     for lo in range(n_min, n_max + 1, _SEGMENT_ROWS):
         segment = "".join([template % (n, m, L, word[ip], word[la], word[assoc], h_order, word[hfd])
-                           for n, m, L, ip, la, assoc, h_order, hfd in islice(cells, _SEGMENT_ROWS)])
+                           for _, n, _, m, L, ip, la, assoc, _, h_order, hfd
+                           in islice(rows, _SEGMENT_ROWS)])
         # the hfd rows past the n = 1 row, which is not counted
         yield segment, segment.count(_HFD_ROW_END[fmt], segment.index("\n") + 1 if lo == 1 else 0)
 

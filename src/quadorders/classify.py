@@ -8,8 +8,8 @@ The finite criteria used here:
   half-factorial     h <= 2, and for n > 1 additionally R associated and
                      n a prime or twice an odd prime.
 
-classify_field, the one kernel, composes a set-up field's cells over arith.window_plan, n = 1
-(q = r = 1) too; classify_order is its window of one n, which the plan reads from factorize.
+classify_field, the one kernel, yields a set-up field's rows in record order over window_plan,
+n = 1 (q = r = 1) too; classify_order is its window of one n, which the plan reads from factorize.
 """
 
 from __future__ import annotations
@@ -59,19 +59,18 @@ def is_ideal_preserving(spec: OrderSpec) -> bool:
 
 
 def classify_order(spec: OrderSpec) -> ClassificationRecord:
-    """The record of one cell: classify_field's window of the one n, with the field's d, D, h."""
+    """The record of one cell: classify_field's window of the one n."""
     F = make_field(spec.d)
     U = fundamental_unit(F)
     h = class_number(F, U).h
-    n, m, L, ip, la, assoc, h_order, hfd = next(classify_field(F, U, h, spec.n, spec.n))
-    return ClassificationRecord(spec.d, n, F.D, m, L, ip, la, assoc, h, h_order, hfd)
+    return ClassificationRecord._make(next(classify_field(F, U, h, spec.n, spec.n)))
 
 
 def classify_field(
     F: FieldContext, U: FundamentalUnit, h: int, n_min: int, n_max: int
 ) -> Iterator[tuple]:
-    """Yield the cells (n, m, L, ip, la, assoc, h_order, hfd) of F, with unit U and class
-    number h, for n_min <= n <= n_max in n order; n_min < 1 raises ValueError.
+    """Yield F's rows (d, n, D, m, L, ip, la, assoc, h, h_order, hfd), a record's columns, with
+    unit U and class number h, for n_min <= n <= n_max in n order; n_min < 1 raises ValueError.
 
     With n = q * r from arith.window_plan, q = p^a for the least prime p of n (q = r = 1 at
     n = 1), a cell is m = lcm(m[r], m(q)), L = L[r] * L(q), ip = ip[r] and p inert: r's from
@@ -82,6 +81,7 @@ def classify_field(
     """
     if n_min < 1:
         raise ValueError(f"n_min must be >= 1, got {n_min}")
+    d, D = F.d, F.D
     table: dict[int, tuple[int, int, bool]] = {1: (1, 1, True)}
 
     def local(q: int) -> tuple[int, int, bool]:  # (m(q), L(q), p inert) on a table miss
@@ -100,11 +100,12 @@ def classify_field(
                 mr, Lr, ipr = table.get(p**a) or local(p**a)
                 m, L, ip = lcm(m, mr), L * Lr, ip and ipr
         if L % m:
-            raise InternalConsistencyError(f"m={m} does not divide L={L} for d={F.d}, n={n}")
+            raise InternalConsistencyError(f"m={m} does not divide L={L} for d={d}, n={n}")
         if n <= half:
             j = n - n_min
             ms[j], Ls[j], ips[j] = m, L, ip
-        assoc = ip and m == L
+        la = m == L
+        assoc = ip and la
         # half-factorial: n is 1, p, or 2p with p odd (r is then odd)
         hfd = assoc and h <= 2 and (n == 1 or is_prime(n) or (q == 2 and is_prime(r)))
-        yield n, m, L, ip, m == L, assoc, h * (L // m), hfd
+        yield d, n, D, m, L, ip, la, assoc, h, h * (L // m), hfd

@@ -95,7 +95,7 @@ def cmd_classnum(args: argparse.Namespace) -> int:
 def cmd_verify(args: argparse.Namespace) -> int:
     rec = classify_order(OrderSpec(args.d, args.n))
     F = make_field(rec.d)
-    checked = checked_columns(F, fundamental_unit(F), rec._fields, rec)
+    checked = checked_columns(F, fundamental_unit(F), rec)
     if skipped := [name for name, (_, got) in checked.items() if got is None]:
         raise ValueError(
             f"n={rec.n} is outside the range of the oracle(s) {', '.join(skipped)}: "

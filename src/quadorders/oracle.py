@@ -26,15 +26,15 @@ on a ring, not on the field, so every entry point reads and fills three tables k
 life of the process, each entry made on its first touch; (q, half, t mod q) fixes
 O_K/(q) = Z[x]/(q, x^2 - half*x - t).  _UNIT_COUNTS: |U(O_K/(q))| under that key, at most
 2q for each of the 60 prime powers q <= 200, 10,170 in all.  _IDEAL_OUTCOMES: (every P^2
-test over p holds, every split-pair test holds) under (p, gcd(n, p^2), half, t mod p^2): n
-enters a test only as k*(c, d2), and p in P gives d2 | p and p*(c, d2) in Q, so only
-whether p | k counts, which gcd(n, p^2) fixes; at most 4p^2 for each p <= 13 (p^2 within
-the cap), 1,508 in all.  _SPLITS: the walk's rows, z*x mod n over the z prime to n and over
-the others for each residue x, as bytes: n^2 bytes for each n <= 200,
-2,686,699 bytes in all.  bytes holds residues below 256 only; the cap keeps them there, and
-bytes() raises should one reach 256.  The walk over u stays per call.  Only ring arithmetic
-and factorization are shared with the fast path (qi_mul, qi_norm, factorize, the roots of
-omega's minimal polynomial), never m, L or the field character (D/p).
+test over p holds, every split-pair test holds) under (p, half, t mod p^2), the ring alone:
+n enters a test only as k*(c, d2), which lies in Q once p | k, as p*P does; P = (p, omega - r)
+has d2 = 1, so k = n, and the inert (p) has (p, 0) outside (p^2) at every n; at most 2p^2
+for each p <= 13 (p^2 within the cap), 754 in all.  _SPLITS: the walk's rows, z*x mod n over
+the z prime to n and over the others for each residue x, as bytes: n^2 bytes for each
+n <= 200, 2,686,699 bytes in all.  bytes holds residues below 256 only; the cap keeps them
+there, and bytes() raises should one reach 256.  The walk over u stays per call.  Only ring
+arithmetic and factorization are shared with the fast path (qi_mul, qi_norm, factorize, the
+roots of omega's minimal polynomial), never m, L or the field character (D/p).
 """
 
 from __future__ import annotations
@@ -171,15 +171,14 @@ def brute_ideal_preserving(F: FieldContext, n: int) -> bool:
     P, not in P'.  Each p | n in increasing order meets the bound before
     omega_roots (a scan of range(p)) runs on it, and gives False if a P^2 test
     fails; the split pairs are read after every p.  Both outcomes of p are
-    decided on its first touch and kept in _IDEAL_OUTCOMES under
-    (p, gcd(n, p^2), half, t mod p^2).
+    decided once, for any n, in _IDEAL_OUTCOMES[p, half, t mod p^2].
     """
     if n < 2:
         raise ValueError(f"order index must be >= 2, got {n}")
     pair_outcomes = []
     for p, _ in factorize(n):
         _check_modulus(M := p * p)
-        key = (p, gcd(n, M), F.half, F.t % M)
+        key = (p, F.half, F.t % M)
         if key not in _IDEAL_OUTCOMES:
             primes = [[(p, 0), (-r, 1)] for r in omega_roots(F, p)] or [[(p, 0)]]
             _IDEAL_OUTCOMES[key] = (

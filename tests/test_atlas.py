@@ -22,16 +22,11 @@ from quadorders import (
 )
 from quadorders.arith import InternalConsistencyError, is_squarefree, window_plan
 from quadorders.atlas import CSV_HEADER, Checkpoint, checkpoint_path, read_checkpoint
-from quadorders.classify import ClassificationRecord, classify_field
+from quadorders.classify import classify_field
 from quadorders.pell import fundamental_unit
 from quadorders.quadfield import make_field
 from test_classify import reference_record
 from test_unitindex import reference_min_power
-
-# a kernel cell's fields: the record's, less the field's d, D and h_maximal
-CELL_FIELDS = [
-    i for i, name in enumerate(ClassificationRecord._fields) if name not in ("d", "D", "h_maximal")
-]
 
 
 def small_cfg(out, **kw):
@@ -76,17 +71,17 @@ def test_rows_match_classifier(tmp_path):
             assert line == record_to_csv_row(reference_record(d, n))
             F = make_field(d)
             assert m == reference_min_power(F, fundamental_unit(F), n, tables.setdefault(d, {}))
-    # the kernel's cell is the reference's record without the field's d, D and h_maximal,
-    # also where the window starts at n, so the cofactor is folded from below the window
+    # the kernel's row is the reference's record, column for column, d, D and h_maximal
+    # included, also where the window starts at n, so the cofactor is folded from below it
     for d in [-1, -3, 2, 5, 94] + sample:
         F = make_field(d)
         U = fundamental_unit(F)
         h = class_number(F, U).h
         for n in range(1, 61):
             rec = reference_record(d, n)
-            cell = next(classify_field(F, U, h, n, n))
-            assert type(cell) is tuple and cell == tuple(rec[i] for i in CELL_FIELDS), (d, n)
-            assert [type(x) for x in cell] == [type(rec[i]) for i in CELL_FIELDS]
+            row = next(classify_field(F, U, h, n, n))
+            assert type(row) is tuple and row == rec, (d, n)
+            assert [type(x) for x in row] == [type(x) for x in rec]
 
 
 def test_scan_deterministic(tmp_path):

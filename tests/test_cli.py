@@ -145,16 +145,19 @@ def test_verify_mismatch_exits_1(capsys, monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "column", ["locally_associated", "ideal_preserving", "associated", "h_order"]
+    "column",
+    ["locally_associated", "ideal_preserving", "associated", "h_order", "d", "D", "h_maximal"],
 )
 def test_a_verdict_is_checked_by_its_column_name_in_both_paths(
     capsys, monkeypatch, tmp_path, column
 ):
     # a verdict is compared with the column of its name by quadorders verify and by
     # scan --verify alike, with atlas.oracle_verdicts the only thing patched: a flipped flag
-    # fails both, and so does an h_order verdict, which no oracle gives, one off the cell's
+    # fails both, and so does a verdict on an integer column, which no oracle gives, one
+    # more than the record's, the field's own d, D and h_maximal included
     rec = classify_order(OrderSpec(2, 2))
-    wrong = rec.h_order + 1 if column == "h_order" else not getattr(rec, column)
+    value = getattr(rec, column)
+    wrong = not value if isinstance(value, bool) else value + 1
 
     def changed(verdicts):
         verdicts[column] = wrong
@@ -427,6 +430,10 @@ def _scan_out_of_memory(monkeypatch, tmp_path):
     # a window wider than arith.WINDOW_WIDTH_MAX: refused before its plan is allocated
     pytest.param(lambda mp, tp: ("scan", "--d-min", "2", "--d-max", "3", "--n-max", str(10**9),
                                  "--out", str(tp / "x.csv")), 2, id="scan-n-window-too-wide"),
+    # a d window past 10^14, where factorize stops: refused before its d are sieved
+    pytest.param(lambda mp, tp: ("scan", "--d-min", str(2 * 10**14 + 27), "--d-max",
+                                 str(2 * 10**14 + 29), "--n-max", "3", "--out", str(tp / "x.csv")),
+                 2, id="scan-d-window-too-large-to-factor"),
     pytest.param(_resume_csv_as_jsonl, 2, id="resume-csv-scan-as-jsonl"),
     # out of memory exits 2 with a message, not a traceback
     pytest.param(_scan_out_of_memory, 2, id="scan-out-of-memory"),
@@ -552,7 +559,8 @@ def test_a_scan_leaves_only_its_output_and_checkpoint(capsys, monkeypatch, tmp_p
 def test_refused_n_window_leaves_a_finished_scan_as_it_was(capsys, tmp_path):
     # the window is refused before --out is opened for writing or its checkpoint removed,
     # whatever the d range: with a squarefree d in it or none, no --out is created either;
-    # so is a d window wider than arith.WINDOW_WIDTH_MAX, before its d are listed
+    # so is a d window wider than arith.WINDOW_WIDTH_MAX, before its d are listed, and one
+    # reaching |d| = 10^14, of either sign and any width, before its d are sieved
     out = tmp_path / "keep.csv"
     ck = tmp_path / "keep.csv.checkpoint"
     assert run_cli(capsys, "scan", "--d-min", "2", "--d-max", "5", "--out", str(out),
@@ -561,10 +569,15 @@ def test_refused_n_window_leaves_a_finished_scan_as_it_was(capsys, tmp_path):
     assert len(before[0]) == 347
     n_window = ("--n-min", str(2**60), "--n-max", str(2**60 + 1))
     wide_d = ("--d-min", "2", "--d-max", str(2 + WINDOW_WIDTH_MAX), "--n-max", "5")
+    far = 2 * 10**14 + 27
+    far_d = [(("--d-min", str(lo), "--d-max", str(hi), "--n-max", "5"),
+              f"d window [{lo}, {hi}] is too large to factor: its largest |d| must be below 10^14")
+             for lo, hi in [(far, far + 2), (-far - 2, -far), (-10**14, -10**14), (far, far)]]
     for window, refusal in [(("--d-min", "2", "--d-max", "5", *n_window), "too large to sieve"),
                             (("--d-min", "4", "--d-max", "4", *n_window), "too large to sieve"),
                             (("--d-min", "8", "--d-max", "9", *n_window), "too large to sieve"),
-                            (wide_d, f"d window [2, {2 + WINDOW_WIDTH_MAX}] is too large to scan")]:
+                            (wide_d, f"d window [2, {2 + WINDOW_WIDTH_MAX}] is too large to scan"),
+                            *far_d]:
         for path in (out, tmp_path / "new.csv"):
             rc, _, err = run_cli(capsys, "scan", *window, "--out", str(path))
             assert rc == 2 and refusal in err, window

@@ -172,9 +172,9 @@ def test_each_ring_is_enumerated_once_per_process(monkeypatch, fresh_oracle_tabl
     # scanned, once per ring, (q, half, t mod q), across the fields: d = 2 and d = -5 share
     # O_K/(7), as 2 = -5 (mod 7), so the second enumerates no O_K/(7).  A prime's ideal tests
     # are decided together, in one run of lattice tests under its outcome's key
-    # (p, gcd(n, p^2), half, t mod p^2).  Every entry point reads the same tables: the public
-    # oracles enumerate nothing on a ring that oracle_verdicts has enumerated, nor on a
-    # second call.
+    # (p, half, t mod p^2), once for every n.  Every entry point reads the same tables: the
+    # public oracles enumerate nothing on a ring that oracle_verdicts has enumerated, nor on
+    # a second call.
     calls = []
     units, holds = oracle._units, oracle._test_holds
 
@@ -183,7 +183,7 @@ def test_each_ring_is_enumerated_once_per_process(monkeypatch, fresh_oracle_tabl
         return units(F, M)
 
     def spy_holds(F, n, P, Q, M):
-        calls.append(("ideal", P[0][0], gcd(n, M), F.half, F.t % M, tuple(P), tuple(Q)))
+        calls.append(("ideal", P[0][0], F.half, F.t % M, tuple(P), tuple(Q)))
         return holds(F, n, P, Q, M)
 
     monkeypatch.setattr(oracle, "_units", spy_units)
@@ -202,7 +202,7 @@ def test_each_ring_is_enumerated_once_per_process(monkeypatch, fresh_oracle_tabl
         (q, F.half, F.t % q) for F in fields for q in prime_powers}
     assert ("units", 7, 0, 2) in per_field[2]
     assert [c for c in per_field[-5] if c[:2] == ("units", 7)] == []
-    outcome_keys = [c[1:5] for c in calls if c[0] == "ideal"]
+    outcome_keys = [c[1:4] for c in calls if c[0] == "ideal"]
     runs = [k for i, k in enumerate(outcome_keys) if i == 0 or outcome_keys[i - 1] != k]
     assert runs and len(runs) == len(set(runs)) and set(runs) <= set(oracle._IDEAL_OUTCOMES)
     calls.clear()
@@ -245,11 +245,10 @@ def test_oracle_tables_stay_within_their_stated_bounds():
     bounds = {
         # a key (q, half, t mod q) for each q, half in (0, 1) and t mod q
         "_UNIT_COUNTS": 2 * sum(prime_powers),
-        # a key (p, gcd(n, p^2), half, t mod p^2) for 2 values of the gcd, each half and
-        # t mod p^2
-        "_IDEAL_OUTCOMES": 4 * sum(p * p for p in ideal_primes),
+        # a key (p, half, t mod p^2) for each half and t mod p^2
+        "_IDEAL_OUTCOMES": 2 * sum(p * p for p in ideal_primes),
     }
-    assert bounds["_IDEAL_OUTCOMES"] == 1508
+    assert bounds["_IDEAL_OUTCOMES"] == 754
     for name, bound in bounds.items():
         assert 0 < len(getattr(oracle, name)) <= bound, name
         assert f"{bound:,} in all" in oracle.__doc__, name
@@ -431,13 +430,13 @@ def test_oracle_imports_nothing_of_the_closed_forms():
 
 def test_wrong_stored_ideal_test_fails_the_verified_scan(tmp_path, monkeypatch):
     # each ideal test's outcome is stored on its first touch and read by every later n of
-    # the field with the same (P, Q, gcd(n, p^2)); a wrong outcome stored then stops the scan
+    # the field with the same (P, Q); a wrong outcome stored then stops the scan
     holds = oracle._test_holds
     touched = set()
 
     def wrong_on_first_touch(F, n, P, Q, M):
         found = holds(F, n, P, Q, M)
-        key = (gcd(n, M), M, tuple(P), tuple(Q))
+        key = (M, tuple(P), tuple(Q))
         if key in touched:
             return found
         touched.add(key)
@@ -655,12 +654,13 @@ def test_ideal_pairs_stay_over_one_split_or_ramified_prime(monkeypatch):
     # each key runs the P^2 test of every prime P over p, the inert P = (p) included, and the
     # pair test only over a split p, each test once, under its prime outcome's key; each
     # stored outcome is (every P^2 test holds, every split-pair test holds) by the reference
-    # oracle.  Q is named by its Hermite form, which the key fixes whatever field filled it
+    # oracle at every n.  Q is named by its Hermite form, which the key fixes whatever field
+    # filled it
     decided = []
     holds = oracle._test_holds
 
     def spy(F, n, P, Q, M):
-        key = (P[0][0], gcd(n, M), F.half, F.t % M)
+        key = (P[0][0], F.half, F.t % M)
         decided.append((key, tuple(P), _ideal_lattice(F, Q, M)))
         return holds(F, n, P, Q, M)
 
@@ -672,8 +672,8 @@ def test_ideal_pairs_stay_over_one_split_or_ramified_prime(monkeypatch):
             with suppress(OracleBoundError):
                 brute_ideal_preserving(F, n)
         for key, outcome in oracle._IDEAL_OUTCOMES.items():
-            p, step = key[:2]
-            if key not in {(p, g, F.half, F.t % (p * p)) for g in (p, p * p)}:
+            p = key[0]
+            if key != (p, F.half, F.t % (p * p)):
                 continue
             checked.add(key)
             roots = omega_roots(F, p)
@@ -686,12 +686,14 @@ def test_ideal_pairs_stay_over_one_split_or_ramified_prime(monkeypatch):
             # all() stops at the first failing P^2 test, so only the first one always runs
             assert squares[0] in tests and tests <= set(squares) | pairs, (d, key)
             assert not pairs or field_char(d, p) == 1, (d, key)
-            # the reference oracle reads n only through gcd(n, p^2)
+            # the reference oracle reads n only through gcd(n, p^2), p or p^2 as p | n: the
+            # one outcome kept for the ring is the reference's at both
             refs = [(p, r) for r in roots] or [(p, None)]
-            assert outcome == (all(_reference_pair(F, step, P, P) for P in refs),
-                               all(_reference_pair(F, step, P, Q) for P in refs for Q in refs
-                                   if Q != P)), (d, key)
-    # every stored key is (p, gcd(n, p^2), half, t mod p^2) for some field and n
+            for step in (p, p * p):
+                assert outcome == (all(_reference_pair(F, step, P, P) for P in refs),
+                                   all(_reference_pair(F, step, P, Q) for P in refs for Q in refs
+                                       if Q != P)), (d, key, step)
+    # every stored key is (p, half, t mod p^2) for some field
     assert checked == set(oracle._IDEAL_OUTCOMES)
     assert len(decided) == len(set(decided))
 

@@ -14,6 +14,7 @@ import re
 from pathlib import Path
 
 import quadorders
+from quadorders.cli import main
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -66,6 +67,16 @@ def test_readme_library_example_runs_to_its_commented_result():
     exec(compile(ast.Module(statements, type_ignores=[]), "README.md", "exec"), namespace)
     got = eval(compile(ast.Expression(last.value), "README.md", "eval"), namespace)
     assert got == ast.literal_eval(comment) == (3, 6, True, False, False)
+
+
+def test_readme_cli_examples_print_their_shown_output(capsys):
+    # each `$ quadorders ...` line in the README, run as written: its stdout is the text
+    # shown under it, up to the end of its code block
+    examples = re.findall(r"^\$ quadorders ([^\n]*)\n(.*?)^```", README.read_text(), re.M | re.S)
+    assert [argv for argv, _ in examples] == ["verify -d 2 -n 2"]
+    for argv, shown in examples:
+        assert main(argv.split()) == 0, argv
+        assert capsys.readouterr().out == shown, argv
 
 
 def test_all_and_readme_names_resolve():
