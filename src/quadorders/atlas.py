@@ -24,16 +24,13 @@ from __future__ import annotations
 
 import json
 import os
-import pickle
 import re
 import signal
 import time
 from contextlib import ExitStack, contextmanager, nullcontext
-from dataclasses import dataclass
 from itertools import chain, islice
 from math import isqrt
-from tempfile import TemporaryFile
-from typing import BinaryIO, Callable, Iterator, NoReturn
+from typing import BinaryIO, Callable, Iterator, NamedTuple, NoReturn
 
 from .arith import InternalConsistencyError, check_window, window_plan
 from .classgroup import class_number
@@ -43,6 +40,7 @@ from .pell import FundamentalUnit, fundamental_unit
 from .quadfield import FieldContext, make_field
 
 FIELD_NAMES = ClassificationRecord._fields
+_COLUMN = {name: i for i, name in enumerate(FIELD_NAMES)}  # a column's index, by name
 CSV_HEADER = ",".join(FIELD_NAMES)
 _BOOL_FIELDS = ("ideal_preserving", "locally_associated", "associated", "hfd")
 _BLOCK_SIZE = 1 << 16  # bytes read, spooled or copied at once; a read block runs on to a line end
@@ -74,8 +72,7 @@ class ScanFileError(ValueError):
     """A scan file line that is not in the form scan writes: corrupt data, not bad usage."""
 
 
-@dataclass(slots=True)
-class ScanConfig:
+class ScanConfig(NamedTuple):
     d_min: int
     d_max: int
     n_max: int
@@ -87,22 +84,19 @@ class ScanConfig:
     verify: bool = False
 
 
-@dataclass(slots=True)
-class Checkpoint:
+class Checkpoint(NamedTuple):
     last_d: int
     rows: int
     hfd: int
 
 
-@dataclass(slots=True)
-class ScanSummary:
+class ScanSummary(NamedTuple):
     records: int
     hfd: int
     elapsed: float
 
 
-@dataclass(slots=True)
-class HfdReport:
+class HfdReport(NamedTuple):
     total: int
     per_d: dict[int, int]
 
@@ -121,7 +115,7 @@ def checked_columns(F: FieldContext, U: FundamentalUnit, row: tuple) -> dict:
     """{name: (row's value in that column, verdict)} for each oracle_verdicts name, row a record
     or a bare row in its column order; the verdict is None at n = 1 or past the bound."""
     verdicts = oracle_verdicts(F, U, row[1])  # the one reader of the verdicts
-    return {name: (row[FIELD_NAMES.index(name)], got) for name, got in verdicts.items()}
+    return {name: (row[_COLUMN[name]], got) for name, got in verdicts.items()}
 
 
 def compared(flag: object, verdict: object) -> str:  # in the JSONL spelling, as in a row
@@ -173,6 +167,8 @@ def _work(tasks: list[tuple], spool: BinaryIO, fd: int, inherited: list[int]) ->
     tasks' rows to the end of spool and, once they are flushed, sends the spool's length and
     the task's hfd count, or the exception that ends the run, to fd as one pickle.  It
     leaves by os._exit, so no buffer or exit hook of the parent's runs twice."""
+    import pickle  # loaded only where a scan forks
+
     code = 1
     try:
         for end in inherited:
@@ -208,6 +204,9 @@ def _forked(tasks: list[tuple], jobs: int, out: BinaryIO) -> Iterator[Callable[[
     A worker whose pipe ends first raises RuntimeError naming it and its wait status.  On
     leaving, every worker is killed and waited for, and every spool and pipe is closed.
     """
+    import pickle  # both loaded only where a scan forks
+    from tempfile import TemporaryFile
+
     directory = os.path.dirname(os.path.abspath(out.name))
     pids: list[int | None] = []  # worker k's pid, until it is waited for
     spools: list[BinaryIO] = []

@@ -25,9 +25,9 @@ Either way about 0.07*|D| candidates are tried, where a box over a and b tries |
 from __future__ import annotations
 
 from collections.abc import Iterator
-from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd, isqrt
+from typing import NamedTuple
 
 from .arith import CACHE_MAXSIZE, InternalConsistencyError
 from .pell import FundamentalUnit
@@ -36,8 +36,7 @@ from .quadfield import FieldContext
 Form = tuple[int, int, int]
 
 
-@dataclass(frozen=True, slots=True)
-class FormClassData:
+class FormClassData(NamedTuple):
     h: int
     h_plus: int | None  # None for an imaginary field
 

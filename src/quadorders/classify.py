@@ -15,8 +15,7 @@ n = 1 (q = r = 1) too; classify_order is its window of one n, which the plan rea
 from __future__ import annotations
 
 from array import array
-from collections.abc import Iterator
-from dataclasses import dataclass
+from collections.abc import Iterable, Iterator
 from math import lcm
 from typing import NamedTuple
 
@@ -27,17 +26,25 @@ from .quadfield import FieldContext, field_char, make_field
 from .unitindex import local_data
 
 
-@dataclass(frozen=True, slots=True)
-class OrderSpec:
-    """The order of index n in the maximal order of Q(sqrt(d))."""
-
+class _Order(NamedTuple):
     d: int
     n: int
 
-    def __post_init__(self) -> None:
-        make_field(self.d)  # raises make_field's ValueError for a d that defines no field
-        if self.n < 1:
-            raise ValueError(f"order index must be >= 1, got {self.n}")
+
+class OrderSpec(_Order):
+    """The order of index n in the maximal order of Q(sqrt(d)), checked when it is built."""
+
+    __slots__ = ()
+
+    def __new__(cls, d: int, n: int) -> OrderSpec:
+        make_field(d)  # raises make_field's ValueError for a d that defines no field
+        if n < 1:
+            raise ValueError(f"order index must be >= 1, got {n}")
+        return super().__new__(cls, d, n)
+
+    @classmethod
+    def _make(cls, iterable: Iterable[int]) -> OrderSpec:  # so that _replace checks too
+        return cls(*iterable)
 
 
 class ClassificationRecord(NamedTuple):

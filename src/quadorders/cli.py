@@ -10,7 +10,6 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import fields
 from math import log10
 
 from .atlas import ScanConfig, ScanFileError, checked_columns, compared, report_hfd, scan
@@ -110,7 +109,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_scan(args: argparse.Namespace) -> int:
-    cfg = ScanConfig(**{f.name: getattr(args, f.name) for f in fields(ScanConfig)})
+    cfg = ScanConfig(**{name: getattr(args, name) for name in ScanConfig._fields})
     summary = scan(cfg)
     print(
         f"records={summary.records} hfd={summary.hfd} "

@@ -15,16 +15,15 @@ For d < 0 the unit group is finite and a generator is returned: i for d = -1
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from math import isqrt, log
+from typing import NamedTuple
 
 from .arith import CACHE_MAXSIZE, InternalConsistencyError, is_prime
 from .quadfield import QI, FieldContext, qi_mul, qi_norm, unit_xy
 
 
-@dataclass(frozen=True, slots=True)
-class FundamentalUnit:
+class FundamentalUnit(NamedTuple):
     """Generator of the unit group modulo {+-1}; torsion_order is the order of
     the torsion subgroup (2 for real fields, where the group is {+-1} x u^Z)."""
 

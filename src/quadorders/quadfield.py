@@ -9,16 +9,15 @@ order of index n is exactly the set of elements with n | b.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 from .arith import CACHE_MAXSIZE, InternalConsistencyError, is_prime, is_squarefree
 
 QI = tuple[int, int]  # a + b*omega as (a, b)
 
 
-@dataclass(frozen=True, slots=True)
-class FieldContext:
+class FieldContext(NamedTuple):
     """Q(sqrt(d)) with field discriminant D and omega^2 = half*omega + t."""
 
     d: int

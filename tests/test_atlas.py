@@ -521,6 +521,16 @@ def test_verdicts_are_matched_to_flags_by_name(tmp_path, monkeypatch):
     assert checked.read_bytes() == plain.read_bytes()
 
 
+def test_a_verdict_named_by_no_column_stops_the_scan(tmp_path, monkeypatch):
+    # a verdict is read by its column's name: a name that is no column is an error, in
+    # process and in a forked worker alike, never a verdict passed unchecked
+    wrap_verdicts(monkeypatch, lambda verdicts: {**verdicts, "unit_index": True})
+    for jobs in (1, 2):
+        with pytest.raises(KeyError, match="unit_index"):
+            scan(ScanConfig(d_min=2, d_max=3, n_max=2, out=str(tmp_path / "v.csv"), verify=True,
+                            jobs=jobs))
+
+
 def test_oracle_verdicts_skip_and_mismatch(tmp_path, monkeypatch):
     # 31^2 is past the ideal-preserving oracle's bound, 31 is not past the others'
     F = make_field(7)

@@ -11,12 +11,17 @@ import importlib
 import inspect
 import pkgutil
 import re
+import subprocess
+import sys
 from pathlib import Path
+
+import pytest
 
 import quadorders
 from quadorders.cli import main
 
 README = Path(__file__).resolve().parent.parent / "README.md"
+SRC = README.parent / "src"
 
 # name -> positional parameters, in the order the benchmark passes them
 CALLED_BY_BENCHMARK = {
@@ -100,6 +105,35 @@ def test_benchmark_calls_keep_their_signatures():
     U = quadorders.fundamental_unit(F)
     assert quadorders.class_number(F, U).h == 1
     assert quadorders.min_power(F, U, 5) == 3
+
+
+def test_records_are_immutable_named_tuples():
+    assert list(quadorders.ScanConfig._fields) == SCAN_CONFIG_FIELDS
+    cfg = quadorders.ScanConfig(2, 10, 10, "out.csv")
+    with pytest.raises(AttributeError):
+        cfg.jobs = 2
+    assert cfg._replace(jobs=2).jobs == 2 and cfg.jobs == 1
+    with pytest.raises(ValueError):  # a spec is checked however it is built
+        quadorders.OrderSpec(2, 3)._replace(n=0)
+    F = quadorders.make_field(-3)
+    U = quadorders.fundamental_unit(F)
+    for record in (F, U):  # lru_cache keys of fundamental_unit and class_number
+        assert hash(record) == hash(type(record)(*record))
+    assert repr(F) == "FieldContext(d=-3, D=-3, t=-1, half=1)"
+
+
+def test_import_loads_no_dataclasses_inspect_pickle_or_tempfile():
+    # start-up pays for what import quadorders loads: no record is a dataclass, and pickle
+    # and tempfile are imported only where a scan forks its workers
+    code = (
+        "import sys; sys.path.insert(0, sys.argv[1]); import quadorders; "
+        "print(sorted({'dataclasses', 'inspect', 'pickle', 'tempfile'} & set(sys.modules)))"
+    )
+    out = subprocess.run([sys.executable, "-S", "-c", code, str(SRC)],
+                         capture_output=True, text=True, check=True).stdout
+    assert out == "[]\n"
+    for path in sorted((SRC / "quadorders").glob("*.py")):
+        assert "dataclass" not in path.read_text(), path.name
 
 
 def test_benchmark_caches_expose_cache_info():
